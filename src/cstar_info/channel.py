@@ -15,7 +15,9 @@ codewords iid from the k-fold input state, decodes each output string to
 the codeword of maximal likelihood (ties to the lowest index), and measures
 how far the block channel sits from the induced lossless decoder channel:
 the mean total-variation style deviation and the decoding error both shrink
-as k grows whenever R is below capacity.
+as k grows whenever R is below capacity.  The experiment streams the r x n**k
+likelihood table in blocks of about ``STREAM_BLOCK_ENTRIES`` entries and
+keeps only per-codeword sums, so its memory does not grow with r * n**k.
 """
 
 from __future__ import annotations
@@ -40,8 +42,14 @@ from .probability import ProductState, State, independence_test
 
 # Joint-state tensor objects carry one explicit term per pair string.
 JOINT_GUARD_BITS = 16
-# Experiment matrices cap r * n**k entries at 2**(guard + 2).
+# A coding trial evaluates r * n**k likelihoods; the guard bounds that work
+# at 2**(guard + 2).
 EXPERIMENT_GUARD_BITS = 24
+# Coding trials stream the likelihood table in blocks of r x n**t entries,
+# with the longest tail t that keeps a block within this many entries.
+STREAM_BLOCK_ENTRIES = 2 ** 18
+# Shared by the dense decoder and the streamed trial.
+_ZERO_MASS = "decision block with zero mass; decoder row set to uniform"
 
 
 class ConvergenceError(RuntimeError):
@@ -58,6 +66,8 @@ class Channel:
         mat = np.array(matrix, dtype=float)
         if mat.ndim != 2 or mat.size == 0:
             raise ValueError("channel matrix must be a nonempty 2-d array")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("channel probabilities must be finite")
         if float(np.min(mat)) < -t:
             raise ValueError("channel probabilities must be nonnegative")
         sums = mat.sum(axis=1)
@@ -442,14 +452,26 @@ def _sample_codebook(rng, weights, k, r):
     return rng.choice(m, size=(r, k), p=w).astype(np.int64)
 
 
+def _symbol_factors(matrix, codebook):
+    # Factor t is the n x r table C(y | codeword j's symbol t).
+    return [np.ascontiguousarray(matrix[symbols].T) for symbols in codebook.T]
+
+
+def _extend_columns(columns, factors):
+    # Likelihood columns (one per output prefix, one entry per codeword) grown
+    # by one output symbol per factor, big-endian.  The product runs left to
+    # right over the block, so every entry is bit-identical however the block
+    # is split, and argmax ties break the same way in every path.
+    for factor in factors:
+        columns = (columns[:, None, :] * factor[None, :, :]).reshape(-1, columns.shape[1])
+    return columns
+
+
 def _block_rows(matrix, codebook):
     # Row j is the block channel C^k conditioned on codeword j; output strings
     # are packed big-endian, matching the dense() ordering of tensor elements.
-    r, k = codebook.shape
-    rows = np.ones((r, 1))
-    for t in range(k):
-        rows = (rows[:, :, None] * matrix[codebook[:, t]][:, None, :]).reshape(r, -1)
-    return rows
+    start = np.ones((1, codebook.shape[0]))
+    return _extend_columns(start, _symbol_factors(matrix, codebook)).T
 
 
 def _decoder_from_rows(rows):
@@ -462,7 +484,7 @@ def _decoder_from_rows(rows):
     decoder = np.where(owner, rows, 0.0)
     empty_mass = masses <= 0.0
     if np.any(empty_mass):
-        warnings.warn("decision block with zero mass; decoder row set to uniform")
+        warnings.warn(_ZERO_MASS)
         for j in np.flatnonzero(empty_mass):
             block = owner[j]
             if np.any(block):
@@ -476,17 +498,82 @@ def _decoder_from_rows(rows):
     return decision, decoder, masses
 
 
+def _likelihood_blocks(factors):
+    # The r x n**k likelihood table, transposed, as consecutive blocks of
+    # n**t output strings: a lead prefix column extended by the t tail factors.
+    r = factors[0].shape[1]
+    n = factors[0].shape[0]
+    tail = 0
+    while tail < len(factors) and r * n ** (tail + 1) <= STREAM_BLOCK_ENTRIES:
+        tail += 1
+    split = len(factors) - tail
+    lead = _extend_columns(np.ones((1, r)), factors[:split])
+    for a in range(lead.shape[0]):
+        yield _extend_columns(lead[a : a + 1], factors[split:])
+
+
+def _streamed_trial(matrix, codebook):
+    """Deviation and error probability of one codebook's ML decoder channel.
+
+    One streamed pass over the likelihood table: each output string goes to
+    its most likely codeword (ties to the lowest index), which gains the
+    string's likelihood as owned mass m_j.  With s_j the row sums, the error
+    is sum_j (s_j - m_j) / r, and decoder row j contributes
+    |1 - m_j| + (s_j - m_j) to the deviation.  A row that owns only strings
+    of zero likelihood contributes 1 + s_j; a row that owns none falls back
+    to the uniform decoder row and contributes sum_y |row_j(y) - 1/n**k|.
+    """
+    r, k = codebook.shape
+    uniform = 1.0 / matrix.shape[1] ** k
+    factors = _symbol_factors(matrix, codebook)
+    # A repeated codeword has the same row as its first occurrence and loses
+    # every tie to it, so it owns nothing; its uniform-row gap is summed on
+    # the first occurrence in the same pass.
+    _, first, inverse = np.unique(codebook, axis=0, return_index=True, return_inverse=True)
+    source = first[inverse.reshape(-1)]
+    repeat = source != np.arange(r)
+    shared = np.unique(source[repeat])
+    mass = np.zeros(r)
+    owned = np.zeros(r, dtype=np.int64)
+    gap = np.zeros(r)
+    for block in _likelihood_blocks(factors):
+        winner = np.argmax(block, axis=1)
+        best = np.take_along_axis(block, winner[:, None], axis=1)[:, 0]
+        mass += np.bincount(winner, weights=best, minlength=r)
+        owned += np.bincount(winner, minlength=r)
+        gap[shared] += np.abs(block[:, shared] - uniform).sum(axis=0)
+    gap[repeat] = gap[source[repeat]]
+    # Any other row that owns nothing is beaten or tied on every output
+    # string, which needs a channel other than a BSC; a second pass covers
+    # just those rows.
+    lone = np.setdiff1d(np.flatnonzero((owned == 0) & ~repeat), shared)
+    if lone.size:
+        for block in _likelihood_blocks([f[:, lone] for f in factors]):
+            gap[lone] += np.abs(block - uniform).sum(axis=0)
+    if np.any(mass <= 0.0):
+        warnings.warn(_ZERO_MASS)
+    sums = np.prod(matrix.sum(axis=1)[codebook], axis=1)
+    deviation = np.where(
+        mass > 0.0,
+        np.abs(1.0 - mass) + (sums - mass),
+        np.where(owned > 0, 1.0 + sums, gap),
+    )
+    return float(deviation.sum()) / r, float(np.sum(sums - mass)) / r
+
+
 def _experiment_guard(k, n, r, guard_bits):
+    # A bound on work, not memory: a trial evaluates r * n**k likelihoods.
     limit = EXPERIMENT_GUARD_BITS if guard_bits is None else float(guard_bits)
     if k * np.log2(n) > limit + 1e-9:
         raise GuardExceeded(
-            "block length %d over a %d-symbol output needs 2^%.1f columns; guard is 2^%g"
-            % (k, n, k * np.log2(n), limit)
+            "block length %d over a %d-symbol output means 2^%.1f output strings "
+            "per trial; the work guard is 2^%g" % (k, n, k * np.log2(n), limit)
         )
     if np.log2(r) + k * np.log2(n) > limit + 2 + 1e-9:
         raise GuardExceeded(
-            "codebook of %d rows times %d**%d columns exceeds the 2^%g entry guard"
-            % (r, n, k, limit + 2)
+            "codebook of %d words times %d**%d output strings means 2^%.1f likelihoods "
+            "per trial; the work guard is 2^%g"
+            % (r, n, k, np.log2(r) + k * np.log2(n), limit + 2)
         )
 
 
@@ -508,14 +595,6 @@ def build_code_and_decoder(channel, omega, k, rate, seed=0, guard_bits=None):
     rows = _block_rows(channel.matrix, codebook)
     decision, decoder, _ = _decoder_from_rows(rows)
     return codebook, LosslessChannel(decoder, tuple(int(v) for v in decision))
-
-
-def _trial_metrics(rows, decision, decoder):
-    r = rows.shape[0]
-    owner = decision[None, :] == np.arange(r)[:, None]
-    deviation = float(np.abs(rows - decoder).sum()) / r
-    error = float(np.where(~owner, rows, 0.0).sum()) / r
-    return deviation, error
 
 
 @dataclass(frozen=True)
@@ -565,6 +644,9 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
         cap = capacity(channel, tol=1e-6, max_iter=2000).capacity
     except ConvergenceError:
         cap = None
+        warnings.warn(
+            "capacity probe did not converge; capacity unknown, rate %g not checked" % rate
+        )
     if cap is not None and rate >= cap:
         warnings.warn(
             "rate %g is not below capacity %.6g; deviations need not shrink" % (rate, cap)
@@ -582,9 +664,7 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
         for t in range(trials):
             rng = np.random.default_rng(int(seed) + t)
             codebook = _sample_codebook(rng, omega.weights, k, r)
-            rows = _block_rows(channel.matrix, codebook)
-            decision, decoder, _ = _decoder_from_rows(rows)
-            deviation, error = _trial_metrics(rows, decision, decoder)
+            deviation, error = _streamed_trial(channel.matrix, codebook)
             devs.append(deviation)
             errs.append(error)
         results.append(

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .algebra import AtomicAlgebra, GuardExceeded
+from .algebra import AtomicAlgebra, Element, GuardExceeded
 from .probability import State, chebyshev_tail, lln_moment_sweep
 from .information import (
     Code,
@@ -383,12 +383,14 @@ def _guard_bits(config):
 def _run_lln(config):
     omega = _state_from(config["p"])
     ns = config["n"]
-    moments = lln_moment_sweep(omega, ns, config["moment"], observable=config["values"])
-    variances = lln_moment_sweep(omega, ns, 2, observable=config["values"])
+    values = config["values"]
+    observable = None if values is None else Element(omega.algebra, values)
+    moments = lln_moment_sweep(omega, ns, config["moment"], observable=observable)
+    variances = lln_moment_sweep(omega, ns, 2, observable=observable)
     eps = config["eps"]
     rows = []
     for n in ns:
-        tail = chebyshev_tail(omega, n, eps, observable=config["values"])
+        tail = chebyshev_tail(omega, n, eps, observable=observable)
         rows.append({
             "n": n,
             "moment": moments[n],
@@ -554,14 +556,15 @@ def render_artifact(config, rows, summary):
     echo = _config_echo(config)
     if config["format"] == "json":
         artifact = {"config": echo, "results": rows, "summary": summary}
-        return json.dumps(artifact, sort_keys=True, indent=2) + "\n"
-    lines = ["# config: " + json.dumps(echo, sort_keys=True, separators=(",", ":"))]
+        return json.dumps(artifact, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    compact = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
+    lines = ["# config: " + json.dumps(echo, **compact)]
     columns = list(rows[0].keys())
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_csv_cell(row[c]) for c in columns))
     if summary is not None:
-        lines.append("# summary: " + json.dumps(summary, sort_keys=True, separators=(",", ":")))
+        lines.append("# summary: " + json.dumps(summary, **compact))
     return "\n".join(lines) + "\n"
 
 

@@ -42,6 +42,8 @@ class State:
         w = np.array(weights, dtype=float)
         if w.shape != (algebra.dim,):
             raise ValueError("expected %d weights, got shape %r" % (algebra.dim, w.shape))
+        if not np.all(np.isfinite(w)):
+            raise ValueError("state weights must be finite")
         if float(np.min(w)) < -t:
             raise ValueError("state weights must be nonnegative")
         if abs(float(np.sum(w)) - 1.0) > t:
@@ -459,6 +461,8 @@ def _observable_values(omega, observable):
         raise AlgebraMismatch("observable and state algebras differ")
     if not observable.is_self_adjoint():
         raise ValueError("observable must be self-adjoint")
+    if not np.all(np.isfinite(observable.coeffs)):
+        raise ValueError("observable values must be finite")
     return observable.coeffs.real.copy()
 
 

@@ -2,10 +2,15 @@
 
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cstar_info import channel as channel_module
 from cstar_info.algebra import AtomicAlgebra, Element, GuardExceeded, trace
 from cstar_info.channel import (
     CapacityResult,
@@ -14,6 +19,11 @@ from cstar_info.channel import (
     ConvergenceError,
     JointState,
     LosslessChannel,
+    _block_rows,
+    _decoder_from_rows,
+    _likelihood_blocks,
+    _streamed_trial,
+    _symbol_factors,
     apply_channel,
     bec,
     bsc,
@@ -47,6 +57,15 @@ def random_channel(m, n, rng=RNG):
 def random_state(d, rng=RNG):
     w = rng.uniform(0.0, 1.0, d)
     return State(AtomicAlgebra(d), w / w.sum())
+
+
+def _trial_metrics(rows, decision, decoder):
+    # Dense oracle for one coding trial, from the full r x n**k block and decoder.
+    r = rows.shape[0]
+    owner = decision[None, :] == np.arange(r)[:, None]
+    deviation = float(np.abs(rows - decoder).sum()) / r
+    error = float(np.where(~owner, rows, 0.0).sum()) / r
+    return deviation, error
 
 
 # construction -----------------------------------------------------------------
@@ -346,8 +365,6 @@ def test_capacity_nonconvergence_reports_gap():
 
 
 def test_block_rows_against_enumeration():
-    from cstar_info.channel import _block_rows
-
     c = bec(0.3)
     codebook = np.array([[0, 1], [1, 1]])
     rows = _block_rows(c.matrix, codebook)
@@ -407,8 +424,6 @@ def test_lossless_channel_validation():
 def test_deviation_equals_twice_error():
     # exact identity whenever every codeword owns at least one output string,
     # which distinct codewords guarantee for a strictly positive channel
-    from cstar_info.channel import _block_rows, _decoder_from_rows, _trial_metrics
-
     c = bsc(0.1)
     rng = np.random.default_rng(99)
     for _ in range(5):
@@ -422,8 +437,6 @@ def test_deviation_equals_twice_error():
 
 
 def test_repeated_codeword_uniform_fallback():
-    from cstar_info.channel import _block_rows, _decoder_from_rows, _trial_metrics
-
     c = bsc(0.1)
     codebook = np.array([[0, 1], [0, 1], [1, 0]])
     rows = _block_rows(c.matrix, codebook)
@@ -440,8 +453,6 @@ def test_repeated_codeword_uniform_fallback():
 
 def test_deviation_matches_element_arithmetic():
     # recompute one trial's deviation through algebra operations
-    from cstar_info.channel import _block_rows, _decoder_from_rows, _trial_metrics
-
     c = bsc(0.15)
     omega = State.uniform(AtomicAlgebra(2))
     codebook, lossless = build_code_and_decoder(c, omega, k=4, rate=0.5, seed=7)
@@ -457,8 +468,6 @@ def test_deviation_matches_element_arithmetic():
 
 
 def test_perfect_channel_decodes_exactly():
-    from cstar_info.channel import _block_rows, _trial_metrics
-
     c = identity_channel(2)
     omega = State.uniform(AtomicAlgebra(2))
     codebook, lossless = build_code_and_decoder(c, omega, k=4, rate=0.5, seed=5)
@@ -505,3 +514,103 @@ def test_coding_experiment_guards():
         coding_experiment(c, omega, rate=0.1, ks=[4], trials=1)  # fewer than 2 codewords
     with pytest.raises(ValueError):
         build_code_and_decoder(c, omega, k=2, rate=1.2, seed=0)  # 5 words, only 4 strings
+
+
+def test_channel_rejects_non_finite():
+    for bad in ([[math.nan, 1.0], [0.5, 0.5]], [[math.inf, -math.inf], [0.5, 0.5]]):
+        with pytest.raises(ValueError, match="finite"):
+            Channel(bad)
+
+
+def test_coding_experiment_warns_when_capacity_probe_fails():
+    # Blahut-Arimoto needs about 5500 iterations here, past the probe's 2000
+    c = Channel([[0.16, 0.33, 0.51], [0.49, 0.08, 0.43], [0.14, 0.29, 0.57]])
+    with pytest.raises(ConvergenceError):
+        capacity(c, tol=1e-6, max_iter=2000)
+    omega = State.uniform(AtomicAlgebra(3))
+    with pytest.warns(UserWarning, match="capacity unknown"):
+        results = coding_experiment(c, omega, rate=0.5, ks=[2], trials=1, seed=0)
+    assert results[0].codebook_size == 2
+
+
+# streamed trials against the dense oracle ------------------------------------------
+
+
+def _dense_trial(matrix, codebook):
+    rows = _block_rows(matrix, codebook)
+    decision, decoder, _ = _decoder_from_rows(rows)
+    return _trial_metrics(rows, decision, decoder)
+
+
+def _warned(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, bool(caught)
+
+
+def _check_every_split(matrix, codebook):
+    (want_dev, want_err), want_warned = _warned(_dense_trial, matrix, codebook)
+    r, k = codebook.shape
+    n = matrix.shape[1]
+    dense = _block_rows(matrix, codebook)
+    for tail in range(k + 1):
+        with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", r * n ** tail):
+            blocks = list(_likelihood_blocks(_symbol_factors(matrix, codebook)))
+            (dev, err), warned = _warned(_streamed_trial, matrix, codebook)
+        assert len(blocks) == n ** (k - tail)
+        assert np.array_equal(np.vstack(blocks), dense.T)  # bit-identical likelihoods
+        assert dev == pytest.approx(want_dev, abs=1e-12)
+        assert err == pytest.approx(want_err, abs=1e-12)
+        assert warned == want_warned
+
+
+@st.composite
+def _coding_cases(draw):
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 4))
+    # a small grid of weights gives zero entries and exact or rounded ties
+    grid = st.sampled_from([0.0, 0.0, 0.05, 0.1, 0.25, 1.0, 3.0])
+    mat = np.array([[draw(grid) for _ in range(n)] for _ in range(m)])
+    mat[mat.sum(axis=1) == 0.0, 0] = 1.0
+    mat /= mat.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        # a mixture of the other rows: a codeword made of it can lose every string
+        mat[-1] = mat[:-1].mean(axis=0)
+    r = draw(st.integers(2, 8))
+    codebook = np.array(
+        [[draw(st.integers(0, m - 1)) for _ in range(k)] for _ in range(r)], dtype=np.int64
+    )
+    for j in draw(st.lists(st.integers(1, r - 1), max_size=3)):
+        codebook[j] = codebook[draw(st.integers(0, j - 1))]  # forced repeats
+    return Channel(mat).matrix, codebook
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coding_cases())
+def test_streamed_trial_matches_dense_oracle(case):
+    _check_every_split(*case)
+
+
+def test_streamed_trial_dominated_codeword():
+    # the (0.5, 0.5) input loses every output to a sharper codeword without
+    # repeating one, so its decoder row falls back to uniform in a second
+    # pass; in the second codebook that dominated word is also repeated
+    matrix = np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
+    for codebook in ([[0], [1], [2]], [[2, 2], [0, 0], [0, 1], [1, 0], [1, 1], [2, 2]]):
+        codebook = np.array(codebook)
+        _check_every_split(matrix, codebook)
+        with pytest.warns(UserWarning, match="zero mass"):
+            dev, err = _streamed_trial(matrix, codebook)
+        assert dev < 2.0 * err
+
+
+def test_streamed_trial_workload_shape():
+    # the coding experiment's own case: bsc(0.05), rate 0.99, many repeats
+    c = bsc(0.05)
+    omega = State.uniform(AtomicAlgebra(2))
+    with pytest.warns(UserWarning, match="zero mass"):
+        codebook, _ = build_code_and_decoder(c, omega, k=9, rate=0.99, seed=4)
+    assert len(np.unique(codebook, axis=0)) < len(codebook)
+    _check_every_split(c.matrix, codebook)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -217,6 +218,38 @@ def test_lln_rows_track_variance(tmp_path):
         assert row["variance"] == pytest.approx(0.25 / row["n"], abs=1e-12)
         assert row["chebyshev_bound"] == pytest.approx(row["variance"] / 0.25, abs=1e-12)
         assert row["tail_probability"] <= row["chebyshev_bound"] + 1e-12
+
+
+@pytest.mark.parametrize("values", [(0.0, 1.0), (0.0, 3.0)])
+def test_lln_values_match_binomial_closed_form(tmp_path, values):
+    p, eps = 0.7, 0.25  # no average lands exactly eps from the mean
+    code, path = run(tmp_path, ["lln", "--p", "0.3,0.7", "--n", "1:6", "--eps", str(eps),
+                                "--values", "%g,%g" % values], "v.json")
+    assert code == 0
+    lo, hi = values
+    mean = lo + (hi - lo) * p
+    for row in read_artifact(str(path))["results"]:
+        n = row["n"]
+        variance = (hi - lo) ** 2 * p * (1 - p) / n
+        tail = sum(
+            math.comb(n, j) * p ** j * (1 - p) ** (n - j)
+            for j in range(n + 1)
+            if abs(lo + (hi - lo) * j / n - mean) > eps
+        )
+        assert row["moment"] == pytest.approx(variance, abs=1e-12)
+        assert row["variance"] == pytest.approx(variance, abs=1e-12)
+        assert row["tail_probability"] == pytest.approx(tail, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["aep", "--p", "nan,nan", "--eps", "0.1", "--n", "2"],
+    ["lln", "--p", "0.5,0.5", "--n", "1:2", "--values", "inf,1", "--format", "csv"],
+])
+def test_non_finite_input_exits_with_json_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "config"
 
 
 def test_code_rejects_word_count_mismatch(tmp_path):

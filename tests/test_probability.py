@@ -48,6 +48,13 @@ def test_state_validation():
     assert s(alg.identity()) == pytest.approx(1.0)
 
 
+def test_state_rejects_non_finite():
+    alg = AtomicAlgebra(2)
+    for bad in ([float("nan"), float("nan")], [float("inf"), -float("inf")], [0.5, float("inf")]):
+        with pytest.raises(ValueError, match="finite"):
+            State(alg, bad)
+
+
 def test_state_evaluation_linear():
     alg = AtomicAlgebra(4)
     omega = random_state(alg)
