@@ -35,7 +35,7 @@ class AlgebraMismatch(ValueError):
 
 
 class GuardExceeded(RuntimeError):
-    """Raised when a dense enumeration would exceed the size guard."""
+    """Raised when a computation would exceed its size guard."""
 
 
 def check_guard(dim, level, guard_bits=None):
@@ -603,7 +603,7 @@ class TensorElement:
 def _from_dense(factor_algebra, vec, level):
     """TensorElement with one fully explicit term per nonzero string."""
     d = factor_algebra.dim
-    vec = np.asarray(vec, dtype=complex)
+    vec = np.asarray(vec)
     if vec.shape != (d ** level,):
         raise ValueError("dense vector has wrong length for level %d" % level)
     terms = {}
@@ -679,7 +679,8 @@ def trace(x, level=None):
 
     For tensor elements the trace is taken at ``level`` (default: the
     element's own level); each term covers d**(level - explicit positions)
-    strings, so no dense expansion is needed.
+    strings, so no dense expansion is needed.  A trace beyond the float
+    range raises ValueError.
     """
     if isinstance(x, Element):
         return complex(np.sum(x.coeffs))
@@ -691,8 +692,25 @@ def trace(x, level=None):
         raise ValueError("level %d below element support %d" % (lvl, x.level))
     total = 0j
     for idx, c in x.terms.items():
-        total += c * (d ** (lvl - len(idx)))
+        strings = d ** (lvl - len(idx))
+        try:
+            total += c * strings
+        except OverflowError:
+            # the string count is beyond the float range; the product may not be
+            total += _scaled(c, strings)
+    if not cmath.isfinite(total):
+        raise ValueError("trace at level %d is beyond the float range" % lvl)
     return total
+
+
+def _scaled(c, m):
+    """c * m for an int m too large for a float, rounded once (inf if too large)."""
+    from fractions import Fraction
+
+    try:
+        return complex(float(Fraction(c.real) * m), float(Fraction(c.imag) * m))
+    except OverflowError:
+        return complex(math.inf)
 
 
 def apply_function(x, f, domain_check=True):

@@ -37,7 +37,7 @@ from .algebra import (
     _tol,
     tensor_power,
 )
-from .information import entropy
+from .information import _entropy_bits
 from .probability import ProductState, State, independence_test
 
 # Joint-state tensor objects carry one explicit term per pair string.
@@ -318,12 +318,6 @@ class InfoMetrics(NamedTuple):
     h_output: float
     h_input_given_output: float
     mutual_information: float
-
-
-def _entropy_bits(weights):
-    w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
-    nz = w[w > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
 
 
 def info_metrics(channel, omega):

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .algebra import AtomicAlgebra, Element, GuardExceeded
-from .probability import State, chebyshev_tail, lln_moment_sweep
+from .probability import State, lln_sweep
 from .information import (
     Code,
     Source,
@@ -382,21 +382,19 @@ def _guard_bits(config):
 
 def _run_lln(config):
     omega = _state_from(config["p"])
-    ns = config["n"]
     values = config["values"]
     observable = None if values is None else Element(omega.algebra, values)
-    moments = lln_moment_sweep(omega, ns, config["moment"], observable=observable)
-    variances = lln_moment_sweep(omega, ns, 2, observable=observable)
     eps = config["eps"]
+    table = lln_sweep(omega, config["n"], config["moment"], eps, observable=observable)
     rows = []
-    for n in ns:
-        tail = chebyshev_tail(omega, n, eps, observable=observable)
+    for n in config["n"]:
+        moment, variance, tail = table[n]
         rows.append({
             "n": n,
-            "moment": moments[n],
-            "variance": variances[n],
+            "moment": moment,
+            "variance": variance,
             "tail_probability": tail,
-            "chebyshev_bound": variances[n] / (eps * eps),
+            "chebyshev_bound": variance / (eps * eps),
         })
     return rows, None
 

@@ -5,11 +5,14 @@ observable carries coefficient i on atom i so that reading the observable n
 times is the n-fold tensor block.  Entropy is the Shannon entropy of the
 weight vector in bits, with the 0 log 0 = 0 convention.
 
-The typical-set report enumerates every length-n string, compares its
-per-symbol information rate against the entropy (closed interval of radius
-eps), and records the count and probability mass of the typical strings
-together with the standard count bounds.  Strings of probability zero carry
-infinite information rate and are never typical.
+The typical-set report compares the per-symbol information rate of the
+length-n strings against the entropy (closed interval of radius eps) and
+records the count and probability mass of the typical strings together with
+the standard count bounds.  The rate of a string depends only on its type,
+the number of times each atom occurs, so the report sums exact multinomial
+counts over type classes (the method of types) and never lists the strings
+themselves; only the explicit typical projection does.  Strings of
+probability zero carry infinite information rate and are never typical.
 
 Prefix codes are tied back to the algebra through word embeddings: two
 distinct embedded codewords multiply to zero exactly when neither word is a
@@ -18,6 +21,7 @@ prefix of the other, so prefix-freedom is an orthogonality statement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,7 @@ from .algebra import (
     GuardExceeded,
     MultiIndex,
     TensorElement,
+    _from_dense,
     check_guard,
 )
 from .probability import State
@@ -36,6 +41,8 @@ from .probability import State
 # Hard ceiling on explicit typical-set projections, independent of the
 # dense-expansion guard: the projection stores one term per typical string.
 MAX_PROJECTION_TERMS = 1 << 20
+# Typical-set reports refuse more than 2**TYPE_GUARD_BITS type classes.
+TYPE_GUARD_BITS = 17
 
 
 class Source:
@@ -71,11 +78,16 @@ def source_output(source):
     return source.output()
 
 
-def entropy(state):
-    """Shannon entropy of the weight vector, in bits (0 log 0 = 0)."""
-    w = np.clip(np.asarray(state.weights, dtype=float), 0.0, None)
+def _entropy_bits(weights):
+    # Shannon entropy of a weight vector in bits, with 0 log 0 = 0.
+    w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
+
+
+def entropy(state):
+    """Shannon entropy of the weight vector, in bits (0 log 0 = 0)."""
+    return _entropy_bits(state.weights)
 
 
 # typical sets -----------------------------------------------------------------
@@ -83,7 +95,7 @@ def entropy(state):
 
 @dataclass(frozen=True)
 class TypicalSetReport:
-    """Exact enumeration summary of the eps-typical set at block length n."""
+    """Exact summary of the eps-typical set at block length n."""
 
     n: int
     eps: float
@@ -109,6 +121,126 @@ class TypicalSetReport:
         }
 
 
+def _block_args(n, eps):
+    n = int(n)
+    eps = float(eps)
+    if n < 1:
+        raise ValueError("block length must be >= 1")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    return n, eps
+
+
+def _is_typical(lp, n, h, eps):
+    # closed interval; the 1e-12 slack only absorbs float rounding on the edge
+    return abs(-lp / n - h) <= eps + 1e-12
+
+
+def _times_pow2(count, lp):
+    # count * 2**lp for an int count of any size: the bits shifted out of
+    # count go into the exponent, so the float conversion cannot overflow
+    shift = max(count.bit_length() - 64, 0)
+    return float(count >> shift) * 2.0 ** (lp + shift)
+
+
+def _typical_sums(logw, n, h, eps):
+    """Exact count and probability mass of the eps-typical type classes.
+
+    A type fixes how often each atom occurs in a length-n string; all
+    ``n! / prod(c_i!)`` strings of a type share the log-probability
+    ``sum(c_i log2 w_i)``.  The compositions of n are walked depth first,
+    atom by atom, carrying the exact count of the prefix.  A branch ends as
+    soon as no symbols are left, and the last two atoms are scanned in one
+    loop, so the walk costs O(1) steps per type class.  Along that loop the
+    rate is linear in the count, so the typical types form a run, and each
+    binomial of the run follows from the one before.
+    """
+    d = len(logw)
+    count = 0
+    terms = []
+    stack = [(0, n, 0.0, 1)]  # (next atom, symbols left, log2-prob, strings per prefix)
+    while stack:
+        i, left, lp, prefix = stack.pop()
+        if left and i < d - 2:
+            for c in range(left + 1):
+                stack.append((i + 1, left - c, lp + c * logw[i], prefix * math.comb(left, c)))
+            continue
+        if not left or i == d - 1:
+            lp += left * logw[i]
+            if _is_typical(lp, n, h, eps):
+                count += prefix
+                terms.append(_times_pow2(prefix, lp))
+            continue
+        w, last = logw[i], logw[i + 1]
+        binom, at = 0, -2  # binom = C(left, at)
+        for c in range(left + 1):
+            x = lp + c * w + (left - c) * last
+            if _is_typical(x, n, h, eps):
+                binom = binom * (left - at) // c if at == c - 1 else math.comb(left, c)
+                at = c
+                strings = prefix * binom
+                count += strings
+                terms.append(_times_pow2(strings, x))
+    return count, math.fsum(terms)
+
+
+def aep_typical_set(source, n, eps, guard_bits=None):
+    """Count and probability mass of the eps-typical strings of length n.
+
+    A string is typical when its information rate ``-log2 p(x) / n`` lies in
+    the closed interval of radius eps around the entropy; strings of
+    probability zero are never typical.  The rate depends only on the
+    string's type (how often each atom occurs), so the report sums the exact
+    multinomial counts of the typical type classes instead of enumerating
+    the ``d**n`` strings.  The work is one step per type class,
+    ``C(n + d - 1, d - 1)`` of them, and that count is what the guard
+    limits (``2**TYPE_GUARD_BITS`` by default, ``2**guard_bits`` if given).
+    The report also refuses, with ``GuardExceeded``, a block whose count
+    bound ``2**(n (H + eps))`` is not a finite float, whatever ``guard_bits``.
+
+    ``mass_ok`` records whether the typical mass exceeds 1 - eps;
+    ``count_ok`` checks the count against 2**(n (H + eps)) from above always,
+    and against (1 - eps) 2**(n (H - eps)) from below once mass_ok holds.
+    """
+    n, eps = _block_args(n, eps)
+    d = source.algebra.dim
+    types = math.comb(n + d - 1, d - 1)
+    limit = TYPE_GUARD_BITS if guard_bits is None else float(guard_bits)
+    if math.log2(types) > limit + 1e-9:
+        raise GuardExceeded(
+            "typical-set report needs C(%d, %d) type classes (~2^%.1f); guard is 2^%g"
+            % (n + d - 1, d - 1, math.log2(types), limit)
+        )
+    h = entropy(source.state)
+    try:
+        upper = 2.0 ** (n * (h + eps))
+    except OverflowError:
+        upper = math.inf
+    if not math.isfinite(upper):
+        raise GuardExceeded(
+            "count bound 2^(n (H + eps)) at n = %d is beyond the float range" % n
+        )
+    w = np.asarray(source.state.weights, dtype=float)
+    logw = np.log2(w[w > 0.0]).tolist()
+    count, mass = _typical_sums(logw, n, h, eps)
+    lower = (1.0 - eps) * 2.0 ** (n * (h - eps))
+    mass_ok = mass > 1.0 - eps
+    count_ok = count <= upper * (1.0 + 1e-12)
+    if mass_ok:
+        count_ok = count_ok and count >= lower * (1.0 - 1e-12)
+    return TypicalSetReport(
+        n=n,
+        eps=eps,
+        entropy=h,
+        count=count,
+        prob_mass=mass,
+        lower_bound=lower,
+        upper_bound=upper,
+        mass_ok=mass_ok,
+        count_ok=count_ok,
+    )
+
+
 def _string_log_probs(weights, n):
     # log2-probability of every length-n string, strings packed big-endian;
     # impossible strings carry -inf.
@@ -120,70 +252,23 @@ def _string_log_probs(weights, n):
     return out
 
 
-def _typical_mask(source, n, eps, guard_bits):
-    n = int(n)
-    eps = float(eps)
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def aep_projection(source, n, eps, guard_bits=None, max_terms=MAX_PROJECTION_TERMS):
+    """Projection onto the eps-typical strings, one explicit term each.
+
+    The projection needs every typical string, so it enumerates all
+    ``d**n`` strings behind the dense-expansion guard.
+    """
+    n, eps = _block_args(n, eps)
     check_guard(source.algebra.dim, n, guard_bits)
     lp = _string_log_probs(source.state.weights, n)
-    h = entropy(source.state)
-    # closed interval; the 1e-12 slack only absorbs float rounding on the edge
-    with np.errstate(invalid="ignore"):
-        mask = np.abs(-lp / n - h) <= eps + 1e-12
-    return mask, lp, h
-
-
-def aep_typical_set(source, n, eps, guard_bits=None):
-    """Enumerate the eps-typical strings of length n and report the counts.
-
-    ``mass_ok`` records whether the typical mass exceeds 1 - eps;
-    ``count_ok`` checks the count against 2**(n (H + eps)) from above always,
-    and against (1 - eps) 2**(n (H - eps)) from below once mass_ok holds.
-    """
-    mask, lp, h = _typical_mask(source, n, eps, guard_bits)
-    count = int(np.count_nonzero(mask))
-    mass = float(np.sum(np.exp2(lp[mask]))) if count else 0.0
-    upper = 2.0 ** (n * (h + eps))
-    lower = (1.0 - eps) * 2.0 ** (n * (h - eps))
-    mass_ok = mass > 1.0 - eps
-    count_ok = count <= upper * (1.0 + 1e-12)
-    if mass_ok:
-        count_ok = count_ok and count >= lower * (1.0 - 1e-12)
-    return TypicalSetReport(
-        n=int(n),
-        eps=float(eps),
-        entropy=h,
-        count=count,
-        prob_mass=mass,
-        lower_bound=lower,
-        upper_bound=upper,
-        mass_ok=mass_ok,
-        count_ok=count_ok,
-    )
-
-
-def aep_projection(source, n, eps, guard_bits=None, max_terms=MAX_PROJECTION_TERMS):
-    """Projection onto the eps-typical strings, one explicit term each."""
-    mask, _, _ = _typical_mask(source, n, eps, guard_bits)
-    hits = np.flatnonzero(mask)
-    if hits.size > max_terms:
+    mask = _is_typical(lp, n, entropy(source.state), eps)
+    hits = int(np.count_nonzero(mask))
+    if hits > max_terms:
         raise GuardExceeded(
             "typical set has %d strings; explicit projection capped at %d"
-            % (hits.size, max_terms)
+            % (hits, max_terms)
         )
-    d = source.algebra.dim
-    terms = {}
-    for flat in hits:
-        digits = []
-        rest = int(flat)
-        for pos in range(int(n), 0, -1):
-            rest, atom = divmod(rest, d)
-            digits.append((pos, atom))
-        terms[MultiIndex(digits)] = 1.0
-    return TensorElement(source.algebra, terms)
+    return _from_dense(source.algebra, mask, n)
 
 
 # prefix codes -----------------------------------------------------------------

@@ -442,16 +442,9 @@ def sum_pushforward(values, masses, n, merge_tol=None):
     n = int(n)
     if n < 1:
         raise ValueError("need n >= 1 summands")
-    tol = _tol(merge_tol)
-    base_v = np.asarray(values, dtype=float)
-    base_m = np.asarray(masses, dtype=float)
-    v = np.zeros(1)
-    m = np.ones(1)
-    for _ in range(n):
-        v = (v[:, None] + base_v[None, :]).ravel()
-        m = (m[:, None] * base_m[None, :]).ravel()
-        v, m = _merge_close(v, m, tol)
-    return v, m
+    sweep = _AverageSweep(values, masses, merge_tol)
+    sweep.advance_to(n)
+    return sweep.sums, sweep.sum_masses
 
 
 def _observable_values(omega, observable):
@@ -467,21 +460,26 @@ def _observable_values(omega, observable):
 
 
 class _AverageSweep:
-    """Iterates the exact distribution of the n-fold average incrementally."""
+    """Iterates the exact distribution of the n-fold sum incrementally.
 
-    def __init__(self, omega, observable=None, merge_tol=None):
-        self.values = _observable_values(omega, observable)
-        self.masses = np.asarray(omega.weights, dtype=float)
+    ``sums`` and ``sum_masses`` hold the support and masses of the sum of n
+    copies; each step convolves them with one more copy and merges support
+    points closer than ``merge_tol``.
+    """
+
+    def __init__(self, values, masses, merge_tol=None):
+        self.values = np.asarray(values, dtype=float)
+        self.masses = np.asarray(masses, dtype=float)
         self.mean = float(np.dot(self.values, self.masses))
         self.tol = _tol(merge_tol)
-        self._v = np.zeros(1)
-        self._m = np.ones(1)
+        self.sums = np.zeros(1)
+        self.sum_masses = np.ones(1)
         self.n = 0
 
     def step(self):
-        self._v = (self._v[:, None] + self.values[None, :]).ravel()
-        self._m = (self._m[:, None] * self.masses[None, :]).ravel()
-        self._v, self._m = _merge_close(self._v, self._m, self.tol)
+        v = (self.sums[:, None] + self.values[None, :]).ravel()
+        m = (self.sum_masses[:, None] * self.masses[None, :]).ravel()
+        self.sums, self.sum_masses = _merge_close(v, m, self.tol)
         self.n += 1
 
     def advance_to(self, n):
@@ -489,12 +487,53 @@ class _AverageSweep:
             self.step()
 
     def moment(self, k):
-        dev = np.abs(self._v / self.n - self.mean)
-        return float(np.dot(self._m, dev ** k))
+        dev = np.abs(self.sums / self.n - self.mean)
+        return float(np.dot(self.sum_masses, dev ** k))
 
     def tail(self, eps):
-        dev = np.abs(self._v / self.n - self.mean)
-        return float(np.sum(self._m[dev > eps]))
+        dev = np.abs(self.sums / self.n - self.mean)
+        return float(np.sum(self.sum_masses[dev > eps]))
+
+
+def _average_sweeps(omega, ns, observable=None, merge_tol=None):
+    """Yield ``(n, sweep)`` at each distinct n of the grid, in increasing
+    order, from a single convolution pass that is never restarted."""
+    ns = sorted(set(int(n) for n in ns))
+    if ns and ns[0] < 1:
+        raise ValueError("need n >= 1 summands")
+    sweep = _AverageSweep(_observable_values(omega, observable), omega.weights, merge_tol)
+    for n in ns:
+        sweep.advance_to(n)
+        yield n, sweep
+
+
+def _check_moment_order(k):
+    k = int(k)
+    if k < 1:
+        raise ValueError("moment order must be >= 1")
+    return k
+
+
+def _check_eps(eps):
+    eps = float(eps)
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    return eps
+
+
+def lln_sweep(omega, ns, k, eps, observable=None, merge_tol=None):
+    """Weak-law figures of the n-fold average over a grid, in one pass.
+
+    Returns ``{n: (moment, variance, tail)}``: the k-th absolute moment and
+    the variance of ``s_n - omega(x)``, and ``P(|s_n - omega(x)| > eps)``,
+    all read from the same convolution state at each n.
+    """
+    k = _check_moment_order(k)
+    eps = _check_eps(eps)
+    return {
+        n: (sweep.moment(k), sweep.moment(2), sweep.tail(eps))
+        for n, sweep in _average_sweeps(omega, ns, observable, merge_tol)
+    }
 
 
 def lln_moment(omega, n, k, observable=None, merge_tol=None):
@@ -506,42 +545,25 @@ def lln_moment(omega, n, k, observable=None, merge_tol=None):
     absolute moment no longer matches the signed one.
     """
     n = int(n)
-    k = int(k)
     if n < 1:
         raise ValueError("need n >= 1 summands")
-    if k < 1:
-        raise ValueError("moment order must be >= 1")
+    k = _check_moment_order(k)
     if k % 2 == 1:
         warnings.warn("odd moment order %d: computing the absolute moment" % k)
-    sweep = _AverageSweep(omega, observable, merge_tol)
-    sweep.advance_to(n)
-    return sweep.moment(k)
+    return lln_moment_sweep(omega, [n], k, observable, merge_tol)[n]
 
 
 def lln_moment_sweep(omega, ns, k, observable=None, merge_tol=None):
     """lln_moment over a grid of n values, sharing one convolution pass."""
-    k = int(k)
-    if k < 1:
-        raise ValueError("moment order must be >= 1")
-    ns = sorted(set(int(n) for n in ns))
-    if ns and ns[0] < 1:
-        raise ValueError("need n >= 1 summands")
-    sweep = _AverageSweep(omega, observable, merge_tol)
-    out = {}
-    for n in ns:
-        sweep.advance_to(n)
-        out[n] = sweep.moment(k)
-    return out
+    k = _check_moment_order(k)
+    return {n: sweep.moment(k) for n, sweep in _average_sweeps(omega, ns, observable, merge_tol)}
 
 
 def chebyshev_tail(omega, n, eps, observable=None, merge_tol=None):
     """Exact P(|s_n - omega(x)| > eps) for the n-fold average."""
     n = int(n)
-    eps = float(eps)
     if n < 1:
         raise ValueError("need n >= 1 summands")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    sweep = _AverageSweep(omega, observable, merge_tol)
-    sweep.advance_to(n)
+    eps = _check_eps(eps)
+    _, sweep = next(_average_sweeps(omega, [n], observable, merge_tol))
     return sweep.tail(eps)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -327,6 +328,19 @@ def test_trace_counts_strings():
     assert trace(TensorElement.identity(alg), level=5) == pytest.approx(32.0)
     with pytest.raises(ValueError):
         trace(t, level=0)
+
+
+def test_trace_beyond_the_float_range_of_the_string_count():
+    alg = AtomicAlgebra(4)
+    # 4**599 strings per term: the trace is not a float, and the error says where
+    with pytest.raises(ValueError, match="level 600"):
+        trace(embed_at(Element(alg, [1.0, 2.0, 3.0, 4.0]), 600))
+    # 4**519 strings is beyond the float range, the scaled coefficient is not
+    small = embed_at(Element(alg, [1e-10, 0.0, 0.0, 0.0]), 520)
+    want = float(Fraction(1e-10) * 4 ** 519)
+    assert trace(small) == complex(want, 0.0)
+    # below the float range the exact integer path is unchanged
+    assert trace(embed_at(Element(alg, [1.0, 2.0, 3.0, 4.0]), 3)) == 160
 
 
 def test_zero_coefficients_dropped():

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_info import cli
+from cstar_info.algebra import AtomicAlgebra, Element
 from cstar_info.cli import main, read_artifact, resolve_config, ConfigError
+from cstar_info.probability import State, chebyshev_tail, lln_moment
 
 
 def run(tmp_path, args, name="out"):
@@ -241,6 +247,30 @@ def test_lln_values_match_binomial_closed_form(tmp_path, values):
         assert row["tail_probability"] == pytest.approx(tail, abs=1e-12)
 
 
+@pytest.mark.parametrize("values", [None, "0,2.5,-1"])
+def test_lln_one_pass_rows_equal_per_n_calls(tmp_path, values):
+    eps, k = 0.15, 4
+    argv = ["lln", "--p", "0.2,0.3,0.5", "--n", "1:60", "--eps", str(eps), "--moment", str(k)]
+    if values is not None:
+        argv += ["--values", values]
+    code, path = run(tmp_path, argv, "lln.json")
+    assert code == 0
+    omega = State(AtomicAlgebra(3), [0.2, 0.3, 0.5])
+    obs = None if values is None else Element(omega.algebra, [0.0, 2.5, -1.0])
+    rows = read_artifact(str(path))["results"]
+    assert [row["n"] for row in rows] == list(range(1, 61))
+    for row in rows:
+        n = row["n"]
+        variance = lln_moment(omega, n, 2, observable=obs)
+        assert row == {
+            "n": n,
+            "moment": lln_moment(omega, n, k, observable=obs),
+            "variance": variance,
+            "tail_probability": chebyshev_tail(omega, n, eps, observable=obs),
+            "chebyshev_bound": variance / (eps * eps),
+        }
+
+
 @pytest.mark.parametrize("argv", [
     ["aep", "--p", "nan,nan", "--eps", "0.1", "--n", "2"],
     ["lln", "--p", "0.5,0.5", "--n", "1:2", "--values", "inf,1", "--format", "csv"],
@@ -271,9 +301,12 @@ def test_exit_codes(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "config"
 
-    assert main(["aep", "--p", "0.9,0.1", "--eps", "0.2", "--n", "30"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["kind"] == "guard"
+    # more type classes than the guard allows; a count bound beyond the float range
+    for argv in (["aep", "--p", "0.9,0.1", "--eps", "0.2", "--n", "1000000"],
+                 ["aep", "--p", "0.5,0.5", "--eps", "0.1", "--n", "1000"]):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "guard"
 
     chan = tmp_path / "z.json"
     chan.write_text(json.dumps({"input_dim": 2, "output_dim": 2,
@@ -292,8 +325,90 @@ def test_guard_override_lifts_guard(tmp_path):
     assert art["results"][0]["n"] == 25
 
 
+def test_guard_override_lifts_type_class_guard(tmp_path, capsys):
+    argv = ["aep", "--p", "0.9999999,0.0000001", "--eps", "0.0001", "--n", "300000"]
+    assert main(argv) == 2  # 300001 type classes
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "guard"
+    code, path = run(tmp_path, argv + ["--guard-override"], "types.json")
+    assert code == 0
+    row = read_artifact(str(path))["results"][0]
+    n, q = 300000, 1e-7  # typical: the strings with at most one rare symbol
+    assert row["count"] == 1 + n
+    assert row["prob_mass"] == pytest.approx((1 - q) ** n + n * q * (1 - q) ** (n - 1), abs=1e-12)
+
+
 def test_stdout_output(capsys):
     assert main(["capacity", "--channel", "identity(2)"]) == 0
     out = capsys.readouterr().out
     art = json.loads(out)
     assert art["summary"]["capacity"] == pytest.approx(1.0, abs=1e-9)
+
+
+# fuzzing ----------------------------------------------------------------------------
+
+_NUMBER_TOKENS = ["0.5", "0.25", "1", "0", "-0.5", "2", "1e-300", "1e300", "1e400", "nan",
+                  "inf", "-inf", "abc", ""]
+# Block lengths: small ones that run, and huge ones that only a guard or a
+# parse error can stop.  None of the huge ones runs long even with
+# --guard-override: every eps drawn is at least 1e-3 or invalid, so the count
+# bound 2**(n (H + eps)) is beyond the float range.
+_HUGE_N = ["100000000", str(10 ** 30), str(2 ** 64), str(10 ** 400)]
+_GRID_TOKENS = ["1:6", "5,3,5", "2:12:5", "0", "-3", "3:1", "1:3:0", "x", "1e3", ""]
+_EPS_TOKENS = ["2", "0", "-1", "nan", "inf", "1e300", "abc"]
+
+
+def _present():
+    return st.sampled_from((True,) * 9 + (False,))
+
+
+def _tokens(tokens):
+    return st.lists(st.sampled_from(tokens), min_size=1, max_size=4).map(",".join)
+
+
+def _weights():
+    normalised = st.lists(st.integers(0, 5), min_size=1, max_size=4).filter(any).map(
+        lambda ks: ",".join(repr(k / sum(ks)) for k in ks))
+    return st.one_of(normalised, normalised, normalised, _tokens(_NUMBER_TOKENS))
+
+
+@st.composite
+def _lln_and_aep_argv(draw):
+    command = draw(st.sampled_from(["lln", "aep"]))
+    small_n = st.integers(1, 40 if command == "lln" else 14).map(str)
+    huge_n = [] if command == "lln" else [st.sampled_from(_HUGE_N)]
+    flags = {
+        "--p": _weights(),
+        "--n": st.one_of(small_n, small_n, st.sampled_from(_GRID_TOKENS), *huge_n),
+        "--eps": st.one_of(st.floats(1e-3, 1.0).map(repr), st.sampled_from(_EPS_TOKENS)),
+    }
+    if command == "lln":
+        flags["--moment"] = st.sampled_from(["1", "2", "3", "4", "40", "0", "-1", "x"])
+        flags["--values"] = st.one_of(st.lists(st.floats(-5, 5), min_size=1, max_size=4).map(
+            lambda vs: ",".join(map(repr, vs))), _tokens(_NUMBER_TOKENS))
+    argv = [command]
+    for flag, values in flags.items():
+        if draw(_present()) and (flag != "--values" or draw(st.booleans())):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv.append("--guard-override")
+    if draw(st.booleans()):
+        argv += ["--format", "csv"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lln_and_aep_argv())
+def test_fuzz_main_lln_and_aep(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+        text = out.getvalue()
+        assert json.loads(text) if text.startswith("{") else text.startswith("# config: ")
+    else:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())["error"]
+        assert error["kind"] == ("config" if code == 1 else "guard")
+        assert "Traceback" not in error["message"]

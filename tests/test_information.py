@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_info.algebra import (
     AtomicAlgebra,
@@ -16,6 +18,7 @@ from cstar_info.algebra import (
 )
 from cstar_info.information import (
     Code,
+    TYPE_GUARD_BITS,
     Source,
     aep_projection,
     aep_typical_set,
@@ -179,15 +182,69 @@ def test_aep_projection_properties():
 def test_aep_guard():
     src = make_source([0.5, 0.5])
     with pytest.raises(GuardExceeded):
-        aep_typical_set(src, 30, 0.1)
-    report = aep_typical_set(src, 25, 0.1, guard_bits=25)
-    assert report.count == 2 ** 25
+        aep_typical_set(src, 1 << TYPE_GUARD_BITS, 0.1)  # one type class too many
+    with pytest.raises(GuardExceeded):
+        aep_typical_set(src, 30, 0.1, guard_bits=4)  # 31 type classes
+    report = aep_typical_set(src, 30, 0.1, guard_bits=5)
+    assert report.count == 2 ** 30
+    with pytest.raises(GuardExceeded):
+        aep_typical_set(src, 1000, 0.1, guard_bits=64)  # 2**1100 is not a float
     with pytest.raises(GuardExceeded):
         aep_projection(src, 21, 0.5)  # 2**21 typical strings exceed the term cap
     with pytest.raises(ValueError):
         aep_typical_set(src, 0, 0.1)
     with pytest.raises(ValueError):
         aep_typical_set(src, 4, 0.0)
+
+
+def test_typical_set_counts_the_interval_edges():
+    # rates 1, 1.25, 1.5, 1.75, 2 around H = 1.5: both edges of the closed
+    # interval of radius 0.25 are exact floats and their strings count
+    src = make_source([0.5, 0.25, 0.25])
+    report = aep_typical_set(src, 4, 0.25)
+    assert (report.count, report.prob_mass) == oracle_typical([0.5, 0.25, 0.25], 4, 0.25)
+    assert report.count == 4 * 8 + 6 * 4 + 4 * 2
+    assert report.prob_mass == 0.875
+
+
+def test_typical_set_beyond_enumeration():
+    # the crossings of test_typical_mass_converges_past_small_blocks, and a
+    # block length whose d**n strings could never be listed
+    src = make_source([0.9, 0.1])
+    for n in (25, 37, 1000):
+        report = aep_typical_set(src, n, 0.2)
+        assert report.prob_mass == pytest.approx(binomial_typical_mass(0.9, n, 0.2), abs=1e-12)
+        assert report.mass_ok and report.count_ok
+    assert not aep_typical_set(src, 36, 0.2).mass_ok
+
+
+@st.composite
+def typical_set_cases(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, {2: 10, 3: 7, 4: 6}[d]))  # at most 4096 strings
+    if draw(st.booleans()):
+        # dyadic weights: split a unit mass in halves, then pad with zeros
+        weights = [1.0]
+        for _ in range(draw(st.integers(0, d - 1))):
+            half = weights.pop(draw(st.integers(0, len(weights) - 1))) / 2
+            weights += [half, half]
+        weights += [0.0] * (d - len(weights))
+        weights = draw(st.permutations(weights))
+    else:
+        ints = draw(st.lists(st.integers(0, 6), min_size=d, max_size=d).filter(any))
+        weights = [k / sum(ints) for k in ints]
+    eps = draw(st.sampled_from([0.05, 0.125, 0.25, 0.3, 0.5, 0.75, 1.0, 2.0]))
+    return list(weights), n, eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(typical_set_cases())
+def test_typical_set_types_match_string_enumeration(case):
+    weights, n, eps = case
+    report = aep_typical_set(make_source(weights), n, eps)
+    count, mass = oracle_typical(weights, n, eps)
+    assert report.count == count
+    assert abs(report.prob_mass - mass) <= 1e-12
 
 
 # prefix codes -------------------------------------------------------------------
