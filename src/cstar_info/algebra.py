@@ -6,19 +6,27 @@ element of the algebra is a coefficient vector over the atoms, products act
 coefficientwise, and the norm is the largest coefficient modulus.  The
 spectrum of an element is the set of its distinct coefficients.
 
-Tensor powers are kept sparse.  A basis string fixes an atom at finitely
-many 1-based positions and is implicitly the identity everywhere else, so
-elements of arbitrarily high (finite) level stay cheap as long as their
-support is small.  Operations that genuinely need every coefficient
-(norm, spectrum, truncation to a dense vector) expand the element over all
-``d**level`` atomic strings behind an explicit size guard.
+Tensor powers are kept factored.  An element of the tensor power is a sum
+of elementary tensors ``x_1 ⊗ x_2 ⊗ ...``, each fixing a coefficient vector
+at finitely many 1-based positions and implicitly the identity everywhere
+else.  Products, the trace and product states factor over elementary
+tensors: ``(⊗x_i)(⊗y_i) = ⊗(x_i y_i)``, ``tr(⊗x_i) = prod tr(x_i)`` and
+``omega(⊗x_i) = prod omega_i(x_i)``, so an n-fold power costs O(n d) and
+elements of arbitrarily high (finite) level stay cheap.  The expansion over
+basis strings (``TensorElement.terms``) is built only when asked for, and
+operations that genuinely need every coefficient (norm, spectrum,
+functional calculus, truncation to a dense vector) expand the element over
+all ``d**level`` atomic strings behind an explicit size guard.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -28,6 +36,9 @@ EQ_TOL = 1e-9
 ZERO_TOL = 1e-15
 # Dense expansions refuse to materialize more than 2**GUARD_BITS strings.
 GUARD_BITS = 24
+# A product of two sums of elementary tensors forms at most this many
+# coefficients at once before dropping the pairs that vanish.
+PRODUCT_BLOCK_ENTRIES = 1 << 20
 
 
 class AlgebraMismatch(ValueError):
@@ -54,8 +65,11 @@ def _tol(tol):
 
 
 def _cluster_sorted(values, tol):
-    # Greedy clustering of (real, imag)-sorted values; adjacent values closer
-    # than tol collapse onto the first representative seen.
+    # Greedy clustering of (real, imag)-sorted values: a value within tol of
+    # the first value of the current cluster joins it.  Unlike the gap rule
+    # of probability._gap_starts, which compares each value with its
+    # sorted predecessor, a cluster here never spans more than tol, so a
+    # spectrum keeps a chain of close but distinct values apart.
     out = []
     for v in values:
         if not out or abs(v - out[-1]) > tol:
@@ -363,49 +377,228 @@ class MultiIndex:
         return "MultiIndex(%r)" % (dict(self.pairs),)
 
 
-def _merge_indices(a, b):
-    # Product of basis strings: positions fixed by both must agree, otherwise
-    # the product annihilates; identity factors absorb anything.
-    merged = dict(a.pairs)
-    for pos, idx in b.pairs:
-        cur = merged.get(pos)
-        if cur is None:
-            merged[pos] = idx
-        elif cur != idx:
-            return None
-    return MultiIndex(merged)
+def _index(pairs):
+    # MultiIndex from pairs already sorted and checked
+    idx = _new(MultiIndex)
+    _set_pairs(idx, pairs)
+    return idx
+
+
+def _digits(value, base, width):
+    """The ``width`` base-``base`` digits of value, most significant first.
+
+    Works on Python ints of any size and elementwise on integer arrays.
+    """
+    out = [0] * width
+    for k in range(width - 1, -1, -1):
+        value, out[k] = divmod(value, base)
+    return out
+
+
+def _slots(slots):
+    # consecutive slots become a slice, so numpy indexes a view
+    if slots == list(range(slots[0], slots[0] + len(slots))):
+        return slice(slots[0], slots[0] + len(slots))
+    return np.array(slots)
+
+
+@functools.lru_cache(maxsize=1024)
+def _align(first, second):
+    """Union of two position tuples, and where each operand sits in it.
+
+    Returns ``(union, fill, at_first, at_second, shared)``: ``fill`` indexes
+    the union slots the first operand leaves as identity (None if there are
+    none), ``at_first`` and ``at_second`` the slots of each operand, and
+    ``shared`` the operands' own slots at the common positions, as two
+    tuples (None if there are none).
+    """
+    union = tuple(sorted(set(first).union(second)))
+    slot = {pos: k for k, pos in enumerate(union)}
+    own = {pos: k for k, pos in enumerate(first)}
+    fill = [slot[pos] for pos in union if pos not in own]
+    common = [(own[pos], k) for k, pos in enumerate(second) if pos in own]
+    shared = tuple(zip(*common)) if common else None
+    return (
+        union,
+        _slots(fill) if fill else None,
+        _slots([slot[pos] for pos in first]),
+        _slots([slot[pos] for pos in second]),
+        shared,
+    )
+
+
+def _meet(x, first, y, second):
+    """False when the single elementary tensors of two blocks multiply to
+    zero: at some shared position their nonzero atoms are disjoint."""
+    shared = _align(first, second)[4]
+    if shared is None:
+        return True
+    mx, my = x._mask(first), y._mask(second)
+    both = map(operator.and_, map(mx.__getitem__, shared[0]), map(my.__getitem__, shared[1]))
+    return all(both)
+
+
+def _block_product(first, a, second, b):
+    """Every row of ``a`` (at positions ``first``) times every row of ``b``.
+
+    Elementary tensors multiply position by position, with the identity
+    wherever only one factor is explicit.  Products of sums are formed a
+    bounded number of entries at a time, and rows that vanish at some
+    position are dropped, so products of one-hot sums stay as small as
+    the strings they share.
+    """
+    if len(second) > len(first):
+        # the operand with more positions is copied, the other multiplied in
+        first, a, second, b = second, b, first, a
+    union, fill, at_a, at_b, _ = _align(first, second)
+
+    def times(a, b):
+        if fill is None:
+            rows = a.copy()
+        else:
+            rows = np.ones((len(a), len(union), a.shape[2]), dtype=complex)
+            rows[:, at_a] = a
+        rows[:, at_b] *= b
+        return rows
+
+    if len(a) == 1 == len(b):
+        return union, times(a, b)
+    step = max(1, PRODUCT_BLOCK_ENTRIES // (len(b) * len(union) * a.shape[2]))
+    kept = []
+    for i in range(0, len(a), step):
+        chunk = a[i:i + step]
+        rows = times(chunk.repeat(len(b), axis=0), np.tile(b, (len(chunk), 1, 1)))
+        kept.append(rows[rows.any(axis=2).all(axis=1)])
+    return union, np.concatenate(kept)
+
+
+def _one_hot_rows(atoms, coeffs, d):
+    # one row per basis string: atom atoms[r, k] at slot k, the string's
+    # coefficient folded into slot 0
+    count, width = atoms.shape
+    rows = np.zeros((count, width, d), dtype=complex)
+    r = np.arange(count)
+    rows[r[:, None], np.arange(width), atoms] = 1.0
+    rows[r, 0, atoms[:, 0]] = coeffs
+    return rows
+
+
+def _add_rows(blocks, support, rows):
+    mine = blocks.get(support)
+    blocks[support] = rows if mine is None else np.concatenate((mine, rows))
+
+
+def _scale_rows(rows, c):
+    out = rows.copy()
+    out[:, 0] *= c
+    return out
+
+
+def _block_strings(rows):
+    """Every basis string of a block as ``(atoms, coefficients)`` arrays.
+
+    ``atoms[i, k]`` is the atom string i fixes at the block's k-th
+    position.  A row yields the nonzero entries of its Kronecker product,
+    in big-endian order; with several rows, equal strings are summed and
+    all strings sorted big-endian.
+    """
+    nonzero = rows != 0
+    radix = nonzero.sum(axis=2)
+    if radix.max() <= 1:
+        # at most one atom per position: a row is one string, or vanishes
+        live = radix.all(axis=1)
+        atoms = nonzero[live].argmax(axis=2)
+        coeffs = rows[live].sum(axis=2).prod(axis=1)
+    else:
+        # a left-to-right Kronecker chain over every row at once
+        row = np.arange(len(rows))
+        atoms = np.zeros((len(rows), 0), dtype=np.intp)
+        coeffs = np.ones(len(rows), dtype=complex)
+        for k in range(rows.shape[1]):
+            pick, atom = np.nonzero(nonzero[row, k])
+            row = row[pick]
+            atoms = np.column_stack((atoms[pick], atom))
+            coeffs = coeffs[pick] * rows[row, k, atom]
+    if len(rows) > 1:
+        atoms, inverse = np.unique(atoms, axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        coeffs = np.bincount(inverse, coeffs.real, len(atoms)) + 1j * np.bincount(
+            inverse, coeffs.imag, len(atoms)
+        )
+    return atoms, coeffs
+
+
+def _tensor_element(factor_algebra, scalar, blocks):
+    t = _new(TensorElement)
+    _set_algebra(t, factor_algebra)
+    _set_scalar(t, scalar)
+    _set_blocks(t, blocks)
+    # terms, level and masks are filled in on first use; zero needs none
+    _set_cache(t, {} if blocks or scalar else {"terms": {}, "level": 0})
+    return t
 
 
 class TensorElement:
-    """Sparse element of the tensor power of one atomic algebra.
+    """Element of the tensor power of one atomic algebra.
 
-    ``terms`` maps MultiIndex -> complex coefficient; the element is the sum
-    of coefficient * basis string.  Basis strings are a spanning set, not a
-    basis, so two different term maps may describe the same element; semantic
-    questions (norm, spectrum, equality) go through the dense expansion.
+    The element is stored as a sum of elementary tensors: a scalar multiple
+    of the identity plus, for each tuple ``P`` of 1-based positions in
+    ``_blocks``, the rows of an ``(R, len(P), d)`` array.  Row ``r`` stands
+    for ``rows[r, 0] ⊗ ... ⊗ rows[r, -1]`` placed at the positions ``P``
+    (a row's coefficient is folded into its first vector), with the
+    identity at every other position.  Products, ``tensor``, the trace,
+    product states and ``dense`` work on these factors.
+
+    ``terms`` is the expansion over basis strings: it maps MultiIndex ->
+    complex coefficient, one key per choice of a nonzero atom at each
+    explicit position of a row, with equal strings summed and coefficients
+    below ``ZERO_TOL`` dropped.  It is built on first access and cached;
+    the scalar comes first, then each block's strings in big-endian order.
+    Basis strings are a spanning set, not a basis, so two different term
+    maps may describe the same element; semantic questions (norm,
+    spectrum, ``equals``) go through the dense expansion.
+
+    ``level`` is the largest position of a block that is not zero.  It is
+    the largest position in ``terms`` unless every string coefficient of
+    that block is below ``ZERO_TOL``, as in a high tensor power of a small
+    vector, whose trace and product-state values are still exact.
     """
 
-    __slots__ = ("factor_algebra", "terms", "level")
+    __slots__ = ("factor_algebra", "_scalar", "_blocks", "_cache")
 
     def __init__(self, factor_algebra, terms=()):
         if not isinstance(factor_algebra, AtomicAlgebra):
             raise TypeError("factor_algebra must be an AtomicAlgebra")
+        d = factor_algebra.dim
         items = terms.items() if isinstance(terms, dict) else terms
         acc = {}
         for idx, c in items:
             if not isinstance(idx, MultiIndex):
                 idx = MultiIndex(idx)
             for _, atom in idx.pairs:
-                if atom >= factor_algebra.dim:
+                if atom >= d:
                     raise ValueError(
-                        "atom index %d invalid for factor dimension %d"
-                        % (atom, factor_algebra.dim)
+                        "atom index %d invalid for factor dimension %d" % (atom, d)
                     )
             acc[idx] = acc.get(idx, 0j) + complex(c)
         clean = {idx: c for idx, c in acc.items() if abs(c) >= ZERO_TOL}
-        object.__setattr__(self, "factor_algebra", factor_algebra)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "level", max((i.level for i in clean), default=0))
+        grouped = {}
+        for idx, c in clean.items():
+            if idx.pairs:
+                grouped.setdefault(idx.support, []).append((idx, c))
+        blocks = {
+            support: _one_hot_rows(
+                np.array([[atom for _, atom in idx.pairs] for idx, _ in entries]),
+                [c for _, c in entries],
+                d,
+            )
+            for support, entries in grouped.items()
+        }
+        level = max((idx.level for idx in clean), default=0)
+        _set_algebra(self, factor_algebra)
+        _set_scalar(self, clean.get(MultiIndex(), 0j))
+        _set_blocks(self, blocks)
+        _set_cache(self, {"terms": clean, "level": level})
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorElement is immutable")
@@ -418,12 +611,64 @@ class TensorElement:
     def identity(cls, factor_algebra):
         return cls.scalar(factor_algebra, 1.0)
 
-    def _check_same(self, other):
-        if self.factor_algebra != other.factor_algebra:
-            raise AlgebraMismatch(
-                "operands have factor algebras %r and %r"
-                % (self.factor_algebra, other.factor_algebra)
+    @property
+    def terms(self):
+        got = self._cache.get("terms")
+        if got is None:
+            got = self._cache["terms"] = self._expand()
+        return got
+
+    @property
+    def level(self):
+        got = self._cache.get("level")
+        if got is None:
+            got = self._cache["level"] = self._top_position()
+        return got
+
+    def _expand(self):
+        out = {}
+        if abs(self._scalar) >= ZERO_TOL:
+            out[_index(())] = self._scalar
+        for support, rows in self._blocks.items():
+            atoms, coeffs = _block_strings(rows)
+            keep = np.abs(coeffs) >= ZERO_TOL
+            pairs = map(tuple, map(zip, itertools.repeat(support), atoms[keep].tolist()))
+            out.update(zip(map(_index, pairs), coeffs[keep].tolist()))
+        return out
+
+    def _mask(self, support):
+        # bit masks of the nonzero atoms of a single-row block, by position
+        masks = self._cache.get("masks")
+        if masks is None:
+            masks = self._cache["masks"] = {}
+        got = masks.get(support)
+        if got is None:
+            got = masks[support] = tuple(
+                sum(1 << atom for atom, v in enumerate(vec) if v)
+                for vec in self._blocks[support][0].tolist()
             )
+        return got
+
+    def _top_position(self):
+        # The largest position of a block that is not zero.  A single
+        # elementary tensor is zero exactly when it vanishes at some
+        # position; a sum of them can cancel, so it is expanded.
+        top = 0
+        for support, rows in self._blocks.items():
+            if support[-1] <= top:
+                continue
+            if len(rows) == 1:
+                nonzero = rows[0].any(axis=1).all()
+            else:
+                nonzero = _block_strings(rows)[1].any()
+            if nonzero:
+                top = support[-1]
+        return top
+
+    def _check_same(self, other):
+        a, b = self.factor_algebra, other.factor_algebra
+        if a is not b and a != b:
+            raise AlgebraMismatch("operands have factor algebras %r and %r" % (a, b))
 
     # arithmetic -----------------------------------------------------------
 
@@ -431,10 +676,10 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check_same(other)
-        merged = dict(self.terms)
-        for idx, c in other.terms.items():
-            merged[idx] = merged.get(idx, 0j) + c
-        return TensorElement(self.factor_algebra, merged)
+        blocks = dict(self._blocks)
+        for support, rows in other._blocks.items():
+            _add_rows(blocks, support, rows)
+        return _tensor_element(self.factor_algebra, self._scalar + other._scalar, blocks)
 
     def __sub__(self, other):
         if not isinstance(other, TensorElement):
@@ -445,80 +690,108 @@ class TensorElement:
         return (-1.0) * self
 
     def __mul__(self, other):
+        if isinstance(other, TensorElement):
+            self._check_same(other)
+            return self._times(other)
         if isinstance(other, numbers.Number):
             c = complex(other)
-            return TensorElement(
-                self.factor_algebra, {i: v * c for i, v in self.terms.items()}
-            )
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check_same(other)
-        out = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                im = _merge_indices(ia, ib)
-                if im is not None:
-                    out[im] = out.get(im, 0j) + ca * cb
-        return TensorElement(self.factor_algebra, out)
+            blocks = {s: _scale_rows(rows, c) for s, rows in self._blocks.items()}
+            return _tensor_element(self.factor_algebra, self._scalar * c, blocks)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Number):
             return self * other
         return NotImplemented
 
+    def _times(self, other):
+        # (s + sum A)(t + sum B) = st + t A + s B + sum A B, block by block
+        blocks = {}
+        s, t = self._scalar, other._scalar
+        for first, a in self._blocks.items():
+            for second, b in other._blocks.items():
+                if len(a) == 1 == len(b) and not _meet(self, first, other, second):
+                    continue
+                union, rows = _block_product(first, a, second, b)
+                if len(rows):
+                    _add_rows(blocks, union, rows)
+        if t:
+            for support, rows in self._blocks.items():
+                _add_rows(blocks, support, _scale_rows(rows, t))
+        if s:
+            for support, rows in other._blocks.items():
+                _add_rows(blocks, support, _scale_rows(rows, s))
+        return _tensor_element(self.factor_algebra, s * t, blocks)
+
     def star(self):
-        return TensorElement(
-            self.factor_algebra, {i: c.conjugate() for i, c in self.terms.items()}
-        )
+        blocks = {s: rows.conj() for s, rows in self._blocks.items()}
+        return _tensor_element(self.factor_algebra, self._scalar.conjugate(), blocks)
 
     def tensor(self, other):
         """Concatenation product: other's positions start after self.level."""
         self._check_same(other)
         shift = self.level
-        out = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                idx = _merge_indices(ia, ib.shifted(shift))
-                out[idx] = out.get(idx, 0j) + ca * cb
-        return TensorElement(self.factor_algebra, out)
+        moved = {tuple(pos + shift for pos in s): rows for s, rows in other._blocks.items()}
+        return self._times(_tensor_element(self.factor_algebra, other._scalar, moved))
 
     # analysis -------------------------------------------------------------
+
+    def factor_sums(self, weights_at=None):
+        """Pair every elementary tensor with a product of weight vectors.
+
+        Returns ``(positions, value)`` per block, the scalar part first with
+        no positions: value is the sum over the block's elementary tensors
+        of the product over its positions of ``<x_k, weights_at(pos)>``.
+        Without ``weights_at`` every weight is 1, so the value is the
+        product of the factor traces.  Nothing is expanded.
+        """
+        out = [((), self._scalar)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for support, rows in self._blocks.items():
+                if weights_at is None:
+                    per_position = rows.sum(axis=2)
+                else:
+                    weights = np.array([weights_at(pos) for pos in support])
+                    per_position = (rows * weights).sum(axis=2)
+                out.append((support, complex(per_position.prod(axis=1).sum())))
+        return out
 
     def dense(self, level=None, guard_bits=None):
         """Coefficient vector over all d**level atomic strings.
 
         String index packs positions big-endian: position 1 is the most
         significant digit.  ``level`` defaults to the element's own level and
-        may not shrink below it.
+        may not shrink below it.  A single elementary tensor is one
+        left-to-right Kronecker chain over its explicit positions, a sum of
+        them is scattered from its basis strings; either is broadcast over
+        the identity positions.
         """
         d = self.factor_algebra.dim
         lvl = self.level if level is None else int(level)
         if lvl < self.level:
             raise ValueError("level %d below element support %d" % (lvl, self.level))
         check_guard(d, lvl, guard_bits)
-        out = np.zeros(d ** lvl, dtype=complex)
-        if not self.terms:
-            return out
-        strides = [d ** (lvl - pos) for pos in range(1, lvl + 1)]
-        for idx, c in self.terms.items():
-            base = 0
-            free = []
-            explicit = dict(idx.pairs)
-            for pos in range(1, lvl + 1):
-                atom = explicit.get(pos)
-                if atom is None:
-                    free.append(strides[pos - 1])
-                else:
-                    base += atom * strides[pos - 1]
-            cells = np.array([base], dtype=np.int64)
-            for stride in free:
-                cells = (cells[:, None] + np.arange(d, dtype=np.int64) * stride).ravel()
-            out[cells] += c
+        out = np.full(d ** lvl, self._scalar, dtype=complex)
+        grid = out.reshape((d,) * lvl)
+        for support, rows in self._blocks.items():
+            if support[-1] > lvl:
+                continue  # the block is zero
+            if len(rows) == 1:
+                block = functools.reduce(np.kron, rows[0])
+            else:
+                atoms, coeffs = _block_strings(rows)
+                cells = atoms @ d ** np.arange(len(support) - 1, -1, -1)
+                size = d ** len(support)
+                block = np.bincount(cells, coeffs.real, size) + 1j * np.bincount(
+                    cells, coeffs.imag, size
+                )
+            shape = [1] * lvl
+            for pos in support:
+                shape[pos - 1] = d
+            grid += block.reshape(shape)
         return out
 
     def norm(self, guard_bits=None):
-        if not self.terms:
-            return 0.0
         return float(np.max(np.abs(self.dense(guard_bits=guard_bits))))
 
     def spectrum(self, tol=None, guard_bits=None):
@@ -550,8 +823,6 @@ class TensorElement:
             return False
         lvl = max(self.level, other.level)
         diff = self.dense(lvl, guard_bits) - other.dense(lvl, guard_bits)
-        if diff.size == 0:
-            return True
         return float(np.max(np.abs(diff))) <= _tol(tol)
 
     def __eq__(self, other):
@@ -563,9 +834,10 @@ class TensorElement:
         return hash((self.factor_algebra, frozenset(self.terms.items())))
 
     def __repr__(self):
-        return "TensorElement(%r, %d terms, level %d)" % (
+        count = sum(len(rows) for rows in self._blocks.values()) + (self._scalar != 0)
+        return "TensorElement(%r, %d elementary tensors, level %d)" % (
             self.factor_algebra,
-            len(self.terms),
+            count,
             self.level,
         )
 
@@ -600,21 +872,31 @@ class TensorElement:
         return cls(factor_algebra, terms)
 
 
+# Slot setters for _index and _tensor_element: both classes refuse
+# attribute assignment, and the descriptors are faster than
+# object.__setattr__.
+_new = object.__new__
+_set_pairs = MultiIndex.pairs.__set__
+_set_algebra = TensorElement.factor_algebra.__set__
+_set_scalar = TensorElement._scalar.__set__
+_set_blocks = TensorElement._blocks.__set__
+_set_cache = TensorElement._cache.__set__
+
+
 def _from_dense(factor_algebra, vec, level):
-    """TensorElement with one fully explicit term per nonzero string."""
+    """TensorElement with one one-hot elementary tensor per nonzero string."""
     d = factor_algebra.dim
     vec = np.asarray(vec)
     if vec.shape != (d ** level,):
         raise ValueError("dense vector has wrong length for level %d" % level)
-    terms = {}
-    for flat in np.flatnonzero(np.abs(vec) >= ZERO_TOL):
-        digits = []
-        rest = int(flat)
-        for pos in range(level, 0, -1):
-            rest, atom = divmod(rest, d)
-            digits.append((pos, atom))
-        terms[MultiIndex(digits)] = complex(vec[flat])
-    return TensorElement(factor_algebra, terms)
+    flat = np.flatnonzero(np.abs(vec) >= ZERO_TOL)
+    if level == 0:
+        return _tensor_element(factor_algebra, complex(vec[0]) if flat.size else 0j, {})
+    blocks = {}
+    if flat.size:
+        atoms = np.stack(_digits(flat, d, level), axis=1)
+        blocks[tuple(range(1, level + 1))] = _one_hot_rows(atoms, vec[flat], d)
+    return _tensor_element(factor_algebra, 0j, blocks)
 
 
 # module-level operations ----------------------------------------------------
@@ -636,12 +918,8 @@ def embed_at(x, position):
     position = int(position)
     if position < 1:
         raise ValueError("tensor positions are 1-based")
-    terms = {
-        MultiIndex({position: i}): c
-        for i, c in enumerate(x.coeffs)
-        if abs(c) >= ZERO_TOL
-    }
-    return TensorElement(x.algebra, terms)
+    coeffs = np.where(np.abs(x.coeffs) >= ZERO_TOL, x.coeffs, 0j)
+    return _tensor_element(x.algebra, 0j, {(position,): coeffs.reshape(1, 1, -1)})
 
 
 def tensor_product(a, b):
@@ -650,15 +928,23 @@ def tensor_product(a, b):
 
 
 def tensor_power(x, n):
-    """n-fold tensor power of a single-factor or tensor element."""
+    """n-fold tensor power of a single-factor or tensor element.
+
+    Built by repeated squaring: the power of an elementary tensor is one
+    elementary tensor, made with O(log n) concatenations of O(n d) work.
+    """
     n = int(n)
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
-    t = as_tensor(x)
-    out = t
-    for _ in range(n - 1):
-        out = out.tensor(t)
-    return out
+    square = as_tensor(x)
+    out = None
+    while True:
+        if n & 1:
+            out = square if out is None else out.tensor(square)
+        n >>= 1
+        if not n:
+            return out
+        square = square.tensor(square)
 
 
 def truncate_to_level(x, level, guard_bits=None):
@@ -678,9 +964,10 @@ def trace(x, level=None):
     """Sum of expansion coefficients.
 
     For tensor elements the trace is taken at ``level`` (default: the
-    element's own level); each term covers d**(level - explicit positions)
-    strings, so no dense expansion is needed.  A trace beyond the float
-    range raises ValueError.
+    element's own level).  It factors: an elementary tensor with p explicit
+    positions contributes the product of its factor traces times the
+    d**(level - p) strings it covers, so nothing is expanded.  A trace
+    beyond the float range raises ValueError.
     """
     if isinstance(x, Element):
         return complex(np.sum(x.coeffs))
@@ -691,13 +978,15 @@ def trace(x, level=None):
     if lvl < x.level:
         raise ValueError("level %d below element support %d" % (lvl, x.level))
     total = 0j
-    for idx, c in x.terms.items():
-        strings = d ** (lvl - len(idx))
+    for support, value in x.factor_sums():
+        if support and support[-1] > lvl:
+            continue  # the block is zero
+        strings = d ** (lvl - len(support))
         try:
-            total += c * strings
+            total += value * strings
         except OverflowError:
             # the string count is beyond the float range; the product may not be
-            total += _scaled(c, strings)
+            total += _scaled(value, strings)
     if not cmath.isfinite(total):
         raise ValueError("trace at level %d is beyond the float range" % lvl)
     return total

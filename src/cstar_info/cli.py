@@ -48,6 +48,8 @@ THREADS_ENV = "CSTAR_INFO_THREADS"
 # guard_bits passed to library calls when --guard-override is set; large
 # enough to disable every size guard, leaving memory to the caller
 OVERRIDE_GUARD_BITS = 64
+# longest start:stop[:step] grid accepted, checked before the grid is built
+MAX_GRID_POINTS = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -96,11 +98,16 @@ def _parse_grid(value):
                     raise ValueError
                 if step < 1 or stop < start:
                     raise ValueError
-                items = list(range(start, stop + 1, step))
+                items = range(start, stop + 1, step)
             else:
                 items = [int(p) for p in text.split(",")]
         except ValueError:
             raise ConfigError("bad grid %r; use start:stop[:step] or a comma list" % (value,))
+        if len(items) > MAX_GRID_POINTS:
+            raise ConfigError(
+                "grid %r has %d points; at most %d" % (value, len(items), MAX_GRID_POINTS)
+            )
+        items = list(items)
     if not items or min(items) < 1:
         raise ConfigError("grid values must be positive integers")
     return items
@@ -385,7 +392,8 @@ def _run_lln(config):
     values = config["values"]
     observable = None if values is None else Element(omega.algebra, values)
     eps = config["eps"]
-    table = lln_sweep(omega, config["n"], config["moment"], eps, observable=observable)
+    table = lln_sweep(omega, config["n"], config["moment"], eps, observable=observable,
+                      guard_bits=_guard_bits(config))
     rows = []
     for n in config["n"]:
         moment, variance, tail = table[n]

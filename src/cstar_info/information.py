@@ -33,6 +33,7 @@ from .algebra import (
     GuardExceeded,
     MultiIndex,
     TensorElement,
+    _digits,
     _from_dense,
     check_guard,
 )
@@ -253,7 +254,8 @@ def _string_log_probs(weights, n):
 
 
 def aep_projection(source, n, eps, guard_bits=None, max_terms=MAX_PROJECTION_TERMS):
-    """Projection onto the eps-typical strings, one explicit term each.
+    """Projection onto the eps-typical strings, one one-hot elementary
+    tensor (one explicit term) each.
 
     The projection needs every typical string, so it enumerates all
     ``d**n`` strings behind the dense-expansion guard.
@@ -367,14 +369,6 @@ def kraft_check(lengths, alphabet_size):
     return sum(n ** (k_max - k) for k in ks) <= n ** k_max
 
 
-def _digits(value, base, width):
-    out = []
-    for _ in range(width):
-        value, digit = divmod(value, base)
-        out.append(str(digit))
-    return "".join(reversed(out))
-
-
 def kraft_construct(lengths, alphabet_size):
     """Build a prefix-free code with exactly the given lengths.
 
@@ -396,7 +390,7 @@ def kraft_construct(lengths, alphabet_size):
             value = (value + 1) * (n ** (k - prev))
         if value >= n ** k:
             raise ValueError("lengths %r exhaust the base-%d tree" % (tuple(lengths), n))
-        words[i] = _digits(value, n, k)
+        words[i] = "".join(map(str, _digits(value, n, k)))
         prev = k
     return Code(tuple(words), n)
 

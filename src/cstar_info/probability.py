@@ -3,9 +3,9 @@
 A state on an atomic algebra is a probability weight vector: the positive
 unital functionals are exactly ``x -> sum_i w_i a_i`` with ``w_i >= 0``
 summing to 1.  Pure states are the point masses, and a state is pure exactly
-when it is multiplicative.  On tensor powers, product states evaluate basis
-strings factor by factor, with a designated tail state for positions beyond
-the explicit factors.
+when it is multiplicative.  On tensor powers, product states evaluate
+elementary tensors factor by factor, with a designated tail state for
+positions beyond the explicit factors.
 
 Distributions of self-adjoint elements are pushforwards of the weights onto
 the coefficient values.  Averages of independent copies of an observable are
@@ -15,6 +15,8 @@ tail computations for the weak law exact up to float rounding.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -25,9 +27,16 @@ from .algebra import (
     AlgebraMismatch,
     AtomicAlgebra,
     Element,
+    GuardExceeded,
     TensorElement,
     _tol,
 )
+
+# A weak-law sweep refuses more than 2**SWEEP_GUARD_BITS support-by-value
+# products (see _AverageSweep.advance_to).
+SWEEP_GUARD_BITS = 23
+# just below log(sys.float_info.max) = 709.78
+_LOG_FLOAT_MAX = 709.0
 
 
 class State:
@@ -107,8 +116,8 @@ class ProductState:
     """Product state on a tensor power: explicit factors, then an iid tail.
 
     ``state_at(p)`` is ``factors[p-1]`` while it exists and ``tail`` beyond;
-    a basis string evaluates to the product of its per-position weights, and
-    implicit identity positions contribute a factor 1.
+    an elementary tensor ``x_1 ⊗ ... ⊗ x_n`` evaluates to the product of the
+    ``state_at(k)(x_k)``, and implicit identity positions contribute 1.
     """
 
     __slots__ = ("factors", "tail")
@@ -155,15 +164,10 @@ class ProductState:
             raise AlgebraMismatch(
                 "element factor algebra %r, state algebra %r" % (x.factor_algebra, self.algebra)
             )
-        total = 0j
-        for idx, c in x.terms.items():
-            prob = 1.0
-            for pos, atom in idx.pairs:
-                prob *= self.state_at(pos).weights[atom]
-                if prob == 0.0:
-                    break
-            total += c * prob
-        return complex(total)
+        # omega(x_1 ⊗ ... ⊗ x_n) = prod_k omega_k(x_k), one elementary tensor
+        # at a time; identity positions contribute omega_k(1) = 1
+        pairs = x.factor_sums(lambda pos: self.state_at(pos).weights)
+        return complex(sum(value for _, value in pairs))
 
     def __repr__(self):
         return "ProductState(%d explicit factors, tail %r)" % (len(self.factors), self.tail)
@@ -181,19 +185,21 @@ def pure_check(state, tol=None):
 # generated subalgebras ------------------------------------------------------
 
 
+def _gap_starts(ordered, tol):
+    # Along sorted values, where a cluster starts: a value more than tol
+    # above its predecessor opens a new cluster.
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.greater(np.diff(ordered), tol, out=starts[1:])
+    return starts
+
+
 def _cluster_ids(values, tol):
-    # Label atoms by which coefficient cluster they fall in; clusters are
-    # grown greedily along the sorted axis with gap > tol as the separator.
+    # Label each value by its cluster, counting clusters in increasing order.
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
-    ids = np.zeros(len(values), dtype=int)
-    current = 0
-    last = None
-    for k in order:
-        if last is not None and values[k] - last > tol:
-            current += 1
-        ids[k] = current
-        last = values[k]
+    ids = np.empty(len(values), dtype=int)
+    ids[order] = np.cumsum(_gap_starts(values[order], tol)) - 1
     return ids
 
 
@@ -420,19 +426,6 @@ def prob_interval(x, omega, lo, hi, tol=None):
 # weak law of large numbers ---------------------------------------------------
 
 
-def _merge_close(values, masses, tol):
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    m = masses[order]
-    if v.size == 0:
-        return v, m
-    starts = np.empty(v.size, dtype=bool)
-    starts[0] = True
-    np.greater(np.diff(v), tol, out=starts[1:])
-    idx = np.flatnonzero(starts)
-    return v[idx], np.add.reduceat(m, idx)
-
-
 def sum_pushforward(values, masses, n, merge_tol=None):
     """Exact distribution of the sum of n iid copies of a finite variable.
 
@@ -464,14 +457,29 @@ class _AverageSweep:
 
     ``sums`` and ``sum_masses`` hold the support and masses of the sum of n
     copies; each step convolves them with one more copy and merges support
-    points closer than ``merge_tol``.
+    points closer than ``merge_tol``.  A step forms support-size times
+    value-count products, and a pass refuses to form more than
+    ``2**guard_bits`` of them (``SWEEP_GUARD_BITS`` by default).
     """
 
-    def __init__(self, values, masses, merge_tol=None):
+    def __init__(self, values, masses, merge_tol=None, guard_bits=None):
         self.values = np.asarray(values, dtype=float)
         self.masses = np.asarray(masses, dtype=float)
-        self.mean = float(np.dot(self.values, self.masses))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.mean = float(np.dot(self.values, self.masses))
+            reach = float(np.max(np.abs(self.values)))
+            spread = float(np.max(np.abs(self.values - self.mean)))
+        if not math.isfinite(self.mean):
+            raise ValueError("the mean of the observable is beyond the float range")
+        # Sums of n copies lie within n * reach of 0, so they differ by at
+        # most 2 n reach; an average deviates from the mean by at most
+        # spread, and the masses sum to 1, so a k-th moment is at most
+        # spread**k.  These bound n and k before any float overflows.
+        self.max_copies = sys.float_info.max / (2.0 * reach) if reach else math.inf
+        self.max_order = _LOG_FLOAT_MAX / math.log(spread) if spread > 1.0 else math.inf
         self.tol = _tol(merge_tol)
+        self.limit = 2.0 ** (SWEEP_GUARD_BITS if guard_bits is None else float(guard_bits))
+        self.work = 0
         self.sums = np.zeros(1)
         self.sum_masses = np.ones(1)
         self.n = 0
@@ -479,14 +487,33 @@ class _AverageSweep:
     def step(self):
         v = (self.sums[:, None] + self.values[None, :]).ravel()
         m = (self.sum_masses[:, None] * self.masses[None, :]).ravel()
-        self.sums, self.sum_masses = _merge_close(v, m, self.tol)
+        order = np.argsort(v, kind="stable")
+        v = v[order]
+        first = np.flatnonzero(_gap_starts(v, self.tol))
+        self.sums = v[first]
+        self.sum_masses = np.add.reduceat(m[order], first)
+        self.work += m.size
         self.n += 1
 
     def advance_to(self, n):
         while self.n < n:
+            # convolution never shrinks the support (merging aside), so the
+            # remaining steps form at least this many products
+            need = self.work + self.sums.size * self.values.size * (n - self.n)
+            if need > self.limit:
+                raise GuardExceeded(
+                    "sweep to n = %d needs at least %d support-by-value products "
+                    "(~2^%.1f); guard is 2^%g" % (n, need, math.log2(need), math.log2(self.limit))
+                )
+            if n > self.max_copies:
+                raise ValueError("sums of %d copies span beyond the float range" % n)
             self.step()
 
     def moment(self, k):
+        if k > self.max_order:
+            raise ValueError(
+                "moment %d of the deviation at n = %d is beyond the float range" % (k, self.n)
+            )
         dev = np.abs(self.sums / self.n - self.mean)
         return float(np.dot(self.sum_masses, dev ** k))
 
@@ -495,13 +522,14 @@ class _AverageSweep:
         return float(np.sum(self.sum_masses[dev > eps]))
 
 
-def _average_sweeps(omega, ns, observable=None, merge_tol=None):
+def _average_sweeps(omega, ns, observable=None, merge_tol=None, guard_bits=None):
     """Yield ``(n, sweep)`` at each distinct n of the grid, in increasing
     order, from a single convolution pass that is never restarted."""
     ns = sorted(set(int(n) for n in ns))
     if ns and ns[0] < 1:
         raise ValueError("need n >= 1 summands")
-    sweep = _AverageSweep(_observable_values(omega, observable), omega.weights, merge_tol)
+    values = _observable_values(omega, observable)
+    sweep = _AverageSweep(values, omega.weights, merge_tol, guard_bits)
     for n in ns:
         sweep.advance_to(n)
         yield n, sweep
@@ -521,18 +549,20 @@ def _check_eps(eps):
     return eps
 
 
-def lln_sweep(omega, ns, k, eps, observable=None, merge_tol=None):
+def lln_sweep(omega, ns, k, eps, observable=None, merge_tol=None, guard_bits=None):
     """Weak-law figures of the n-fold average over a grid, in one pass.
 
     Returns ``{n: (moment, variance, tail)}``: the k-th absolute moment and
     the variance of ``s_n - omega(x)``, and ``P(|s_n - omega(x)| > eps)``,
-    all read from the same convolution state at each n.
+    all read from the same convolution state at each n.  The pass forms at
+    most ``2**guard_bits`` support-by-value products (``SWEEP_GUARD_BITS``
+    by default) and raises GuardExceeded before it would form more.
     """
     k = _check_moment_order(k)
     eps = _check_eps(eps)
     return {
         n: (sweep.moment(k), sweep.moment(2), sweep.tail(eps))
-        for n, sweep in _average_sweeps(omega, ns, observable, merge_tol)
+        for n, sweep in _average_sweeps(omega, ns, observable, merge_tol, guard_bits)
     }
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import warnings
 from unittest import mock
 
@@ -186,6 +187,16 @@ def test_joint_guard():
         joint(c, omega, 9)  # 4**9 pair strings exceed 2**16
     js, obs, dens = joint(c, omega, 9, guard_bits=20)
     assert js.level == 9
+
+
+def test_joint_objects_are_elementary_tensors():
+    c = bsc(0.2)
+    omega = State.uniform(AtomicAlgebra(2))
+    start = time.perf_counter()
+    js, obs, dens = joint(c, omega, 9, guard_bits=20)
+    assert time.perf_counter() - start < 0.05
+    assert trace(dens) == pytest.approx(1.0, abs=1e-12)
+    assert js(obs).real == pytest.approx(0.68 ** 9, abs=1e-12)  # per slot 0.8^2 + 0.2^2
 
 
 def test_joint_independence_for_useless():

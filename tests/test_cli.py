@@ -3,13 +3,14 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstar_info import cli
+from cstar_info import cli, probability
 from cstar_info.algebra import AtomicAlgebra, Element
 from cstar_info.cli import main, read_artifact, resolve_config, ConfigError
 from cstar_info.probability import State, chebyshev_tail, lln_moment
@@ -335,6 +336,39 @@ def test_guard_override_lifts_type_class_guard(tmp_path, capsys):
     n, q = 300000, 1e-7  # typical: the strings with at most one rare symbol
     assert row["count"] == 1 + n
     assert row["prob_mass"] == pytest.approx((1 - q) ** n + n * q * (1 - q) ** (n - 1), abs=1e-12)
+
+
+def test_long_grid_is_refused_before_it_is_built(capsys):
+    assert main(["lln", "--p", "0.5,0.5", "--n", "1:300000000"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config"
+    assert "300000000 points" in err["message"]
+
+
+def test_lln_work_guard_and_override(tmp_path, capsys, monkeypatch):
+    # the benchmark's sweeps stay inside the default bound
+    for grid, moment in (("1:300", "2"), ("10,50,100,150,300", "4")):
+        code, _ = run(tmp_path, ["lln", "--p", "0.2,0.3,0.5", "--n", grid, "--moment", moment])
+        assert code == 0
+    # two atoms to n = 40 form 40 * 41 support-by-value products
+    monkeypatch.setattr(probability, "SWEEP_GUARD_BITS", 10)
+    argv = ["lln", "--p", "0.5,0.5", "--n", "10,40", "--eps", "0.1"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "guard"
+    assert "n = 40" in err["message"]
+    code, path = run(tmp_path, argv + ["--guard-override"], "lifted.json")
+    assert code == 0
+    assert [row["n"] for row in read_artifact(str(path))["results"]] == [10, 40]
+
+
+def test_lln_moment_beyond_the_float_range_is_named(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lln", "--p", "0.5,0.5", "--n", "1:2", "--values", "0,1e300"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config"
+    assert "moment 2" in err["message"] and "n = 1" in err["message"]
 
 
 def test_stdout_output(capsys):

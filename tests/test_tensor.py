@@ -1,0 +1,134 @@
+"""The factored tensor layer against the basis-string oracle in tensor_oracle."""
+
+import functools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cstar_info.algebra import (
+    AtomicAlgebra,
+    Element,
+    TensorElement,
+    embed_at,
+    tensor_power,
+    tensor_product,
+    trace,
+)
+from cstar_info.probability import ProductState, State
+from tensor_oracle import DictTensor
+
+MAX_LEVEL = 6
+# dyadic values keep products exact, so both sides see the same zeros
+COEFFS = st.sampled_from([0, 0, 1, -1, 0.5, -2, 1.5, 1j, 0.5 - 1j, -0.25j])
+WEIGHTS = st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any)
+
+
+@st.composite
+def programs(draw):
+    """A factor dimension and an expression tree over it."""
+    d = draw(st.integers(2, 4))
+    vec = st.lists(COEFFS, min_size=d, max_size=d)
+    leaf = st.one_of(
+        st.tuples(st.just("embed"), vec, st.integers(1, MAX_LEVEL)),
+        st.tuples(st.just("power"), vec, st.integers(1, 2)),
+        st.tuples(st.just("scalar"), COEFFS),
+    )
+    tree = st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from(["mul", "add", "tensor"]), sub, sub),
+            st.tuples(st.just("star"), sub),
+            st.tuples(st.just("scale"), COEFFS, sub),
+        ),
+        max_leaves=5,
+    )
+    return d, draw(tree)
+
+
+def evaluate(d, node):
+    """The tree on both sides: (TensorElement, DictTensor)."""
+    alg = AtomicAlgebra(d)
+
+    def go(node):
+        op = node[0]
+        if op == "embed":
+            return embed_at(Element(alg, node[1]), node[2]), DictTensor.embed_at(node[1], node[2])
+        if op == "power":
+            return (tensor_power(Element(alg, node[1]), node[2]),
+                    DictTensor.embed_at(node[1], 1).tensor_power(node[2]))
+        if op == "scalar":
+            return TensorElement.scalar(alg, node[1]), DictTensor.scalar(d, node[1])
+        if op == "star":
+            x, ox = go(node[1])
+            return x.star(), ox.star()
+        if op == "scale":
+            x, ox = go(node[2])
+            return node[1] * x, ox.scale(node[1])
+        (x, ox), (y, oy) = go(node[1]), go(node[2])
+        if op == "add":
+            return x + y, ox + oy
+        if op == "tensor" and ox.level + oy.level <= MAX_LEVEL:
+            return x.tensor(y), ox.tensor(oy)
+        return x * y, ox * oy
+
+    return go(node)
+
+
+def close(a, b, scale):
+    return abs(a - b) <= 1e-12 * max(1.0, scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(programs(), st.lists(WEIGHTS, min_size=4, max_size=4))
+def test_factored_elements_agree_with_the_string_oracle(program, weight_rows):
+    d, tree = program
+    x, oracle = evaluate(d, tree)
+    scale = sum(abs(c) for c in oracle.terms.values()) * d ** MAX_LEVEL
+    got = {idx.pairs: c for idx, c in x.terms.items()}
+    assert got.keys() == oracle.terms.keys()
+    assert all(close(got[k], c, scale) for k, c in oracle.terms.items())
+    assert x.level == oracle.level
+    assert TensorElement(x.factor_algebra, x.terms) == x
+    for lvl in (oracle.level, min(oracle.level + 1, MAX_LEVEL)):
+        assert np.max(np.abs(x.dense(lvl) - oracle.dense(lvl))) <= 1e-12 * max(1.0, scale)
+        assert close(trace(x, lvl), oracle.trace(lvl), scale)
+    states = [State(x.factor_algebra, np.array(w[:d], dtype=float) / sum(w[:d]))
+              for w in weight_rows if any(w[:d])]
+    if states:
+        omega = ProductState(states[:-1], states[-1])
+        want = oracle.product_state(lambda pos: omega.state_at(pos).weights)
+        assert close(omega(x), want, scale)
+
+
+def test_product_state_of_an_elementary_tensor_is_the_product_of_the_factors():
+    rng = np.random.default_rng(2024)
+    for d, n in ((2, 6), (3, 4), (4, 3)):
+        alg = AtomicAlgebra(d)
+        xs = [Element(alg, rng.normal(size=d) + 1j * rng.normal(size=d)) for _ in range(n)]
+        states = [State(alg, w) for w in rng.dirichlet(np.ones(d), size=n)]
+        x = functools.reduce(tensor_product, xs)
+        omega = ProductState(states[:-1], states[-1])
+        kron = functools.reduce(np.kron, [xi.coeffs for xi in xs])
+        weights = functools.reduce(np.kron, [s.weights for s in states])
+        value = omega(x)
+        assert abs(value - np.prod([s(xi) for s, xi in zip(states, xs)])) <= 1e-12
+        assert abs(value - kron @ weights) <= 1e-12
+        assert np.allclose(x.dense(), kron, rtol=0, atol=1e-12)
+        # identity factors between explicit positions evaluate to 1
+        gapped = embed_at(xs[0], 2) * embed_at(xs[1], 5)
+        want = omega.state_at(2)(xs[0]) * omega.state_at(5)(xs[1])
+        assert abs(omega(gapped) - want) <= 1e-12
+
+
+def test_elementary_tensors_stay_factored_at_high_level():
+    alg = AtomicAlgebra(4)
+    x = Element(alg, [0.1, 0.2, 0.3, 0.4])
+    power = tensor_power(x, 200)
+    assert power.level == 200
+    assert abs(trace(power) - 1.0) <= 1e-12
+    iid = ProductState.iid(State.uniform(alg))
+    assert abs(iid(power) - 0.25 ** 200) <= 1e-300
+    far = embed_at(x, 10_000) * embed_at(x, 3)
+    assert far.level == 10_000
+    assert abs(iid(far) - 0.0625) <= 1e-15
