@@ -36,6 +36,8 @@ EQ_TOL = 1e-9
 ZERO_TOL = 1e-15
 # Dense expansions refuse to materialize more than 2**GUARD_BITS strings.
 GUARD_BITS = 24
+# TensorElement.terms refuses more than 2**TERMS_GUARD_BITS strings.
+TERMS_GUARD_BITS = 20
 # A product of two sums of elementary tensors forms at most this many
 # coefficients at once before dropping the pairs that vanish.
 PRODUCT_BLOCK_ENTRIES = 1 << 20
@@ -49,15 +51,19 @@ class GuardExceeded(RuntimeError):
     """Raised when a computation would exceed its size guard."""
 
 
+def _guard(bits, default, guard_bits, noun, *args):
+    """Refuse 2**bits units of work, named by ``noun % args``, above
+    2**guard_bits, or above 2**default when guard_bits is None.  The 1e-9
+    slack keeps a log2 that rounds just above a whole limit inside it."""
+    limit = default if guard_bits is None else float(guard_bits)
+    if bits > limit + 1e-9:
+        raise GuardExceeded("needs ~2^%.5g %s; guard is 2^%g" % (bits, noun % args, limit))
+
+
 def check_guard(dim, level, guard_bits=None):
     """Refuse dense work on more than 2**guard_bits atomic strings."""
-    limit = GUARD_BITS if guard_bits is None else float(guard_bits)
-    bits = level * math.log2(dim) if dim > 1 else 0.0
-    if bits > limit + 1e-9:
-        raise GuardExceeded(
-            "dense expansion needs %d**%d strings (~2^%.1f); guard is 2^%g"
-            % (dim, level, bits, limit)
-        )
+    _guard(level * math.log2(dim), GUARD_BITS, guard_bits,
+           "strings to expand %d**%d densely", dim, level)
 
 
 def _tol(tol):
@@ -554,6 +560,9 @@ class TensorElement:
     explicit position of a row, with equal strings summed and coefficients
     below ``ZERO_TOL`` dropped.  It is built on first access and cached;
     the scalar comes first, then each block's strings in big-endian order.
+    It refuses, before building anything, an expansion of more than
+    ``2**TERMS_GUARD_BITS`` strings, and so do ``==``, ``hash``,
+    ``to_dict`` and ``apply``, which read it.
     Basis strings are a spanning set, not a basis, so two different term
     maps may describe the same element; semantic questions (norm,
     spectrum, ``equals``) go through the dense expansion.
@@ -626,6 +635,14 @@ class TensorElement:
         return got
 
     def _expand(self):
+        # an elementary tensor yields the product over its positions of the
+        # nonzero atoms; summed in log2, so a 200-fold power cannot overflow
+        bits = 0.0 if self._scalar else -math.inf
+        for rows in self._blocks.values():
+            counts = np.count_nonzero(rows, axis=2)
+            logs = np.log2(counts, out=np.full(counts.shape, -np.inf), where=counts > 0)
+            bits = np.logaddexp2.reduce(logs.sum(axis=1), initial=bits)
+        _guard(bits, TERMS_GUARD_BITS, None, "basis strings in .terms")
         out = {}
         if abs(self._scalar) >= ZERO_TOL:
             out[_index(())] = self._scalar

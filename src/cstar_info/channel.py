@@ -32,16 +32,14 @@ from .algebra import (
     EQ_TOL,
     AtomicAlgebra,
     Element,
-    GuardExceeded,
     TensorElement,
+    _guard,
     _tol,
     tensor_power,
 )
 from .information import _entropy_bits
 from .probability import ProductState, State, independence_test
 
-# Joint-state tensor objects carry one explicit term per pair string.
-JOINT_GUARD_BITS = 16
 # A coding trial evaluates r * n**k likelihoods; the guard bounds that work
 # at 2**(guard + 2).
 EXPERIMENT_GUARD_BITS = 24
@@ -115,9 +113,12 @@ class Channel:
 
     @classmethod
     def from_dict(cls, data):
-        mat = np.array(data["matrix"], dtype=float)
-        if mat.shape != (int(data["input_dim"]), int(data["output_dim"])):
-            raise ValueError("channel matrix shape disagrees with declared dims")
+        try:
+            mat = np.array(data["matrix"], dtype=float)
+            if mat.shape != (int(data["input_dim"]), int(data["output_dim"])):
+                raise ValueError("channel matrix shape disagrees with declared dims")
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError("a channel is an object of input_dim, output_dim and matrix (%r)" % exc)
         return cls(mat)
 
 
@@ -173,12 +174,11 @@ def push_state(channel, omega):
 class JointState:
     """Input-output joint state at block length ``level`` on the pair algebra.
 
-    ``weights[jvec, ivec]`` is the probability of input string jvec and
-    output string ivec (strings packed big-endian).  Evaluation of pair
-    tensor elements goes through the iid product of the level-1 pair state.
+    It is the iid product of the level-1 pair state, which is all it holds;
+    ``weights`` and the marginals expand it behind the dense-expansion guard.
     """
 
-    __slots__ = ("pair_algebra", "input_state", "level", "weights", "pair_state")
+    __slots__ = ("pair_algebra", "input_state", "level", "pair_state")
 
     def __init__(self, channel, input_state, level=1):
         level = int(level)
@@ -186,19 +186,12 @@ class JointState:
             raise ValueError("block length must be >= 1")
         if input_state.algebra.dim != channel.input_dim:
             raise ValueError("input state does not match the channel input")
-        m, n = channel.input_dim, channel.output_dim
         level_one = input_state.weights[:, None] * channel.matrix  # (m, n)
-        w = level_one
-        for _ in range(level - 1):
-            w = np.kron(w, level_one)
-        w.setflags(write=False)
-        pair_algebra = AtomicAlgebra(n * m)
-        pair_state = State(pair_algebra, level_one.T.ravel())
+        pair_algebra = AtomicAlgebra(channel.output_dim * channel.input_dim)
         object.__setattr__(self, "pair_algebra", pair_algebra)
         object.__setattr__(self, "input_state", input_state)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "pair_state", pair_state)
+        object.__setattr__(self, "pair_state", State(pair_algebra, level_one.T.ravel()))
 
     def __setattr__(self, name, value):
         raise AttributeError("JointState is immutable")
@@ -210,12 +203,27 @@ class JointState:
             return self.pair_state(x)
         return ProductState.iid(self.pair_state)(x)
 
+    def _power(self, weights):
+        # dense level-k Kronecker power of level-1 weights, strings big-endian
+        factor = Element(AtomicAlgebra(len(weights)), weights)
+        return tensor_power(factor, self.level).dense(self.level).real
+
+    @property
+    def weights(self):
+        """``weights[jvec, ivec]``: probability of input string jvec, output string ivec."""
+        m, k = self.input_state.algebra.dim, self.level
+        n = self.pair_algebra.dim // m
+        # pair atom a = i_out * m + j_in: input digits move before output digits
+        grid = self._power(self.pair_state.weights).reshape((n, m) * k)
+        return grid.transpose([*range(1, 2 * k, 2), *range(0, 2 * k, 2)]).reshape(m ** k, -1)
+
     def marginal_input(self):
         """Input-string marginal: the level-k power of the input state."""
-        return self.weights.sum(axis=1)
+        return self._power(self.input_state.weights)
 
     def marginal_output(self):
-        return self.weights.sum(axis=0)
+        m = self.input_state.algebra.dim
+        return self._power(self.pair_state.weights.reshape(-1, m).sum(axis=1))
 
     def __repr__(self):
         return "JointState(level=%d, pairs=%d)" % (self.level, self.pair_algebra.dim)
@@ -227,21 +235,14 @@ class JointResult(NamedTuple):
     density: TensorElement
 
 
-def joint(channel, omega, k=1, guard_bits=None):
+def joint(channel, omega, k=1):
     """Joint state, output observable, and density at block length k.
 
     The observable carries coefficient ``C(y|x)`` on each pair string, the
     density carries the joint weight, and ``trace(density * z)`` at level k
-    reproduces the joint state of z.  Both are dense over (n m)**k strings,
-    so the block length is guarded.
+    reproduces the joint state of z.  Both are single elementary tensors;
+    only their expansions over the (n m)**k pair strings are guarded.
     """
-    limit = JOINT_GUARD_BITS if guard_bits is None else guard_bits
-    pair_dim = channel.input_dim * channel.output_dim
-    if k * np.log2(pair_dim) > limit + 1e-9:
-        raise GuardExceeded(
-            "joint objects need %d**%d explicit terms; guard is 2^%g"
-            % (pair_dim, k, limit)
-        )
     js = JointState(channel, omega, k)
     pair = js.pair_algebra
     observable = tensor_power(Element(pair, channel.matrix.T.ravel()), k)
@@ -354,6 +355,8 @@ def capacity(channel, tol=1e-9, max_iter=10000):
     Stops when the standard upper/lower capacity gap drops below tol and
     raises ConvergenceError (reporting the gap) otherwise.
     """
+    if not (0.0 <= tol < np.inf and max_iter >= 1):
+        raise ValueError("need a finite tol >= 0 and max_iter >= 1, got %r, %r" % (tol, max_iter))
     mat = channel.matrix
     m = channel.input_dim
     positive = mat > 0.0
@@ -427,11 +430,26 @@ class LosslessChannel:
         return Channel(self.matrix)
 
 
-def _codebook_size(k, rate):
-    r = int(np.floor(2.0 ** (k * float(rate))))
-    if r < 2:
+def _codebook_size(k, rate, n, guard_bits):
+    """The floor(2**(k rate)) codewords of a trial, refused by the work
+    guard before they are counted."""
+    if k < 1:
+        raise ValueError("block lengths must be >= 1")
+    if not 0.0 < rate < np.inf:
+        raise ValueError("rate must be positive and finite, got %r" % rate)
+    span = float(min(k, 2 ** 1000))  # any longer block is refused all the same
+    bits = span * rate
+    if bits < 1:
         raise ValueError("rate %g gives fewer than 2 codewords at block length %d" % (rate, k))
-    return r
+    strings = span * np.log2(n)
+    _guard(strings, EXPERIMENT_GUARD_BITS, guard_bits,
+           "output strings per trial, block length %d over %d symbols", k, n)
+    # log2 of the size as counted, while 2**bits is a float
+    size_bits = np.log2(np.floor(2.0 ** bits)) if bits < 1024 else bits
+    lifted = None if guard_bits is None else float(guard_bits) + 2
+    _guard(size_bits + strings, EXPERIMENT_GUARD_BITS + 2, lifted,
+           "likelihoods per trial, 2^%.5g codewords times %d**%d strings", size_bits, n, k)
+    return int(np.floor(2.0 ** bits))
 
 
 def _sample_codebook(rng, weights, k, r):
@@ -555,22 +573,6 @@ def _streamed_trial(matrix, codebook):
     return float(deviation.sum()) / r, float(np.sum(sums - mass)) / r
 
 
-def _experiment_guard(k, n, r, guard_bits):
-    # A bound on work, not memory: a trial evaluates r * n**k likelihoods.
-    limit = EXPERIMENT_GUARD_BITS if guard_bits is None else float(guard_bits)
-    if k * np.log2(n) > limit + 1e-9:
-        raise GuardExceeded(
-            "block length %d over a %d-symbol output means 2^%.1f output strings "
-            "per trial; the work guard is 2^%g" % (k, n, k * np.log2(n), limit)
-        )
-    if np.log2(r) + k * np.log2(n) > limit + 2 + 1e-9:
-        raise GuardExceeded(
-            "codebook of %d words times %d**%d output strings means 2^%.1f likelihoods "
-            "per trial; the work guard is 2^%g"
-            % (r, n, k, np.log2(r) + k * np.log2(n), limit + 2)
-        )
-
-
 def build_code_and_decoder(channel, omega, k, rate, seed=0, guard_bits=None):
     """Draw a random codebook and its maximum-likelihood decoder channel.
 
@@ -578,12 +580,9 @@ def build_code_and_decoder(channel, omega, k, rate, seed=0, guard_bits=None):
     (ints) drawn iid from the k-fold input state; repeats are possible.
     """
     k = int(k)
-    if k < 1:
-        raise ValueError("block length must be >= 1")
     if omega.algebra.dim != channel.input_dim:
         raise ValueError("state does not match the channel input")
-    r = _codebook_size(k, rate)
-    _experiment_guard(k, channel.output_dim, r, guard_bits)
+    r = _codebook_size(k, rate, channel.output_dim, guard_bits)
     rng = np.random.default_rng(seed)
     codebook = _sample_codebook(rng, omega.weights, k, r)
     rows = _block_rows(channel.matrix, codebook)
@@ -649,10 +648,7 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
         raise ValueError("state does not match the channel input")
     results = []
     for k in sorted(set(int(k) for k in ks)):
-        if k < 1:
-            raise ValueError("block lengths must be >= 1")
-        r = _codebook_size(k, rate)
-        _experiment_guard(k, channel.output_dim, r, guard_bits)
+        r = _codebook_size(k, rate, channel.output_dim, guard_bits)
         devs = []
         errs = []
         for t in range(trials):

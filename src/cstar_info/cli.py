@@ -75,14 +75,14 @@ def _parse_weights(value):
         raise ConfigError("empty weight list")
     try:
         return [float(v) for v in items]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("weights must be numbers, got %r" % (value,))
 
 
 def _parse_grid(value):
     # "4:20" inclusive, "4:20:2" stepped, "1,2,3" explicit, or a list
     if isinstance(value, (list, tuple)):
-        items = [int(v) for v in value]
+        items = [_parse_int(v) for v in value]
     elif isinstance(value, int):
         items = [value]
     else:
@@ -99,13 +99,15 @@ def _parse_grid(value):
                 if step < 1 or stop < start:
                     raise ValueError
                 items = range(start, stop + 1, step)
+                points = (stop - start) // step + 1  # len() overflows past sys.maxsize
             else:
                 items = [int(p) for p in text.split(",")]
+                points = len(items)
         except ValueError:
             raise ConfigError("bad grid %r; use start:stop[:step] or a comma list" % (value,))
-        if len(items) > MAX_GRID_POINTS:
+        if points > MAX_GRID_POINTS:
             raise ConfigError(
-                "grid %r has %d points; at most %d" % (value, len(items), MAX_GRID_POINTS)
+                "grid %r has %d points; at most %d" % (value, points, MAX_GRID_POINTS)
             )
         items = list(items)
     if not items or min(items) < 1:
@@ -136,14 +138,14 @@ def _parse_bool(value):
 def _parse_int(value):
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("expected an integer, got %r" % (value,))
 
 
 def _parse_float(value):
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("expected a number, got %r" % (value,))
 
 

@@ -32,16 +32,15 @@ from .algebra import (
     Element,
     GuardExceeded,
     MultiIndex,
+    TERMS_GUARD_BITS,
     TensorElement,
     _digits,
     _from_dense,
+    _guard,
     check_guard,
 )
-from .probability import State
+from .probability import State, _check_eps
 
-# Hard ceiling on explicit typical-set projections, independent of the
-# dense-expansion guard: the projection stores one term per typical string.
-MAX_PROJECTION_TERMS = 1 << 20
 # Typical-set reports refuse more than 2**TYPE_GUARD_BITS type classes.
 TYPE_GUARD_BITS = 17
 
@@ -124,12 +123,9 @@ class TypicalSetReport:
 
 def _block_args(n, eps):
     n = int(n)
-    eps = float(eps)
     if n < 1:
         raise ValueError("block length must be >= 1")
-    if not 0.0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
-    return n, eps
+    return n, _check_eps(eps)
 
 
 def _is_typical(lp, n, h, eps):
@@ -206,12 +202,8 @@ def aep_typical_set(source, n, eps, guard_bits=None):
     n, eps = _block_args(n, eps)
     d = source.algebra.dim
     types = math.comb(n + d - 1, d - 1)
-    limit = TYPE_GUARD_BITS if guard_bits is None else float(guard_bits)
-    if math.log2(types) > limit + 1e-9:
-        raise GuardExceeded(
-            "typical-set report needs C(%d, %d) type classes (~2^%.1f); guard is 2^%g"
-            % (n + d - 1, d - 1, math.log2(types), limit)
-        )
+    _guard(math.log2(types), TYPE_GUARD_BITS, guard_bits,
+           "type classes, C(%d, %d), for the typical-set report", n + d - 1, d - 1)
     h = entropy(source.state)
     try:
         upper = 2.0 ** (n * (h + eps))
@@ -253,23 +245,21 @@ def _string_log_probs(weights, n):
     return out
 
 
-def aep_projection(source, n, eps, guard_bits=None, max_terms=MAX_PROJECTION_TERMS):
+def aep_projection(source, n, eps, guard_bits=None):
     """Projection onto the eps-typical strings, one one-hot elementary
     tensor (one explicit term) each.
 
     The projection needs every typical string, so it enumerates all
-    ``d**n`` strings behind the dense-expansion guard.
+    ``d**n`` strings behind the dense-expansion guard; more typical strings
+    than its ``terms`` may hold (``2**TERMS_GUARD_BITS``) are refused.
     """
     n, eps = _block_args(n, eps)
     check_guard(source.algebra.dim, n, guard_bits)
     lp = _string_log_probs(source.state.weights, n)
     mask = _is_typical(lp, n, entropy(source.state), eps)
     hits = int(np.count_nonzero(mask))
-    if hits > max_terms:
-        raise GuardExceeded(
-            "typical set has %d strings; explicit projection capped at %d"
-            % (hits, max_terms)
-        )
+    _guard(math.log2(max(hits, 1)), TERMS_GUARD_BITS, None,
+           "typical strings, %d, for the explicit projection", hits)
     return _from_dense(source.algebra, mask, n)
 
 

@@ -27,8 +27,8 @@ from .algebra import (
     AlgebraMismatch,
     AtomicAlgebra,
     Element,
-    GuardExceeded,
     TensorElement,
+    _guard,
     _tol,
 )
 
@@ -51,12 +51,14 @@ class State:
         w = np.array(weights, dtype=float)
         if w.shape != (algebra.dim,):
             raise ValueError("expected %d weights, got shape %r" % (algebra.dim, w.shape))
-        if not np.all(np.isfinite(w)):
+        # only a non-finite sum can come from a non-finite weight
+        total = float(w.sum())
+        if not math.isfinite(total) and not np.all(np.isfinite(w)):
             raise ValueError("state weights must be finite")
-        if float(np.min(w)) < -t:
+        if float(w.min()) < -t:
             raise ValueError("state weights must be nonnegative")
-        if abs(float(np.sum(w)) - 1.0) > t:
-            raise ValueError("state weights must sum to 1 (got %.17g)" % float(np.sum(w)))
+        if abs(total - 1.0) > t:
+            raise ValueError("state weights must sum to 1 (got %.17g)" % total)
         w.setflags(write=False)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "weights", w)
@@ -478,7 +480,7 @@ class _AverageSweep:
         self.max_copies = sys.float_info.max / (2.0 * reach) if reach else math.inf
         self.max_order = _LOG_FLOAT_MAX / math.log(spread) if spread > 1.0 else math.inf
         self.tol = _tol(merge_tol)
-        self.limit = 2.0 ** (SWEEP_GUARD_BITS if guard_bits is None else float(guard_bits))
+        self.guard_bits = guard_bits
         self.work = 0
         self.sums = np.zeros(1)
         self.sum_masses = np.ones(1)
@@ -500,11 +502,8 @@ class _AverageSweep:
             # convolution never shrinks the support (merging aside), so the
             # remaining steps form at least this many products
             need = self.work + self.sums.size * self.values.size * (n - self.n)
-            if need > self.limit:
-                raise GuardExceeded(
-                    "sweep to n = %d needs at least %d support-by-value products "
-                    "(~2^%.1f); guard is 2^%g" % (n, need, math.log2(need), math.log2(self.limit))
-                )
+            _guard(math.log2(need), SWEEP_GUARD_BITS, self.guard_bits,
+                   "support-by-value products at least, to sweep to n = %d", n)
             if n > self.max_copies:
                 raise ValueError("sums of %d copies span beyond the float range" % n)
             self.step()
@@ -544,8 +543,8 @@ def _check_moment_order(k):
 
 def _check_eps(eps):
     eps = float(eps)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     return eps
 
 
@@ -575,8 +574,6 @@ def lln_moment(omega, n, k, observable=None, merge_tol=None):
     absolute moment no longer matches the signed one.
     """
     n = int(n)
-    if n < 1:
-        raise ValueError("need n >= 1 summands")
     k = _check_moment_order(k)
     if k % 2 == 1:
         warnings.warn("odd moment order %d: computing the absolute moment" % k)
@@ -591,9 +588,6 @@ def lln_moment_sweep(omega, ns, k, observable=None, merge_tol=None):
 
 def chebyshev_tail(omega, n, eps, observable=None, merge_tol=None):
     """Exact P(|s_n - omega(x)| > eps) for the n-fold average."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("need n >= 1 summands")
     eps = _check_eps(eps)
     _, sweep = next(_average_sweeps(omega, [n], observable, merge_tol))
     return sweep.tail(eps)

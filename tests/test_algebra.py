@@ -3,11 +3,13 @@
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cstar_info import algebra
 from cstar_info.algebra import (
     EQ_TOL,
     AlgebraMismatch,
@@ -370,6 +372,25 @@ def test_dense_guard():
     # override admits the expansion
     vec = embed_at(alg.atom(0), 25).dense(guard_bits=25)
     assert vec.shape == (2 ** 25,)
+
+
+def test_terms_guard(monkeypatch):
+    half = Element(AtomicAlgebra(2), [0.5, 0.5])
+    x = tensor_power(half, 40)
+    start = time.perf_counter()
+    for read in (lambda: x == x, lambda: hash(x), x.to_dict, lambda: x.apply(abs)):
+        with pytest.raises(GuardExceeded, match="2\\^40"):
+            read()
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(GuardExceeded):
+        tensor_power(half, 200).terms  # 2**200 strings: counted in log2, no overflow
+    # the count is the product of the nonzero atoms per position, summed over
+    # elementary tensors; one that vanishes somewhere yields no strings
+    monkeypatch.setattr(algebra, "TERMS_GUARD_BITS", 4)
+    four = tensor_power(half, 4)
+    assert len((four + embed_at(half.algebra.zero(), 5)).terms) == 16
+    with pytest.raises(GuardExceeded):
+        (four + embed_at(half, 5)).terms  # 16 + 2 strings
 
 
 def test_tensor_apply_projection_identity():

@@ -1,5 +1,6 @@
 """Unit tests for channels, joint states, capacity, and random coding."""
 
+import functools
 import json
 import math
 import time
@@ -181,19 +182,40 @@ def test_joint_observable_and_density():
 
 
 def test_joint_guard():
+    # the joint objects are cheap at any block length; their expansions over
+    # the pair strings are what the guards refuse
     c = bsc(0.2)
     omega = State.uniform(AtomicAlgebra(2))
+    start = time.perf_counter()
+    js, obs, dens = joint(c, omega, 12)
+    assert time.perf_counter() - start < 0.05
+    assert js.level == 12
     with pytest.raises(GuardExceeded):
-        joint(c, omega, 9)  # 4**9 pair strings exceed 2**16
-    js, obs, dens = joint(c, omega, 9, guard_bits=20)
-    assert js.level == 9
+        dens.terms  # 4**12 pair strings exceed 2**20
+    with pytest.raises(GuardExceeded):
+        JointState(c, omega, 13).weights  # 4**13 exceed the dense guard of 2**24
+
+
+@pytest.mark.parametrize(
+    "c, weights, k",
+    [(bec(0.3), [0.6, 0.4], 2), (bec(0.3), [0.6, 0.4], 3),
+     (Channel([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]), [0.2, 0.3, 0.5], 3)],
+)
+def test_joint_state_weights_and_marginals_match_kron(c, weights, k):
+    omega = State(AtomicAlgebra(len(weights)), weights)
+    js = JointState(c, omega, k)
+    level_one = omega.weights[:, None] * c.matrix
+    assert np.allclose(js.weights, functools.reduce(np.kron, [level_one] * k), rtol=0, atol=1e-15)
+    assert np.allclose(js.marginal_input(), functools.reduce(np.kron, [omega.weights] * k))
+    output = push_state(c, omega).weights
+    assert np.allclose(js.marginal_output(), functools.reduce(np.kron, [output] * k))
 
 
 def test_joint_objects_are_elementary_tensors():
     c = bsc(0.2)
     omega = State.uniform(AtomicAlgebra(2))
     start = time.perf_counter()
-    js, obs, dens = joint(c, omega, 9, guard_bits=20)
+    js, obs, dens = joint(c, omega, 9)
     assert time.perf_counter() - start < 0.05
     assert trace(dens) == pytest.approx(1.0, abs=1e-12)
     assert js(obs).real == pytest.approx(0.68 ** 9, abs=1e-12)  # per slot 0.8^2 + 0.2^2

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -283,6 +284,32 @@ def test_non_finite_input_exits_with_json_error(capsys, argv):
     assert json.loads(captured.err)["error"]["kind"] == "config"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["lln", "--p", "0.5,0.5", "--n", "1:2", "--eps", "inf"], 1),
+    (["capacity", "--channel", "bsc(0.1)", "--tol", "-1"], 1),
+    (["capacity", "--channel", "bsc(0.1)", "--tol", "nan"], 1),
+    (["capacity", "--channel", "bsc(0.1)", "--max-iter", "0"], 1),
+    (["coding-experiment", "--channel", "bsc(0.1)", "--rate", "inf", "--ks", "2"], 1),
+    (["coding-experiment", "--channel", "bsc(0.1)", "--rate", "0.5", "--ks", "3000"], 2),
+])
+def test_out_of_range_parameters_are_refused(capsys, argv, code):
+    assert main(argv) == code
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == {1: "config", 2: "guard"}[code]
+
+
+@pytest.mark.parametrize("channel", [{}, {"matrix": [[1.0]]}, [[1.0]], {"n": [None]}])
+def test_malformed_files_are_config_errors(tmp_path, capsys, channel):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(channel))
+    if "n" in channel:  # a config file, not a channel
+        argv = ["lln", "--p", "0.5,0.5", "--config", str(path)]
+    else:
+        argv = ["capacity", "--channel", str(path)]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
+
 def test_code_rejects_word_count_mismatch(tmp_path):
     code, _ = run(tmp_path, ["code", "--state", "0.5,0.5", "--words", "0,10,11"], "x.json")
     assert code == 1
@@ -445,4 +472,102 @@ def test_fuzz_main_lln_and_aep(argv):
         assert out.getvalue() == ""
         error = json.loads(err.getvalue())["error"]
         assert error["kind"] == ("config" if code == 1 else "guard")
+        assert "Traceback" not in error["message"]
+
+
+# Channel files: valid small matrices and every malformed shape the parser
+# must refuse as a configuration error.
+_BAD_CHANNELS = [
+    {},
+    {"matrix": [[1.0]]},
+    [[0.5, 0.5], [0.5, 0.5]],
+    "bsc(0.1)",
+    None,
+    {"input_dim": 2, "output_dim": 2, "matrix": [[0.5, 0.5], [0.5]]},
+    {"input_dim": 2, "output_dim": 3, "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+    {"input_dim": 2, "output_dim": 2, "matrix": [[math.nan, 1.0], [0.5, 0.5]]},
+    {"input_dim": 2, "output_dim": 2, "matrix": [[1.5, -0.5], [0.5, 0.5]]},
+    {"input_dim": 2, "output_dim": 2, "matrix": [[0.7, 0.7], [0.5, 0.5]]},
+    {"input_dim": 1, "output_dim": 1, "matrix": [[{}]]},
+    {"input_dim": None, "output_dim": 1, "matrix": [[1.0]]},
+    {"input_dim": "x", "output_dim": 1, "matrix": [[1.0]]},
+    {"input_dim": 1e400, "output_dim": 1, "matrix": [[1.0]]},
+    {"input_dim": 0, "output_dim": 0, "matrix": []},
+    {"input_dim": 1, "output_dim": 2, "matrix": [[[0.5, 0.5]]]},
+]
+_CHANNEL_LITERALS = ["bsc(0.1)", "bsc(0.5)", "bec(0.3)", "identity(3)", "useless(0.5,0.5)",
+                     "bsc(2)", "bsc(nan)", "identity(0)", "useless()", "nope(1)"]
+_RATE_TOKENS = ["0.5", "0.25", "1", "0", "-1", "nan", "inf", "-inf", "1e6", "1e-300", "abc"]
+_TOL_TOKENS = ["1e-9", "1e-3", "0", "-1", "nan", "inf", "-inf", "1e300", "abc"]
+_ITER_TOKENS = ["0", "-3", "x", "1e3", "nan"]
+_KS_TOKENS = ["1:3", "2,4", "0", "x", "3000", "100000000", str(10 ** 400), "1:" + str(10 ** 30)]
+
+
+def _stochastic_rows():
+    row = st.lists(st.integers(0, 4), min_size=2, max_size=3).filter(any)
+    return st.lists(row, min_size=2, max_size=3).filter(
+        lambda rows: len({len(r) for r in rows}) == 1).map(
+        lambda rows: [[v / sum(r) for v in r] for r in rows])
+
+
+def _channel_file():
+    valid = _stochastic_rows().map(
+        lambda m: {"input_dim": len(m), "output_dim": len(m[0]), "matrix": m})
+    # a tuple marks file contents, which the test writes to a file
+    return st.one_of(valid, st.sampled_from(_BAD_CHANNELS)).map(lambda data: ("file", data))
+
+
+@st.composite
+def _channel_argv(draw):
+    command = draw(st.sampled_from(["capacity", "channel-info", "coding-experiment", "code"]))
+    flags = {}
+    if command == "code":
+        flags["--state"] = _weights()
+        flags["--alphabet"] = st.sampled_from(["2", "3", "10", "1", "11", "0", "-2", "x"])
+        flags["--words"] = st.sampled_from(["0,10,11", "0,1", "00,01,1", "0,01", "2,3", "a,b",
+                                            ","])
+    else:
+        flags["--channel"] = st.one_of(st.sampled_from(_CHANNEL_LITERALS), _channel_file())
+    if command == "capacity":
+        flags["--tol"] = st.sampled_from(_TOL_TOKENS)
+        flags["--max-iter"] = st.one_of(st.integers(1, 200).map(str), st.sampled_from(_ITER_TOKENS))
+    if command in ("channel-info", "coding-experiment"):
+        flags["--state"] = _weights()
+    if command == "coding-experiment":
+        flags["--rate"] = st.one_of(st.floats(0.2, 1.5).map(repr), st.sampled_from(_RATE_TOKENS))
+        flags["--ks"] = st.one_of(st.integers(1, 6).map(str), st.sampled_from(_KS_TOKENS))
+        flags["--trials"] = st.sampled_from(["1", "2", "0", "-1", "x"])
+    argv = [command]
+    for flag, values in flags.items():
+        if draw(_present()) and (flag != "--state" or command == "code" or draw(st.booleans())):
+            argv += [flag, draw(values)]
+    if command == "code" and draw(st.booleans()):
+        argv.append("--huffman")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_channel_argv())
+def test_fuzz_main_channel_commands(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if "--channel" in argv:
+            at = argv.index("--channel") + 1
+            if isinstance(argv[at], tuple):
+                path = os.path.join(tmp, "channel.json")
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(argv[at][1], handle)
+                argv = argv[:at] + [path] + argv[at + 1:]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())["error"]
+        assert error["kind"] == {1: "config", 2: "guard", 3: "numeric"}[code]
         assert "Traceback" not in error["message"]
