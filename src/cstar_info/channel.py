@@ -16,8 +16,10 @@ the codeword of maximal likelihood (ties to the lowest index), and measures
 how far the block channel sits from the induced lossless decoder channel:
 the mean total-variation style deviation and the decoding error both shrink
 as k grows whenever R is below capacity.  The experiment streams the r x n**k
-likelihood table in blocks of about ``STREAM_BLOCK_ENTRIES`` entries and
-keeps only per-codeword sums, so its memory does not grow with r * n**k.
+likelihood table in blocks of at most ``STREAM_BLOCK_ENTRIES`` entries (one
+output string when r alone is more) and keeps only per-codeword sums, so its
+memory grows with the k * n * r entries of the per-symbol likelihood factors,
+not with r * n**k.
 """
 
 from __future__ import annotations
@@ -352,25 +354,36 @@ class CapacityResult(NamedTuple):
 def capacity(channel, tol=1e-9, max_iter=10000):
     """Channel capacity in bits via Blahut-Arimoto ascent.
 
-    Stops when the standard upper/lower capacity gap drops below tol and
-    raises ConvergenceError (reporting the gap) otherwise.
+    Each iteration forms the output law q = W^T p and the divergences
+    d_i = D(W_i || q) = h_i - sum_j W_ij log2 q_j, where h_i sums
+    W_ij log2 W_ij over the positive entries of row i.  Then p . d <= C <=
+    max_i d_i; the ascent stops when that gap drops below tol and raises
+    ConvergenceError (reporting the gap) otherwise.
     """
     if not (0.0 <= tol < np.inf and max_iter >= 1):
         raise ValueError("need a finite tol >= 0 and max_iter >= 1, got %r, %r" % (tol, max_iter))
-    mat = channel.matrix
-    m = channel.input_dim
-    positive = mat > 0.0
-    with np.errstate(divide="ignore"):
-        log_mat = np.where(positive, np.log2(np.where(positive, mat, 1.0)), 0.0)
+    # Entries the channel tolerance admits below zero count as zeros; output
+    # columns without mass carry nothing and leave the products.
+    mat = np.clip(channel.matrix, 0.0, None)
+    mat = np.ascontiguousarray(mat[:, mat.any(axis=0)])
+    mat_t = np.ascontiguousarray(mat.T)
+    h = (mat * np.log2(mat, out=np.zeros_like(mat), where=mat > 0.0)).sum(axis=1)
+    # A q_j that underflows to 0 is read as the least positive float, which
+    # keeps every d_i finite and p . d a lower bound.
+    least = np.finfo(float).smallest_subnormal
+    m, n = mat.shape
     p = np.full(m, 1.0 / m)
+    log_q = np.empty(n)
+    d = np.empty(m)
     gap = np.inf
     for iteration in range(1, int(max_iter) + 1):
-        q = p @ mat
-        with np.errstate(divide="ignore"):
-            log_q = np.log2(q, out=np.full_like(q, -np.inf), where=q > 0.0)
-        d = np.where(positive, mat * (log_mat - log_q[None, :]), 0.0).sum(axis=1)
-        lower = float(p @ d)
-        upper = float(np.max(d))
+        np.dot(mat_t, p, out=log_q)
+        np.maximum(log_q, least, out=log_q)
+        np.log2(log_q, out=log_q)
+        np.dot(mat, log_q, out=d)
+        np.subtract(h, d, out=d)
+        lower = float(p.dot(d))
+        upper = float(d.max())
         gap = upper - lower
         if gap <= tol:
             return CapacityResult(
@@ -379,8 +392,9 @@ def capacity(channel, tol=1e-9, max_iter=10000):
                 iterations=iteration,
                 gap=gap,
             )
-        p = p * np.exp2(d - np.max(d))
-        p = p / p.sum()
+        d -= upper
+        p *= np.exp2(d, out=d)
+        p /= p.sum()
     raise ConvergenceError(
         "Blahut-Arimoto gap %.3e still above tol %.3e after %d iterations"
         % (gap, tol, max_iter)
@@ -512,16 +526,23 @@ def _decoder_from_rows(rows):
 
 def _likelihood_blocks(factors):
     # The r x n**k likelihood table, transposed, as consecutive blocks of
-    # n**t output strings: a lead prefix column extended by the t tail factors.
-    r = factors[0].shape[1]
-    n = factors[0].shape[0]
+    # n**t output strings: a lead prefix column extended by the t tail
+    # factors, or by one symbol of the last factor when t = 0.  The lead
+    # prefixes come from the same generator, so no piece holds more than
+    # STREAM_BLOCK_ENTRIES entries, or one column when r alone is more.
+    n, r = factors[0].shape
     tail = 0
     while tail < len(factors) and r * n ** (tail + 1) <= STREAM_BLOCK_ENTRIES:
         tail += 1
-    split = len(factors) - tail
-    lead = _extend_columns(np.ones((1, r)), factors[:split])
-    for a in range(lead.shape[0]):
-        yield _extend_columns(lead[a : a + 1], factors[split:])
+    split = len(factors) - max(tail, 1)
+    leads = _likelihood_blocks(factors[:split]) if split else [np.ones((1, r))]
+    for lead in leads:
+        for a in range(lead.shape[0]):
+            if tail:
+                yield _extend_columns(lead[a : a + 1], factors[split:])
+            else:
+                for symbol in factors[-1]:
+                    yield lead[a : a + 1] * symbol
 
 
 def _streamed_trial(matrix, codebook):
@@ -537,14 +558,14 @@ def _streamed_trial(matrix, codebook):
     """
     r, k = codebook.shape
     uniform = 1.0 / matrix.shape[1] ** k
-    factors = _symbol_factors(matrix, codebook)
     # A repeated codeword has the same row as its first occurrence and loses
     # every tie to it, so it owns nothing; its uniform-row gap is summed on
     # the first occurrence in the same pass.
-    _, first, inverse = np.unique(codebook, axis=0, return_index=True, return_inverse=True)
+    first, inverse = np.unique(codebook, axis=0, return_index=True, return_inverse=True)[1:]
     source = first[inverse.reshape(-1)]
     repeat = source != np.arange(r)
     shared = np.unique(source[repeat])
+    factors = _symbol_factors(matrix, codebook)
     mass = np.zeros(r)
     owned = np.zeros(r, dtype=np.int64)
     gap = np.zeros(r)
@@ -560,7 +581,9 @@ def _streamed_trial(matrix, codebook):
     # just those rows.
     lone = np.setdiff1d(np.flatnonzero((owned == 0) & ~repeat), shared)
     if lone.size:
-        for block in _likelihood_blocks([f[:, lone] for f in factors]):
+        for t, factor in enumerate(factors):  # one full factor at a time in memory
+            factors[t] = factor[:, lone]
+        for block in _likelihood_blocks(factors):
             gap[lone] += np.abs(block - uniform).sum(axis=0)
     if np.any(mass <= 0.0):
         warnings.warn(_ZERO_MASS)

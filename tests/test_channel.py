@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -394,6 +395,107 @@ def test_capacity_nonconvergence_reports_gap():
         capacity(c, tol=1e-12, max_iter=2)
 
 
+def _plain_channel(n, s):
+    # built as the benchmark's capacity-plain jobs build theirs
+    mat = np.random.default_rng([n, s]).random((n, n))
+    return Channel(mat / mat.sum(axis=1, keepdims=True))
+
+
+def test_capacity_iterations_on_plain_random_channels():
+    for (n, s), iterations, value in (
+        ((16, 3), 5058, 0.3418328240326317),
+        ((32, 1), 4490, 0.39503432709528863),
+    ):
+        result = capacity(_plain_channel(n, s))
+        assert result.iterations == iterations
+        assert result.capacity == pytest.approx(value, abs=1e-12)
+        assert result.gap <= 1e-9
+    # Plain Blahut-Arimoto stalls near a gap of 2e-7 on these two.  A solver
+    # that converges on them (ROADMAP item 1) flips both cases together with
+    # the benchmark's numeric_failure checks of the same channels.
+    for n, s in ((48, 0), (64, 1)):
+        with pytest.raises(ConvergenceError, match="after 10000 iterations"):
+            capacity(_plain_channel(n, s))
+
+
+def test_capacity_zero_output_column():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = capacity(Channel([[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]]))
+        want = capacity(Channel([[0.5, 0.5], [0.1, 0.9]]))
+        assert capacity(bec(0.1)).capacity == pytest.approx(0.9, abs=1e-9)
+        assert capacity(identity_channel(4)).capacity == pytest.approx(2.0, abs=1e-9)
+        # an entry the channel tolerance admits below zero counts as a zero
+        tilted = Channel([[1.0, 0.0, 0.0], [0.0, 1.0 + 1e-10, -1e-10]])
+        assert capacity(tilted).capacity == pytest.approx(1.0, abs=1e-9)
+    assert got.capacity == want.capacity
+    assert (got.iterations, got.gap) == (want.iterations, want.gap)
+    assert np.array_equal(got.optimal_input.weights, want.optimal_input.weights)
+
+
+def test_capacity_survives_an_output_law_that_underflows():
+    # A near-uniform extra input, the only one to reach an output of weight
+    # 1e-300, decays geometrically; that output's q_j underflows to 0 within
+    # a few hundred iterations, and the certificate must stay a number.
+    base = _plain_channel(16, 3).matrix
+    mat = np.zeros((17, 17))
+    mat[:16, :16] = base
+    mat[16, :16] = (1.0 - 1e-300) / 16
+    mat[16, 16] = 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = capacity(Channel(mat))
+    assert 0.0 <= result.gap <= 1e-9
+    assert result.capacity == pytest.approx(capacity(Channel(base)).capacity, abs=1e-9)
+    assert result.optimal_input.weights[16] < 1e-300
+
+
+def _mutual_information(mat, p):
+    # I(p) = sum_ij p_i W_ij log2(W_ij / q_j) over the pairs of positive mass
+    q = p @ mat
+    joint_w = p[:, None] * mat
+    i, j = np.nonzero(joint_w > 0.0)
+    return float(np.sum(joint_w[i, j] * np.log2(mat[i, j] / q[j])))
+
+
+@st.composite
+def _channels_and_states(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    grid = st.sampled_from([0.0, 0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 3.0])
+    mat = np.array([[draw(grid) for _ in range(n)] for _ in range(m)])
+    mat[mat.sum(axis=1) == 0.0, 0] = 1.0
+    mat /= mat.sum(axis=1, keepdims=True)
+    states = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = np.array([draw(grid) for _ in range(m)])
+        w[draw(st.integers(0, m - 1))] += 1.0
+        states.append(w / w.sum())
+    return Channel(mat).matrix, states
+
+
+@settings(max_examples=200, deadline=None)
+@given(_channels_and_states())
+def test_capacity_bounds_mutual_information(case):
+    mat, states = case
+    tol = 1e-6
+    try:
+        result = capacity(Channel(mat), tol=tol)
+    except ConvergenceError as exc:
+        assert "nan" not in str(exc)
+        return
+    for p in states:
+        assert result.capacity >= _mutual_information(mat, p) - tol
+    p_star = result.optimal_input.weights
+    assert _mutual_information(mat, p_star) == pytest.approx(result.capacity, abs=1e-12)
+    q_star = p_star @ mat
+    upper = max(
+        float(np.sum(row[row > 0.0] * np.log2(row[row > 0.0] / q_star[row > 0.0])))
+        for row in mat
+    )
+    assert upper - result.capacity <= result.gap + 1e-12
+
+
 # random coding ---------------------------------------------------------------------
 
 
@@ -647,3 +749,41 @@ def test_streamed_trial_workload_shape():
         codebook, _ = build_code_and_decoder(c, omega, k=9, rate=0.99, seed=4)
     assert len(np.unique(codebook, axis=0)) < len(codebook)
     _check_every_split(c.matrix, codebook)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_coding_cases())
+def test_streamed_blocks_when_one_string_exceeds_the_block(case):
+    # r > STREAM_BLOCK_ENTRIES: each block is one output string, and the lead
+    # prefixes arrive one at a time as well
+    matrix, codebook = case
+    (want_dev, want_err), want_warned = _warned(_dense_trial, matrix, codebook)
+    with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", 1):
+        blocks = list(_likelihood_blocks(_symbol_factors(matrix, codebook)))
+        (dev, err), warned = _warned(_streamed_trial, matrix, codebook)
+    assert np.array_equal(np.vstack(blocks), _block_rows(matrix, codebook).T)
+    assert all(block.shape == (1, len(codebook)) for block in blocks)
+    assert dev == pytest.approx(want_dev, abs=1e-12)
+    assert err == pytest.approx(want_err, abs=1e-12)
+    assert warned == want_warned
+
+
+def test_coding_trial_memory_stays_below_the_table():
+    # r = 172,950 codewords over 2**6 output strings: r * n > 2**18, so every
+    # block is one string and the lead prefixes must stream too; the whole
+    # table would be 11 M likelihoods.
+    mat = np.random.default_rng(7).random((16, 2))
+    c = Channel(mat / mat.sum(axis=1, keepdims=True))
+    omega = State.uniform(AtomicAlgebra(16))
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="not below capacity"):
+            (result,) = coding_experiment(c, omega, rate=2.9, ks=[6], trials=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.codebook_size == 172950
+    assert peak < 64 * 2 ** 20
+    # the values of a lead built in one piece, bit for bit
+    assert result.deviation == 0.9894682274113076
+    assert result.error_prob == 0.9997979332373419
