@@ -500,6 +500,26 @@ def _scale_rows(rows, c):
     return out
 
 
+def _broadcast_axes(support, d, level):
+    """Shapes that broadcast a block over the d**level strings of ``dense``.
+
+    One axis per explicit position and one per run of identity positions,
+    of size d**run on the string grid and 1 on the block.  Axes of size one
+    are left out, so every axis doubles the strings at least and numpy's
+    limit of 64 axes is never reached by an expansion that fits in memory.
+    """
+    grid, shape = [], []
+    last = 0
+    for pos in support:
+        grid.extend((d ** (pos - last - 1), d))
+        shape.extend((1, d))
+        last = pos
+    grid.append(d ** (level - last))
+    shape.append(1)
+    keep = [i for i, size in enumerate(grid) if size > 1]
+    return [grid[i] for i in keep], [shape[i] for i in keep]
+
+
 def _block_strings(rows):
     """Every basis string of a block as ``(atoms, coefficients)`` arrays.
 
@@ -789,7 +809,6 @@ class TensorElement:
             raise ValueError("level %d below element support %d" % (lvl, self.level))
         check_guard(d, lvl, guard_bits)
         out = np.full(d ** lvl, self._scalar, dtype=complex)
-        grid = out.reshape((d,) * lvl)
         for support, rows in self._blocks.items():
             if support[-1] > lvl:
                 continue  # the block is zero
@@ -802,10 +821,8 @@ class TensorElement:
                 block = np.bincount(cells, coeffs.real, size) + 1j * np.bincount(
                     cells, coeffs.imag, size
                 )
-            shape = [1] * lvl
-            for pos in support:
-                shape[pos - 1] = d
-            grid += block.reshape(shape)
+            grid, shape = _broadcast_axes(support, d, lvl)
+            out.reshape(grid)[...] += block.reshape(shape)
         return out
 
     def norm(self, guard_bits=None):

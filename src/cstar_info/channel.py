@@ -10,20 +10,23 @@ Block-length-k objects live on the k-fold tensor power of the pair algebra;
 their weights are Kronecker powers of the level-1 joint weights, so input
 strings stay independent across slots.
 
-The random-coding experiment draws ``r_k = floor(2**(k R))`` distinct
-codewords iid from the k-fold input state, decodes each output string to
+The random-coding experiment draws ``r_k = floor(2**(k R))`` codewords iid
+from the k-fold input state (repeats allowed), decodes each output string to
 the codeword of maximal likelihood (ties to the lowest index), and measures
 how far the block channel sits from the induced lossless decoder channel:
 the mean total-variation style deviation and the decoding error both shrink
-as k grows whenever R is below capacity.  The experiment streams the r x n**k
-likelihood table in blocks of at most ``STREAM_BLOCK_ENTRIES`` entries (one
-output string when r alone is more) and keeps only per-codeword sums, so its
-memory grows with the k * n * r entries of the per-symbol likelihood factors,
-not with r * n**k.
+as k grows whenever R is below capacity.  A repeated codeword loses every
+tie to its first occurrence, so a trial decodes over the u <= r distinct
+codewords only and copies their sums back to the repeats.  It streams the
+u x n**k likelihood table in blocks of at most ``STREAM_BLOCK_ENTRIES``
+entries (one output string when u alone is more) and keeps only
+per-codeword sums, so its memory grows with the k * n * u entries of the
+per-symbol likelihood factors, not with u * n**k.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,6 +40,7 @@ from .algebra import (
     TensorElement,
     _guard,
     _tol,
+    check_guard,
     tensor_power,
 )
 from .information import _entropy_bits
@@ -205,19 +209,18 @@ class JointState:
             return self.pair_state(x)
         return ProductState.iid(self.pair_state)(x)
 
-    def _power(self, weights):
-        # dense level-k Kronecker power of level-1 weights, strings big-endian
-        factor = Element(AtomicAlgebra(len(weights)), weights)
-        return tensor_power(factor, self.level).dense(self.level).real
+    def _power(self, factor):
+        # left-to-right Kronecker chain of k level-1 factors, strings
+        # big-endian on every axis, behind the dense guard
+        check_guard(factor.size, self.level)
+        return functools.reduce(np.kron, [factor] * self.level)
 
     @property
     def weights(self):
         """``weights[jvec, ivec]``: probability of input string jvec, output string ivec."""
-        m, k = self.input_state.algebra.dim, self.level
-        n = self.pair_algebra.dim // m
-        # pair atom a = i_out * m + j_in: input digits move before output digits
-        grid = self._power(self.pair_state.weights).reshape((n, m) * k)
-        return grid.transpose([*range(1, 2 * k, 2), *range(0, 2 * k, 2)]).reshape(m ** k, -1)
+        m = self.input_state.algebra.dim
+        # pair atom a = i_out * m + j_in, so the level-1 joint matrix is its transpose
+        return self._power(self.pair_state.weights.reshape(-1, m).T)
 
     def marginal_input(self):
         """Input-string marginal: the level-k power of the input state."""
@@ -478,6 +481,18 @@ def _sample_codebook(rng, weights, k, r):
     return rng.choice(m, size=(r, k), p=w).astype(np.int64)
 
 
+def _first_occurrences(codebook):
+    # source[j] is the lowest index of a word equal to word j: a stable sort
+    # puts equal words next to each other in index order.
+    order = np.lexsort(codebook.T)
+    words = codebook[order]
+    head = np.ones(order.size, dtype=bool)
+    np.any(words[1:] != words[:-1], axis=1, out=head[1:])
+    source = np.empty_like(order)
+    source[order] = order[head][np.cumsum(head) - 1]
+    return source
+
+
 def _symbol_factors(matrix, codebook):
     # Factor t is the n x r table C(y | codeword j's symbol t).
     return [np.ascontiguousarray(matrix[symbols].T) for symbols in codebook.T]
@@ -559,32 +574,36 @@ def _streamed_trial(matrix, codebook):
     r, k = codebook.shape
     uniform = 1.0 / matrix.shape[1] ** k
     # A repeated codeword has the same row as its first occurrence and loses
-    # every tie to it, so it owns nothing; its uniform-row gap is summed on
-    # the first occurrence in the same pass.
-    first, inverse = np.unique(codebook, axis=0, return_index=True, return_inverse=True)[1:]
-    source = first[inverse.reshape(-1)]
-    repeat = source != np.arange(r)
-    shared = np.unique(source[repeat])
-    factors = _symbol_factors(matrix, codebook)
-    mass = np.zeros(r)
-    owned = np.zeros(r, dtype=np.int64)
-    gap = np.zeros(r)
+    # every tie to it, so it owns nothing: the pass runs over the u distinct
+    # words in index order, one column each, and the repeats copy the
+    # uniform-row gap of their first occurrence, summed in the same pass.
+    source = _first_occurrences(codebook)
+    first = source == np.arange(r)
+    column = (np.cumsum(first) - 1)[source]
+    u = np.count_nonzero(first)
+    shared = np.flatnonzero(np.bincount(column, minlength=u) > 1)
+    factors = _symbol_factors(matrix, codebook[first])
+    mass = np.zeros(u)
+    owned = np.zeros(u, dtype=np.int64)
+    gap = np.zeros(u)
     for block in _likelihood_blocks(factors):
         winner = np.argmax(block, axis=1)
         best = np.take_along_axis(block, winner[:, None], axis=1)[:, 0]
-        mass += np.bincount(winner, weights=best, minlength=r)
-        owned += np.bincount(winner, minlength=r)
+        mass += np.bincount(winner, weights=best, minlength=u)
+        owned += np.bincount(winner, minlength=u)
         gap[shared] += np.abs(block[:, shared] - uniform).sum(axis=0)
-    gap[repeat] = gap[source[repeat]]
-    # Any other row that owns nothing is beaten or tied on every output
+    # Any other word that owns nothing is beaten or tied on every output
     # string, which needs a channel other than a BSC; a second pass covers
-    # just those rows.
-    lone = np.setdiff1d(np.flatnonzero((owned == 0) & ~repeat), shared)
+    # just those words.
+    lone = np.setdiff1d(np.flatnonzero(owned == 0), shared)
     if lone.size:
         for t, factor in enumerate(factors):  # one full factor at a time in memory
             factors[t] = factor[:, lone]
         for block in _likelihood_blocks(factors):
             gap[lone] += np.abs(block - uniform).sum(axis=0)
+    mass = np.where(first, mass[column], 0.0)
+    owned = np.where(first, owned[column], 0)
+    gap = gap[column]
     if np.any(mass <= 0.0):
         warnings.warn(_ZERO_MASS)
     sums = np.prod(matrix.sum(axis=1)[codebook], axis=1)

@@ -1,5 +1,6 @@
 """Unit tests for the atomic-basis algebra layer."""
 
+import functools
 import itertools
 import json
 import math
@@ -372,6 +373,27 @@ def test_dense_guard():
     # override admits the expansion
     vec = embed_at(alg.atom(0), 25).dense(guard_bits=25)
     assert vec.shape == (2 ** 25,)
+
+
+def test_dense_beyond_numpy_axis_limit():
+    # numpy allows 64 axes; one string per element here, at levels above that
+    one = AtomicAlgebra(1)
+    high = embed_at(Element(one, [2.0]), 70)
+    assert high.dense().tolist() == [2.0]
+    assert high.norm() == 2.0
+    assert tensor_power(Element(one, [2.0]), 100).dense().tolist() == [2.0 ** 100]
+    # 71 explicit positions with identities between them, and a sum of two blocks
+    spread = functools.reduce(lambda a, b: a * b, [embed_at(Element(one, [1.5]), p)
+                                                   for p in range(1, 142, 2)])
+    (value,) = (spread + high).dense()
+    assert value == pytest.approx(1.5 ** 71 + 2.0, rel=1e-14)
+    # d = 2: runs of identity positions around explicit ones, against np.kron
+    alg = AtomicAlgebra(2)
+    a, b = Element(alg, [2.0, 1.0]), Element(alg, [1.0, 3.0])
+    x = embed_at(a, 3) * embed_at(b, 4) * embed_at(a, 9)
+    ones = np.ones(2)
+    want = functools.reduce(np.kron, [ones, ones, a.coeffs, b.coeffs] + [ones] * 4 + [a.coeffs, ones])
+    assert np.array_equal(x.dense(10).real, want)
 
 
 def test_terms_guard(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstar_info import channel as channel_module
-from cstar_info.algebra import AtomicAlgebra, Element, GuardExceeded, trace
+from cstar_info.algebra import AtomicAlgebra, Element, GuardExceeded, tensor_power, trace
 from cstar_info.channel import (
     CapacityResult,
     Channel,
@@ -212,6 +212,44 @@ def test_joint_state_weights_and_marginals_match_kron(c, weights, k):
     assert np.allclose(js.marginal_output(), functools.reduce(np.kron, [output] * k))
 
 
+def _dense_power(weights, k):
+    return tensor_power(Element(AtomicAlgebra(len(weights)), weights), k).dense(k).real
+
+
+def _weights_through_dense(js):
+    # the joint weights as the k-fold pair density's dense() vector, its
+    # interleaved (output, input) digits moved into [input string, output string]
+    m, k = js.input_state.algebra.dim, js.level
+    n = js.pair_algebra.dim // m
+    grid = _dense_power(js.pair_state.weights, k).reshape((n, m) * k)
+    return grid.transpose([*range(1, 2 * k, 2), *range(0, 2 * k, 2)]).reshape(m ** k, -1)
+
+
+@pytest.mark.parametrize(
+    "c, weights",
+    [(bsc(0.2), [0.3, 0.7]), (Channel([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]), [0.2, 0.3, 0.5])],
+)
+def test_joint_state_weights_equal_the_dense_pair_density(c, weights):
+    omega = State(AtomicAlgebra(len(weights)), weights)
+    for k in range(1, 7):
+        js = JointState(c, omega, k)
+        assert np.array_equal(js.weights, _weights_through_dense(js))
+        assert np.array_equal(js.marginal_input(), _dense_power(omega.weights, k))
+        output = js.pair_state.weights.reshape(-1, len(weights)).sum(axis=1)
+        assert np.array_equal(js.marginal_output(), _dense_power(output, k))
+        # the marginals are the row and column sums of the weights
+        assert np.allclose(js.weights.sum(axis=1), js.marginal_input(), rtol=0, atol=1e-15)
+        assert np.allclose(js.weights.sum(axis=0), js.marginal_output(), rtol=0, atol=1e-15)
+
+
+def test_joint_state_beyond_numpy_axis_limit():
+    # one input, one output: a single string pair at any block length
+    js = JointState(Channel([[1.0]]), State(AtomicAlgebra(1), [1.0]), 40)
+    assert js.weights.tolist() == [[1.0]]
+    assert js.marginal_input().tolist() == [1.0]
+    assert js.marginal_output().tolist() == [1.0]
+
+
 def test_joint_objects_are_elementary_tensors():
     c = bsc(0.2)
     omega = State.uniform(AtomicAlgebra(2))
@@ -332,6 +370,41 @@ def test_info_metrics_useless_zero():
     for _ in range(10):
         metrics = info_metrics(c, random_state(3))
         assert metrics.mutual_information == pytest.approx(0.0, abs=1e-12)
+
+
+# weights on a small grid: zeros, ties and unequal masses
+GRID_WEIGHTS = st.sampled_from([0, 0, 1, 2, 3, 5])
+
+
+@st.composite
+def _channels_and_states(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [draw(st.lists(GRID_WEIGHTS, min_size=n, max_size=n).filter(any)) for _ in range(m)]
+    weights = np.array(draw(st.lists(GRID_WEIGHTS, min_size=m, max_size=m).filter(any)), float)
+    mat = np.array(rows, dtype=float)
+    return Channel(mat / mat.sum(axis=1, keepdims=True)), State(AtomicAlgebra(m), weights / weights.sum())
+
+
+def _entropy_by_hand(p):
+    p = p[p > 0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_channels_and_states())
+def test_info_metrics_identities(case):
+    # I = H(X) + H(Y) - H(X,Y) = H(X) - H(X|Y), entropies of the joint by hand
+    c, omega = case
+    joint_w = omega.weights[:, None] * c.matrix
+    h_x = _entropy_by_hand(joint_w.sum(axis=1))
+    h_y = _entropy_by_hand(joint_w.sum(axis=0))
+    h_xy = _entropy_by_hand(joint_w.ravel())
+    got = info_metrics(c, omega)
+    assert got.h_input == pytest.approx(h_x, abs=1e-12)
+    assert got.h_output == pytest.approx(h_y, abs=1e-12)
+    assert got.h_input_given_output == pytest.approx(h_xy - h_y, abs=1e-12)
+    assert got.mutual_information == pytest.approx(h_x + h_y - h_xy, abs=1e-12)
+    assert got.mutual_information == pytest.approx(h_x - got.h_input_given_output, abs=1e-12)
 
 
 # capacity ------------------------------------------------------------------------
@@ -787,3 +860,67 @@ def test_coding_trial_memory_stays_below_the_table():
     # the values of a lead built in one piece, bit for bit
     assert result.deviation == 0.9894682274113076
     assert result.error_prob == 0.9997979332373419
+
+
+def _block_widths(matrix, codebook):
+    # the width of every likelihood block _streamed_trial asks for, per pass
+    widths = []
+
+    def spy(factors):
+        widths.append(factors[0].shape[1])
+        return _likelihood_blocks(factors)
+
+    with mock.patch.object(channel_module, "_likelihood_blocks", spy):
+        result = _streamed_trial(matrix, codebook)
+    return result, widths
+
+
+def test_streamed_trial_decodes_distinct_codewords_only():
+    c = bsc(0.05)
+    omega = State.uniform(AtomicAlgebra(2))
+    with pytest.warns(UserWarning, match="zero mass"):
+        codebook, _ = build_code_and_decoder(c, omega, k=9, rate=0.99, seed=4)
+        _, widths = _block_widths(c.matrix, codebook)
+    distinct = len(np.unique(codebook, axis=0))
+    assert distinct < len(codebook)
+    assert widths == [distinct]  # one pass; a BSC leaves no word without strings
+
+
+def test_streamed_trial_lone_and_repeated_dominated_words():
+    # (0.5, 0.5) is dominated: [2, 2] is repeated, so its gap is summed in the
+    # first pass and copied to the repeat; [0, 2] is not repeated and owns no
+    # string, so a second pass over that word alone sums its gap
+    matrix = np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
+    codebook = np.array([[2, 2], [0, 0], [0, 2], [0, 1], [1, 0], [2, 2], [1, 1], [0, 0]])
+    _check_every_split(matrix, codebook)
+    with pytest.warns(UserWarning, match="zero mass"):
+        (dev, err), widths = _block_widths(matrix, codebook)
+    assert widths == [6, 1]
+    assert (dev, err) == (0.42999999999999994, 0.595)  # the all-rows pass, bit for bit
+
+
+def test_coding_experiment_values_are_pinned():
+    # every value of the benchmark's coding shapes, bit for bit as decoded
+    # over all r codewords
+    c = bsc(0.05)
+    with pytest.warns(UserWarning, match="not below capacity"):
+        uniform = coding_experiment(c, State.uniform(AtomicAlgebra(2)), 0.99, ks=(8, 9, 10),
+                                    trials=3, seed=17)
+        (skewed,) = coding_experiment(c, State(AtomicAlgebra(2), [0.58, 0.42]), 0.99, ks=(11,),
+                                      trials=2, seed=23)
+    got = [(r.codebook_size, r.deviation, r.error_prob, r.trial_deviations, r.trial_error_probs)
+           for r in (*uniform, skewed)]
+    assert got == [
+        (242, 1.027997813916258, 0.5449264810165936,
+         (1.0412896155578513, 1.032428414463456, 1.0102754117274666),
+         (0.5527178475432594, 0.5475236031921489, 0.5345379923143725)),
+        (481, 1.079800479648833, 0.5707766357231682,
+         (1.093134338411594, 1.0847129539298501, 1.0615541466050549),
+         (0.5786383747218119, 0.5736730658805633, 0.5600184665671294)),
+        (955, 1.1480837923040974, 0.597168335396962,
+         (1.1547292616346974, 1.1316449997494558, 1.1578771155281393),
+         (0.600930033444533, 0.5878630823319182, 0.6027118904144351)),
+        (1897, 1.2452128486441485, 0.6415261294248106,
+         (1.2496719776194556, 1.2407537196688414),
+         (0.6439705469430229, 0.6390817119065982)),
+    ]

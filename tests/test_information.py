@@ -415,6 +415,28 @@ def test_huffman_ternary():
     assert max(code.lengths) == 2
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]),
+       st.lists(st.sampled_from([0, 0, 1, 2, 3, 7]), min_size=1, max_size=9).filter(any))
+def test_huffman_lengths_and_noiseless_bounds(n, counts):
+    w = np.array(counts, dtype=float) / sum(counts)
+    state = State(AtomicAlgebra(len(w)), w)
+    code = huffman_code(state, n)
+    assert kraft_construct(code.lengths, n).lengths == code.lengths
+    positive = w[w > 0]
+    h_n = float(-np.sum(positive * np.log(positive)) / np.log(n))  # entropy in base n
+    expected = float(np.dot(w, code.lengths))
+    metrics = code_metrics(code, state)
+    assert metrics.expected_length == pytest.approx(expected, abs=1e-12)
+    assert metrics.bound_value == pytest.approx(expected - h_n, abs=1e-12)
+    assert h_n - 1e-12 <= expected
+    if positive.size > 1:
+        assert expected < h_n + 1.0
+    else:
+        # a point mass has entropy 0, and its word still needs one digit
+        assert expected == 1.0
+
+
 def test_code_serialization():
     code = Code(("0", "10", "11"), 2)
     data = json.loads(json.dumps(code.to_dict()))

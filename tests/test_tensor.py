@@ -1,11 +1,13 @@
 """The factored tensor layer against the basis-string oracle in tensor_oracle."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstar_info import algebra
 from cstar_info.algebra import (
     AtomicAlgebra,
     Element,
@@ -99,6 +101,26 @@ def test_factored_elements_agree_with_the_string_oracle(program, weight_rows):
         omega = ProductState(states[:-1], states[-1])
         want = oracle.product_state(lambda pos: omega.state_at(pos).weights)
         assert close(omega(x), want, scale)
+
+
+def _one_axis_per_position(support, d, level):
+    # dense() broadcasting with one numpy axis per position, as before runs
+    # of positions were merged
+    shape = [1] * level
+    for pos in support:
+        shape[pos - 1] = d
+    return [d] * level, shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs(), st.integers(0, 2))
+def test_dense_with_merged_runs_equals_one_axis_per_position(program, extra):
+    d, tree = program
+    x, _ = evaluate(d, tree)
+    lvl = x.level + extra  # at most MAX_LEVEL + 2 = 8
+    with mock.patch.object(algebra, "_broadcast_axes", _one_axis_per_position):
+        want = x.dense(lvl)
+    assert np.array_equal(x.dense(lvl), want)
 
 
 def test_product_state_of_an_elementary_tensor_is_the_product_of_the_factors():
