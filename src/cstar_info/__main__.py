@@ -1,0 +1,8 @@
+"""``python -m cstar_info``: the ``cstar-info`` command line."""
+
+import sys
+
+from . import cli
+
+if __name__ == "__main__":
+    sys.exit(cli.main())

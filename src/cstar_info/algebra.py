@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 import numbers
-import operator
 
 import numpy as np
 
@@ -390,6 +389,13 @@ def _index(pairs):
     return idx
 
 
+@functools.lru_cache(maxsize=1024)
+def _pair_table(support, d):
+    """``table[k][a]`` is the pair ``(support[k], a)``; the basis-string keys
+    of every block at these positions share these pairs."""
+    return [[(pos, a) for a in range(d)] for pos in support]
+
+
 def _digits(value, base, width):
     """The ``width`` base-``base`` digits of value, most significant first.
 
@@ -412,36 +418,33 @@ def _slots(slots):
 def _align(first, second):
     """Union of two position tuples, and where each operand sits in it.
 
-    Returns ``(union, fill, at_first, at_second, shared)``: ``fill`` indexes
-    the union slots the first operand leaves as identity (None if there are
-    none), ``at_first`` and ``at_second`` the slots of each operand, and
-    ``shared`` the operands' own slots at the common positions, as two
-    tuples (None if there are none).
+    Returns ``(union, fill, at_first, at_second)``: ``fill`` indexes the
+    union slots the first operand leaves as identity (None if there are
+    none), ``at_first`` and ``at_second`` the slots of each operand.
     """
     union = tuple(sorted(set(first).union(second)))
     slot = {pos: k for k, pos in enumerate(union)}
-    own = {pos: k for k, pos in enumerate(first)}
+    own = set(first)
     fill = [slot[pos] for pos in union if pos not in own]
-    common = [(own[pos], k) for k, pos in enumerate(second) if pos in own]
-    shared = tuple(zip(*common)) if common else None
     return (
         union,
         _slots(fill) if fill else None,
         _slots([slot[pos] for pos in first]),
         _slots([slot[pos] for pos in second]),
-        shared,
     )
 
 
-def _meet(x, first, y, second):
-    """False when the single elementary tensors of two blocks multiply to
-    zero: at some shared position their nonzero atoms are disjoint."""
-    shared = _align(first, second)[4]
-    if shared is None:
-        return True
-    mx, my = x._mask(first), y._mask(second)
-    both = map(operator.and_, map(mx.__getitem__, shared[0]), map(my.__getitem__, shared[1]))
-    return all(both)
+def _meet(mx, my):
+    """False when two single elementary tensors, given by their masks from
+    ``TensorElement._mask``, multiply to zero: at some shared position
+    their nonzero atoms are disjoint."""
+    if len(my) < len(mx):
+        mx, my = my, mx
+    for pos, m in mx.items():
+        other = my.get(pos)
+        if other is not None and not m & other:
+            return False
+    return True
 
 
 def _block_product(first, a, second, b):
@@ -456,7 +459,7 @@ def _block_product(first, a, second, b):
     if len(second) > len(first):
         # the operand with more positions is copied, the other multiplied in
         first, a, second, b = second, b, first, a
-    union, fill, at_a, at_b, _ = _align(first, second)
+    union, fill, at_a, at_b = _align(first, second)
 
     def times(a, b):
         if fill is None:
@@ -666,25 +669,26 @@ class TensorElement:
         out = {}
         if abs(self._scalar) >= ZERO_TOL:
             out[_index(())] = self._scalar
+        d = self.factor_algebra.dim
+        pick = itertools.repeat(list.__getitem__)
         for support, rows in self._blocks.items():
             atoms, coeffs = _block_strings(rows)
             keep = np.abs(coeffs) >= ZERO_TOL
-            pairs = map(tuple, map(zip, itertools.repeat(support), atoms[keep].tolist()))
+            table = itertools.repeat(_pair_table(support, d))
+            pairs = map(tuple, map(map, pick, table, atoms[keep].tolist()))
             out.update(zip(map(_index, pairs), coeffs[keep].tolist()))
         return out
 
     def _mask(self, support):
-        # bit masks of the nonzero atoms of a single-row block, by position
-        masks = self._cache.get("masks")
-        if masks is None:
-            masks = self._cache["masks"] = {}
-        got = masks.get(support)
-        if got is None:
-            got = masks[support] = tuple(
-                sum(1 << atom for atom, v in enumerate(vec) if v)
-                for vec in self._blocks[support][0].tolist()
-            )
-        return got
+        # position -> bit mask of the nonzero atoms of a single-row block
+        try:
+            return self._cache["masks"][support]
+        except KeyError:
+            vecs = self._blocks[support][0].tolist()
+            got = {pos: sum(1 << atom for atom, v in enumerate(vec) if v)
+                   for pos, vec in zip(support, vecs)}
+            self._cache.setdefault("masks", {})[support] = got
+            return got
 
     def _top_position(self):
         # The largest position of a block that is not zero.  A single
@@ -747,7 +751,7 @@ class TensorElement:
         s, t = self._scalar, other._scalar
         for first, a in self._blocks.items():
             for second, b in other._blocks.items():
-                if len(a) == 1 == len(b) and not _meet(self, first, other, second):
+                if len(a) == 1 == len(b) and not _meet(self._mask(first), other._mask(second)):
                     continue
                 union, rows = _block_product(first, a, second, b)
                 if len(rows):

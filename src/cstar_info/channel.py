@@ -447,13 +447,19 @@ class LosslessChannel:
         return Channel(self.matrix)
 
 
+def _check_rate(rate):
+    rate = float(rate)
+    if not 0.0 < rate < np.inf:
+        raise ValueError("rate must be positive and finite, got %r" % rate)
+    return rate
+
+
 def _codebook_size(k, rate, n, guard_bits):
     """The floor(2**(k rate)) codewords of a trial, refused by the work
     guard before they are counted."""
     if k < 1:
         raise ValueError("block lengths must be >= 1")
-    if not 0.0 < rate < np.inf:
-        raise ValueError("rate must be positive and finite, got %r" % rate)
+    rate = _check_rate(rate)
     span = float(min(k, 2 ** 1000))  # any longer block is refused all the same
     bits = span * rate
     if bits < 1:
@@ -671,10 +677,11 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
     """
     if classify(channel).kind == "useless":
         raise ValueError("coding experiment on a useless channel is vacuous")
-    rate = float(rate)
     trials = int(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
+    # refused before the capacity probe, which would warn about it first
+    rate = _check_rate(rate)
     try:
         cap = capacity(channel, tol=1e-6, max_iter=2000).capacity
     except ConvergenceError:

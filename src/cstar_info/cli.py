@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -637,27 +638,46 @@ def _write_output(path, text):
             handle.write(text)
 
 
-def _emit_error(kind, exc):
-    payload = {"error": {"kind": kind, "message": str(exc)}}
+def _emit(payload):
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _emit_error(kind, exc):
+    _emit({"error": {"kind": kind, "message": str(exc)}})
+
+
 def main(argv=None):
-    """Run one command; returns the process exit code."""
-    try:
-        config = resolve_config(argv)
-        rows, summary = _RUNNERS[config["command"]](config)
-        _write_output(config["output"], render_artifact(config, rows, summary))
-        return 0
-    except GuardExceeded as exc:
-        _emit_error("guard", exc)
-        return 2
-    except ConvergenceError as exc:
-        _emit_error("numeric", exc)
-        return 3
-    except (ConfigError, ValueError, OSError) as exc:
-        _emit_error("config", exc)
-        return 1
+    """Run one command; returns the process exit code.
+
+    Warnings keep the caller's filters but are written to standard error
+    as one JSON object per line, each distinct warning once per run.
+    numpy's floating-point warnings are off: a value that overflows is
+    refused by the JSON encoder, or written as ``inf`` to a CSV artifact.
+    """
+    seen = set()
+
+    def show(message, category, *_):
+        key = (category.__name__, str(message))
+        if key not in seen:
+            seen.add(key)
+            _emit({"warning": {"category": key[0], "message": key[1]}})
+
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.showwarning = show
+        try:
+            config = resolve_config(argv)
+            rows, summary = _RUNNERS[config["command"]](config)
+            _write_output(config["output"], render_artifact(config, rows, summary))
+            return 0
+        except GuardExceeded as exc:
+            _emit_error("guard", exc)
+            return 2
+        except ConvergenceError as exc:
+            _emit_error("numeric", exc)
+            return 3
+        except (ConfigError, ValueError, OSError) as exc:
+            _emit_error("config", exc)
+            return 1
 
 
 if __name__ == "__main__":

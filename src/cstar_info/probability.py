@@ -52,10 +52,10 @@ class State:
         if w.shape != (algebra.dim,):
             raise ValueError("expected %d weights, got shape %r" % (algebra.dim, w.shape))
         # only a non-finite sum can come from a non-finite weight
-        total = float(w.sum())
+        total = float(np.add.reduce(w))
         if not math.isfinite(total) and not np.all(np.isfinite(w)):
             raise ValueError("state weights must be finite")
-        if float(w.min()) < -t:
+        if float(np.minimum.reduce(w)) < -t:
             raise ValueError("state weights must be nonnegative")
         if abs(total - 1.0) > t:
             raise ValueError("state weights must sum to 1 (got %.17g)" % total)

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -404,6 +406,57 @@ def test_stdout_output(capsys):
     art = json.loads(out)
     assert art["summary"]["capacity"] == pytest.approx(1.0, abs=1e-9)
 
+
+
+def _stderr_of(argv, action):
+    # one in-process run under a single warnings filter action
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter(action)
+        main(argv)
+    return err.getvalue()
+
+
+def test_warnings_are_json_lines_without_paths():
+    # the README coding example: bsc(0.05) at rate 0.4 leaves decision blocks empty
+    argv = ["coding-experiment", "--channel", "bsc(0.05)", "--rate", "0.4", "--ks", "4,8,12",
+            "--seed", "21"]
+    first, second = _stderr_of(argv, "default"), _stderr_of(argv, "default")
+    assert first == second
+    lines = first.splitlines()
+    assert lines and len(set(lines)) == len(lines)
+    for line in lines:
+        assert set(json.loads(line)["warning"]) == {"category", "message"}
+        assert os.sep not in line and ".py" not in line
+
+
+def test_each_warning_once_and_the_error_last(monkeypatch):
+    def runner(config):
+        for _ in range(3):
+            warnings.warn("first")
+            warnings.warn("second", RuntimeWarning)
+        raise ConfigError("stop")
+
+    monkeypatch.setitem(cli._RUNNERS, "capacity", runner)
+    argv = ["capacity", "--channel", "identity(2)"]
+    assert [json.loads(line) for line in _stderr_of(argv, "always").splitlines()] == [
+        {"warning": {"category": "UserWarning", "message": "first"}},
+        {"warning": {"category": "RuntimeWarning", "message": "second"}},
+        {"error": {"kind": "config", "message": "stop"}},
+    ]
+    assert _stderr_of(argv, "ignore") == '{"error": {"kind": "config", "message": "stop"}}\n'
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cstar_info", "capacity", "--channel", "identity(2)"],
+        capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["capacity"] == pytest.approx(1.0, abs=1e-9)
 
 # fuzzing ----------------------------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """The factored tensor layer against the basis-string oracle in tensor_oracle."""
 
 import functools
+import operator
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cstar_info import algebra
@@ -17,6 +18,7 @@ from cstar_info.algebra import (
     tensor_product,
     trace,
 )
+from cstar_info.information import embed_word
 from cstar_info.probability import ProductState, State
 from tensor_oracle import DictTensor
 
@@ -154,3 +156,76 @@ def test_elementary_tensors_stay_factored_at_high_level():
     far = embed_at(x, 10_000) * embed_at(x, 3)
     assert far.level == 10_000
     assert abs(iid(far) - 0.0625) <= 1e-15
+
+
+# entries with zeros, so vectors vanish at some atoms or everywhere
+GRID = st.sampled_from([0, 0, 1, -1, 0.5, 2j, -0.5j])
+
+
+@st.composite
+def elementary_pairs(draw):
+    """Two single elementary tensors on positions from 1 to 5, so their
+    supports overlap partly, fully or not at all."""
+    d = draw(st.integers(2, 4))
+    vec = st.one_of(st.lists(GRID, min_size=d, max_size=d), st.just([0] * d))
+
+    def factors():
+        positions = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True))
+        return [(pos, draw(vec)) for pos in positions]
+
+    return d, factors(), factors()
+
+
+def _elementary(d, factors):
+    alg = AtomicAlgebra(d)
+    x = functools.reduce(operator.mul, [embed_at(Element(alg, v), p) for p, v in factors])
+    ox = functools.reduce(operator.mul, [DictTensor.embed_at(v, p) for p, v in factors])
+    return x, ox
+
+
+@settings(max_examples=300, deadline=None)
+@given(elementary_pairs())
+@example((2, [(1, [1, 0]), (2, [0, 0])], [(1, [1, 1])]))  # zero vector, unshared
+@example((3, [(2, [1, 0, 0])], [(2, [0, 1, 0]), (4, [1, 1, 1])]))  # disjoint atoms
+def test_products_of_elementary_tensors_vanish_as_the_oracle_says(pair):
+    d, xs, ys = pair
+    (x, ox), (y, oy) = _elementary(d, xs), _elementary(d, ys)
+    assert [len(rows) for rows in x._blocks.values()] == [1]
+    assert [len(rows) for rows in y._blocks.values()] == [1]
+    got, want = x * y, ox * oy
+    assert bool(got.terms) == bool(want.terms)
+    assert got.level == want.level
+    assert np.array_equal(got.dense(want.level), want.dense(want.level))
+
+
+def _prefix_tree_words(rng, leaves, inner):
+    """Leaves of a random binary tree, a prefix code, plus some inner nodes."""
+    frontier, nodes = [""], []
+    while len(frontier) < leaves:
+        node = frontier.pop(int(rng.integers(len(frontier))))
+        if node:
+            nodes.append(node)
+        frontier += [node + "0", node + "1"]
+    picked = rng.choice(len(nodes), size=min(inner, len(nodes)), replace=False)
+    return frontier + [nodes[i] for i in sorted(picked)]
+
+
+def test_word_products_form_rows_only_for_prefix_related_words():
+    words = _prefix_tree_words(np.random.default_rng(11), 40, 12)
+    alg = AtomicAlgebra(2)
+    embedded = [embed_word(w, alg) for w in words]
+    with mock.patch.object(algebra, "_block_product", wraps=algebra._block_product) as spy:
+        for i, (u, x) in enumerate(zip(words, embedded)):
+            for v, y in zip(words[i + 1:], embedded[i + 1:]):
+                spy.reset_mock()
+                related = u.startswith(v) or v.startswith(u)
+                assert bool((x * y).terms) == related
+                assert spy.call_count == (1 if related else 0)
+
+
+def test_terms_keys_come_scalar_first_then_big_endian():
+    alg = AtomicAlgebra(3)
+    x = TensorElement.scalar(alg, 5.0) + tensor_power(Element(alg, [1.0, 2.0, 0.0]), 3)
+    keys = [idx.pairs for idx in x.terms]
+    assert keys[0] == () and len(keys) == 1 + 2 ** 3
+    assert keys[1:] == sorted(keys[1:])
