@@ -291,7 +291,8 @@ class Element:
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.coeffs.tobytes()))
+        # + 0.0 turns -0.0 into 0.0: equal elements must hash alike
+        return hash((self.algebra, (self.coeffs + 0.0).tobytes()))
 
     def __repr__(self):
         return "Element(%r, %s)" % (self.algebra, np.array2string(self.coeffs, separator=", "))

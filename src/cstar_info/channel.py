@@ -105,7 +105,8 @@ class Channel:
         )
 
     def __hash__(self):
-        return hash((self.matrix.shape, self.matrix.tobytes()))
+        # + 0.0 turns -0.0 into 0.0: equal channels must hash alike
+        return hash((self.matrix.shape, (self.matrix + 0.0).tobytes()))
 
     def __repr__(self):
         return "Channel(%d -> %d)" % (self.input_dim, self.output_dim)

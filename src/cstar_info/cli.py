@@ -66,26 +66,37 @@ class _Parser(argparse.ArgumentParser):
 
 # parameter parsing -----------------------------------------------------------------
 
+# A converter takes a flag's text or a config-file value and raises plain
+# ValueError, TypeError or OverflowError; resolve_config names the parameter.
+
+
+def _parse_int(value):
+    # bool is an int, and int() truncates a float: refuse both
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("expected an integer, got %r" % (value,))
+    return int(value)
+
+
+def _parse_float(value):
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got %r" % (value,))
+    return float(value)
+
 
 def _parse_weights(value):
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        items = [p for p in str(value).split(",") if p.strip() != ""]
-    if not items:
-        raise ConfigError("empty weight list")
-    try:
-        return [float(v) for v in items]
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("weights must be numbers, got %r" % (value,))
+    if not isinstance(value, (list, tuple)):
+        value = [p for p in str(value).split(",") if p.strip()]
+    if not value:
+        raise ValueError("empty weight list")
+    return [_parse_float(v) for v in value]
 
 
 def _parse_grid(value):
     # "4:20" inclusive, "4:20:2" stepped, "1,2,3" explicit, or a list
     if isinstance(value, (list, tuple)):
         items = [_parse_int(v) for v in value]
-    elif isinstance(value, int):
-        items = [value]
+    elif isinstance(value, (int, float)):
+        items = [_parse_int(value)]
     else:
         text = str(value).strip()
         try:
@@ -105,14 +116,14 @@ def _parse_grid(value):
                 items = [int(p) for p in text.split(",")]
                 points = len(items)
         except ValueError:
-            raise ConfigError("bad grid %r; use start:stop[:step] or a comma list" % (value,))
+            raise ValueError("bad grid %r; use start:stop[:step] or a comma list" % (value,))
         if points > MAX_GRID_POINTS:
-            raise ConfigError(
+            raise ValueError(
                 "grid %r has %d points; at most %d" % (value, points, MAX_GRID_POINTS)
             )
         items = list(items)
     if not items or min(items) < 1:
-        raise ConfigError("grid values must be positive integers")
+        raise ValueError("grid values must be positive integers")
     return items
 
 
@@ -121,7 +132,7 @@ def _parse_words(value):
         return [str(w) for w in value]
     items = [w.strip() for w in str(value).split(",")]
     if any(not w for w in items):
-        raise ConfigError("empty codeword in %r" % (value,))
+        raise ValueError("empty codeword in %r" % (value,))
     return items
 
 
@@ -133,21 +144,13 @@ def _parse_bool(value):
         return True
     if text in ("false", "0", "no"):
         return False
-    raise ConfigError("expected a boolean, got %r" % (value,))
+    raise ValueError("expected a boolean, got %r" % (value,))
 
 
-def _parse_int(value):
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("expected an integer, got %r" % (value,))
-
-
-def _parse_float(value):
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("expected a number, got %r" % (value,))
+def _parse_format(value):
+    if value not in ("json", "csv"):
+        raise ValueError("expected json or csv, got %r" % (value,))
+    return value
 
 
 _CHANNEL_PATTERN = re.compile(r"^\s*(bsc|bec|identity|useless)\s*\((.*)\)\s*$")
@@ -161,25 +164,18 @@ def _parse_channel(value):
     text = str(value).strip()
     match = _CHANNEL_PATTERN.match(text)
     if match:
-        name, args = match.group(1), match.group(2)
-        try:
-            if name == "bsc":
-                return bsc(float(args))
-            if name == "bec":
-                return bec(float(args))
-            if name == "identity":
-                return identity_channel(int(args))
-            return useless_channel(_parse_weights(args))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("bad channel literal %r: %s" % (text, exc))
+        name, args = match.groups()
+        if name == "bsc":
+            return bsc(float(args))
+        if name == "bec":
+            return bec(float(args))
+        if name == "identity":
+            return identity_channel(int(args))
+        return useless_channel(_parse_weights(args))
     if os.path.exists(text):
         with open(text, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("bad channel file %s: %s" % (text, exc))
-        return Channel.from_dict(data)
-    raise ConfigError(
+            return Channel.from_dict(json.load(handle))
+    raise ValueError(
         "unknown channel %r; use bsc(p), bec(p), identity(d), useless(w0,w1,...), "
         "or the path of a channel JSON file" % (text,)
     )
@@ -187,103 +183,82 @@ def _parse_channel(value):
 
 # command registry ------------------------------------------------------------------
 
-# name -> (converter, default); required parameters use the _REQUIRED marker
+# Every parameter once, as key -> (converter, default, help).  Its flag is
+# --key with "_" written "-", its config-file key is the key itself, and a
+# _parse_bool key is a switch.  A None default means absent; _REQUIRED, none.
 _REQUIRED = object()
 
-_COMMAND_PARAMS = {
-    "lln": {
-        "p": (_parse_weights, _REQUIRED),
-        "n": (_parse_grid, _REQUIRED),
-        "values": (_parse_weights, None),
-        "moment": (_parse_int, 2),
-        "eps": (_parse_float, 0.1),
-    },
-    "aep": {
-        "p": (_parse_weights, _REQUIRED),
-        "eps": (_parse_float, _REQUIRED),
-        "n": (_parse_grid, _REQUIRED),
-    },
-    "code": {
-        "state": (_parse_weights, _REQUIRED),
-        "alphabet": (_parse_int, 2),
-        "huffman": (_parse_bool, False),
-        "words": (_parse_words, None),
-    },
-    "channel-info": {
-        "channel": (_parse_channel, _REQUIRED),
-        "state": (_parse_weights, None),
-    },
-    "capacity": {
-        "channel": (_parse_channel, _REQUIRED),
-        "tol": (_parse_float, 1e-9),
-        "max_iter": (_parse_int, 10000),
-    },
-    "coding-experiment": {
-        "channel": (_parse_channel, _REQUIRED),
-        "state": (_parse_weights, None),
-        "rate": (_parse_float, _REQUIRED),
-        "ks": (_parse_grid, _REQUIRED),
-        "trials": (_parse_int, 20),
-    },
+_COMMON = {
+    "seed": (_parse_int, 0, "integer seed, echoed in the artifact"),
+    "output": (str, "-", "artifact path, - for stdout"),
+    "format": (_parse_format, "json", "artifact format, json or csv"),
+    "guard_override": (_parse_bool, False,
+                       "lift the block-size guards (memory is then the caller's problem)"),
 }
 
-_GLOBAL_KEYS = ("seed", "output", "format", "guard_override")
+_CHANNEL_HELP = "bsc(p), bec(p), identity(d), useless(row), or a JSON file"
+
+# command -> (summary, parameters)
+_COMMANDS = {
+    "lln": ("running-average moments and tail bounds", {
+        "p": (_parse_weights, _REQUIRED, "state weights, e.g. 0.5,0.5"),
+        "n": (_parse_grid, _REQUIRED, "grid of block lengths, e.g. 1:100 or 1,10,100"),
+        "values": (_parse_weights, None, "observable values per atom (0,1,... if absent)"),
+        "moment": (_parse_int, 2, "centred moment order"),
+        "eps": (_parse_float, 0.1, "tail half-width"),
+    }),
+    "aep": ("typical set reports over a grid of n", {
+        "p": (_parse_weights, _REQUIRED, "source weights, e.g. 0.9,0.1"),
+        "eps": (_parse_float, _REQUIRED, "typicality tolerance"),
+        "n": (_parse_grid, _REQUIRED, "grid of block lengths, e.g. 4:20"),
+    }),
+    "code": ("prefix codes: Kraft, lengths, bounds", {
+        "state": (_parse_weights, _REQUIRED, "source weights, e.g. 0.5,0.25,0.25"),
+        "alphabet": (_parse_int, 2, "code alphabet size"),
+        "huffman": (_parse_bool, False, "build the optimal code for the state"),
+        "words": (_parse_words, None, "explicit codewords, e.g. 0,10,11"),
+    }),
+    "channel-info": ("classification and entropy metrics of a channel", {
+        "channel": (_parse_channel, _REQUIRED, _CHANNEL_HELP),
+        "state": (_parse_weights, None, "input state weights (enables the entropy metrics)"),
+    }),
+    "capacity": ("iterative channel capacity", {
+        "channel": (_parse_channel, _REQUIRED, _CHANNEL_HELP),
+        "tol": (_parse_float, 1e-9, "convergence gap in bits"),
+        "max_iter": (_parse_int, 10000, "iteration cap"),
+    }),
+    "coding-experiment": ("random block codes: deviation and error versus block length", {
+        "channel": (_parse_channel, _REQUIRED, _CHANNEL_HELP),
+        "state": (_parse_weights, None, "input state weights (uniform if absent)"),
+        "rate": (_parse_float, _REQUIRED, "code rate in bits per symbol"),
+        "ks": (_parse_grid, _REQUIRED, "grid of block lengths, e.g. 4,8,12"),
+        "trials": (_parse_int, 20, "codebook draws per block length"),
+    }),
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _add_flags(parser, params):
+    for key, (convert, default, text) in params.items():
+        if convert is _parse_bool:
+            parser.add_argument(_flag(key), action="store_const", const=True, help=text)
+        elif default is None or default is _REQUIRED:
+            parser.add_argument(_flag(key), help=text)
+        else:
+            parser.add_argument(_flag(key), help="%s (default %s)" % (text, default))
 
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON or TOML config file")
-    common.add_argument("--output", default=None, help="artifact path, - for stdout")
-    common.add_argument("--format", default=None, choices=["json", "csv"])
-    common.add_argument("--seed", default=None, help="integer seed, echoed in the artifact")
-    common.add_argument(
-        "--guard-override",
-        action="store_const",
-        const=True,
-        default=None,
-        help="lift the block-size guards (memory is then the caller's problem)",
-    )
-
+    common.add_argument("--config", help="JSON or TOML config file")
+    _add_flags(common, _COMMON)
     parser = _Parser(prog="cstar-info", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    cmd = sub.add_parser("lln", parents=[common], help="running-average moments and tail bounds")
-    cmd.add_argument("--p", default=None, help="state weights, e.g. 0.5,0.5")
-    cmd.add_argument("--n", default=None, help="grid of block lengths, e.g. 1:100 or 1,10,100")
-    cmd.add_argument("--values", default=None, help="observable values per atom (default 0,1,...)")
-    cmd.add_argument("--moment", default=None, help="centred moment order (default 2)")
-    cmd.add_argument("--eps", default=None, help="tail half-width (default 0.1)")
-
-    cmd = sub.add_parser("aep", parents=[common], help="typical set reports over a grid of n")
-    cmd.add_argument("--p", default=None, help="source weights, e.g. 0.9,0.1")
-    cmd.add_argument("--eps", default=None, help="typicality tolerance")
-    cmd.add_argument("--n", default=None, help="grid of block lengths, e.g. 4:20")
-
-    cmd = sub.add_parser("code", parents=[common], help="prefix codes: Kraft, lengths, bounds")
-    cmd.add_argument("--state", default=None, help="source weights, e.g. 0.5,0.25,0.25")
-    cmd.add_argument("--alphabet", default=None, help="code alphabet size (default 2)")
-    cmd.add_argument("--huffman", action="store_const", const=True, default=None,
-                     help="build the optimal code for the state")
-    cmd.add_argument("--words", default=None, help="explicit codewords, e.g. 0,10,11")
-
-    cmd = sub.add_parser("channel-info", parents=[common],
-                         help="classification and entropy metrics of a channel")
-    cmd.add_argument("--channel", default=None, help="bsc(p), bec(p), identity(d), useless(row), or a JSON file")
-    cmd.add_argument("--state", default=None, help="input state weights (enables the entropy metrics)")
-
-    cmd = sub.add_parser("capacity", parents=[common], help="iterative channel capacity")
-    cmd.add_argument("--channel", default=None)
-    cmd.add_argument("--tol", default=None, help="convergence gap in bits (default 1e-9)")
-    cmd.add_argument("--max-iter", default=None, help="iteration cap (default 10000)")
-
-    cmd = sub.add_parser("coding-experiment", parents=[common],
-                         help="random block codes: deviation and error versus block length")
-    cmd.add_argument("--channel", default=None)
-    cmd.add_argument("--state", default=None, help="input state weights (default uniform)")
-    cmd.add_argument("--rate", default=None, help="code rate in bits per symbol")
-    cmd.add_argument("--ks", default=None, help="grid of block lengths, e.g. 4,8,12")
-    cmd.add_argument("--trials", default=None, help="codebook draws per block length (default 20)")
-
+    for command, (summary, params) in _COMMANDS.items():
+        _add_flags(sub.add_parser(command, parents=[common], help=summary), params)
     return parser
 
 
@@ -327,17 +302,18 @@ def resolve_config(argv=None):
 
     Precedence: command-line flags override config-file entries, which
     override built-in defaults.  Unknown config-file keys are rejected,
-    and a ``command`` key in the file must match the subcommand.
+    and a ``command`` key in the file must match the subcommand.  A flag's
+    text and a file's value go through the same converter, and a value it
+    refuses is a ConfigError naming the flag or the config key.
     """
     namespace = _build_parser().parse_args(argv)
     command = namespace.command
-    params = _COMMAND_PARAMS[command]
+    params = {**_COMMON, **_COMMANDS[command][1]}
 
     file_cfg = {}
     if namespace.config is not None:
         file_cfg = _load_config_file(namespace.config)
-        allowed = set(_GLOBAL_KEYS) | set(params) | {"command"}
-        unknown = sorted(set(file_cfg) - allowed)
+        unknown = sorted(set(file_cfg) - set(params) - {"command"})
         if unknown:
             raise ConfigError("unknown config keys for %s: %s" % (command, ", ".join(unknown)))
         if "command" in file_cfg and file_cfg["command"] != command:
@@ -346,36 +322,20 @@ def resolve_config(argv=None):
                 % (file_cfg["command"], command)
             )
 
-    def pick(key):
-        cli_value = getattr(namespace, key.replace("-", "_"), None)
-        if cli_value is not None:
-            return cli_value
-        return file_cfg.get(key)
-
-    config = {"command": command}
-    raw_seed = pick("seed")
-    config["seed"] = 0 if raw_seed is None else _parse_int(raw_seed)
-    raw_output = pick("output")
-    config["output"] = "-" if raw_output is None else str(raw_output)
-    raw_format = pick("format")
-    if raw_format is None:
-        config["format"] = "json"
-    elif raw_format in ("json", "csv"):
-        config["format"] = raw_format
-    else:
-        raise ConfigError("format must be json or csv, got %r" % (raw_format,))
-    raw_guard = pick("guard_override")
-    config["guard_override"] = False if raw_guard is None else _parse_bool(raw_guard)
-    config["threads"] = _threads_from_env()
-
-    for key, (convert, default) in params.items():
-        raw = pick(key)
+    config = {"command": command, "threads": _threads_from_env()}
+    for key, (convert, default, _) in params.items():
+        raw, source = getattr(namespace, key), _flag(key)
+        if raw is None:
+            raw, source = file_cfg.get(key), "config key " + key
         if raw is None:
             if default is _REQUIRED:
-                raise ConfigError("%s requires --%s" % (command, key.replace("_", "-")))
+                raise ConfigError("%s requires %s" % (command, _flag(key)))
             config[key] = default
-        else:
+            continue
+        try:
             config[key] = convert(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError("%s: %s" % (source, exc))
     return config
 
 

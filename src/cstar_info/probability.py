@@ -51,11 +51,15 @@ class State:
         w = np.array(weights, dtype=float)
         if w.shape != (algebra.dim,):
             raise ValueError("expected %d weights, got shape %r" % (algebra.dim, w.shape))
-        # only a non-finite sum can come from a non-finite weight
-        total = float(np.add.reduce(w))
-        if not math.isfinite(total) and not np.all(np.isfinite(w)):
+        # Python floats overflow to inf, and inf - inf gives nan, without a
+        # numpy warning; for a state's few weights they are also cheaper than
+        # numpy reductions.  Only a non-finite sum can come from a non-finite
+        # weight.
+        values = w.tolist()
+        total = sum(values)
+        if not math.isfinite(total) and not all(map(math.isfinite, values)):
             raise ValueError("state weights must be finite")
-        if float(np.minimum.reduce(w)) < -t:
+        if min(values) < -t:
             raise ValueError("state weights must be nonnegative")
         if abs(total - 1.0) > t:
             raise ValueError("state weights must sum to 1 (got %.17g)" % total)
@@ -96,7 +100,8 @@ class State:
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.weights.tobytes()))
+        # + 0.0 turns -0.0 into 0.0: equal states must hash alike
+        return hash((self.algebra, (self.weights + 0.0).tobytes()))
 
     def __repr__(self):
         return "State(%r, %s)" % (self.algebra, np.array2string(self.weights, separator=", "))
@@ -438,8 +443,11 @@ def sum_pushforward(values, masses, n, merge_tol=None):
     if n < 1:
         raise ValueError("need n >= 1 summands")
     sweep = _AverageSweep(values, masses, merge_tol)
+    # the sweep's sums are centred; the raw ones lie within n * spread of n * mean
+    if abs(n * sweep.mean) + n * sweep.spread > sys.float_info.max:
+        raise ValueError("sums of %d copies span beyond the float range" % n)
     sweep.advance_to(n)
-    return sweep.sums, sweep.sum_masses
+    return sweep.sums + n * sweep.mean, sweep.sum_masses
 
 
 def _observable_values(omega, observable):
@@ -458,26 +466,26 @@ class _AverageSweep:
     """Iterates the exact distribution of the n-fold sum incrementally.
 
     ``sums`` and ``sum_masses`` hold the support and masses of the sum of n
-    copies; each step convolves them with one more copy and merges support
+    centred copies ``x - mean``, so ``sums / n`` is the deviation of the
+    average; each step convolves them with one more copy and merges support
     points closer than ``merge_tol``.  A step forms support-size times
     value-count products, and a pass refuses to form more than
     ``2**guard_bits`` of them (``SWEEP_GUARD_BITS`` by default).
     """
 
     def __init__(self, values, masses, merge_tol=None, guard_bits=None):
-        self.values = np.asarray(values, dtype=float)
         self.masses = np.asarray(masses, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.mean = float(np.dot(self.values, self.masses))
-            reach = float(np.max(np.abs(self.values)))
-            spread = float(np.max(np.abs(self.values - self.mean)))
-        if not math.isfinite(self.mean):
+            self.mean = float(np.dot(values, self.masses))
+            self.values = np.asarray(values, dtype=float) - self.mean
+            self.spread = spread = float(np.max(np.abs(self.values)))
+        if not math.isfinite(spread):
             raise ValueError("the mean of the observable is beyond the float range")
-        # Sums of n copies lie within n * reach of 0, so they differ by at
-        # most 2 n reach; an average deviates from the mean by at most
+        # Sums of n centred copies lie within n * spread of 0, so they differ
+        # by at most 2 n spread; an average deviates from the mean by at most
         # spread, and the masses sum to 1, so a k-th moment is at most
         # spread**k.  These bound n and k before any float overflows.
-        self.max_copies = sys.float_info.max / (2.0 * reach) if reach else math.inf
+        self.max_copies = sys.float_info.max / (2.0 * spread) if spread else math.inf
         self.max_order = _LOG_FLOAT_MAX / math.log(spread) if spread > 1.0 else math.inf
         self.tol = _tol(merge_tol)
         self.guard_bits = guard_bits
@@ -513,11 +521,11 @@ class _AverageSweep:
             raise ValueError(
                 "moment %d of the deviation at n = %d is beyond the float range" % (k, self.n)
             )
-        dev = np.abs(self.sums / self.n - self.mean)
+        dev = np.abs(self.sums / self.n)
         return float(np.dot(self.sum_masses, dev ** k))
 
     def tail(self, eps):
-        dev = np.abs(self.sums / self.n - self.mean)
+        dev = np.abs(self.sums / self.n)
         return float(np.sum(self.sum_masses[dev > eps]))
 
 

@@ -26,6 +26,8 @@ from cstar_info.algebra import (
     trace,
     truncate_to_level,
 )
+from cstar_info.channel import Channel
+from cstar_info.probability import State
 
 RNG = np.random.default_rng(20260814)
 
@@ -461,3 +463,22 @@ def test_apply_function_dispatch():
     assert apply_function(x, math.sqrt).equals(Element(alg, [1.0, 2.0]))
     t = TensorElement.scalar(alg, 4.0)
     assert apply_function(t, math.sqrt).equals(TensorElement.scalar(alg, 2.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda zero: Element(AtomicAlgebra(2), [zero, 1.0]),
+    lambda zero: Element(AtomicAlgebra(2), [complex(1.0, zero), 1.0]),
+    lambda zero: State(AtomicAlgebra(2), [zero, 1.0]),
+    lambda zero: Channel([[1.0, zero], [zero, 1.0]]),
+], ids=["element", "element-imaginary", "state", "channel"])
+def test_equal_objects_with_signed_zeros_hash_alike(make):
+    x, y = make(0.0), make(-0.0)
+    assert x == y
+    assert hash(x) == hash(y) and len({x, y}) == 1
+
+
+def test_negated_element_hashes_like_its_equal():
+    a = AtomicAlgebra(2)
+    x = Element(a, [0.0, 1.0]) * -1.0  # coefficient 0 becomes -0.0
+    y = Element(a, [0.0, -1.0])
+    assert x == y and len({x, y}) == 1

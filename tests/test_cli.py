@@ -79,6 +79,110 @@ def test_config_file_strictness(tmp_path):
         resolve_config(["aep", "--config", str(cfg)])
 
 
+_REQUIRED_FILE_VALUES = {
+    "lln": {"p": [0.5, 0.5], "n": "1:2"},
+    "capacity": {"channel": "bsc(0.1)"},
+    "code": {"state": [0.5, 0.5], "huffman": True},
+    "coding-experiment": {"channel": "bsc(0.1)", "rate": 0.5, "ks": [2]},
+}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("lln", "moment", 2.9),
+    ("coding-experiment", "trials", 2.9),
+    ("capacity", "max_iter", 2.5),
+    ("code", "alphabet", False),
+    ("lln", "seed", True),
+    ("lln", "n", [True, 3]),
+    ("lln", "n", 4.5),
+    ("lln", "eps", True),
+    ("lln", "p", [True, 0.0]),
+    ("lln", "values", [0.0, False]),
+    ("coding-experiment", "rate", True),
+    ("lln", "format", "xml"),
+    ("lln", "guard_override", "maybe"),
+])
+def test_config_values_are_converted_as_flags_are(tmp_path, capsys, command, key, value):
+    # a flag can only carry text, so a boolean or a fractional integer from
+    # a config file is refused rather than truncated or read as 0/1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(dict(_REQUIRED_FILE_VALUES[command], **{key: value})))
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config"
+    assert err["message"].startswith("config key %s: " % key)
+
+
+# one valid setting per parameter: flag text, config-file value, resolved value
+_SAMPLES = {
+    "seed": ("7", 7, 7),
+    "output": ("out.json", "out.json", "out.json"),
+    "format": ("csv", "csv", "csv"),
+    "guard_override": (None, True, True),
+    "p": ("0.5,0.5", [0.5, 0.5], [0.5, 0.5]),
+    "n": ("1:3", "1:3", [1, 2, 3]),
+    "values": ("0,2", [0, 2], [0.0, 2.0]),
+    "moment": ("4", 4, 4),
+    "eps": ("0.25", 0.25, 0.25),
+    "state": ("0.5,0.5", [0.5, 0.5], [0.5, 0.5]),
+    "alphabet": ("3", 3, 3),
+    "huffman": (None, True, True),
+    "words": ("0,1", ["0", "1"], ["0", "1"]),
+    "channel": ("bsc(0.25)", {"input_dim": 2, "output_dim": 2,
+                              "matrix": [[0.75, 0.25], [0.25, 0.75]]}, cli.bsc(0.25)),
+    "tol": ("1e-6", 1e-6, 1e-6),
+    "max_iter": ("50", 50, 50),
+    "rate": ("0.5", 0.5, 0.5),
+    "ks": ("2,4", [2, 4], [2, 4]),
+    "trials": ("3", 3, 3),
+}
+
+_COMMAND_KEYS = {
+    "lln": {"p", "n", "values", "moment", "eps"},
+    "aep": {"p", "eps", "n"},
+    "code": {"state", "alphabet", "huffman", "words"},
+    "channel-info": {"channel", "state"},
+    "capacity": {"channel", "tol", "max_iter"},
+    "coding-experiment": {"channel", "state", "rate", "ks", "trials"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_KEYS))
+def test_parameter_table_drives_flags_config_keys_and_help(tmp_path, capsys, command):
+    params = dict(cli._COMMON, **cli._COMMANDS[command][1])
+    assert set(params) == _COMMAND_KEYS[command] | {"seed", "output", "format", "guard_override"}
+
+    def flag(key):
+        return "--" + key.replace("_", "-")
+
+    argv = [command]
+    for key in params:
+        text = _SAMPLES[key][0]
+        argv += [flag(key)] if text is None else [flag(key), text]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: _SAMPLES[key][1] for key in params}))
+    from_flags = resolve_config(argv)
+    from_file = resolve_config([command, "--config", str(cfg)])
+    for key in params:
+        assert from_flags[key] == from_file[key] == _SAMPLES[key][2], key
+
+    for key, (_, default, _) in params.items():
+        if default is cli._REQUIRED:
+            i = argv.index(flag(key))
+            with pytest.raises(ConfigError, match="requires %s$" % flag(key)):
+                resolve_config(argv[:i] + argv[i + 2:])
+
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args([command, "--help"])
+    shown = " ".join(capsys.readouterr().out.split())
+    for key, (convert, default, _) in params.items():
+        assert flag(key) in shown
+        if convert is not cli._parse_bool and default not in (None, cli._REQUIRED):
+            assert "(default %s)" % default in shown, key
+
+
 def test_toml_config_depends_on_interpreter(tmp_path):
     cfg = tmp_path / "run.toml"
     cfg.write_text('command = "aep"\np = [0.5, 0.5]\neps = 0.1\nn = "2:3"\n')
@@ -398,6 +502,19 @@ def test_lln_moment_beyond_the_float_range_is_named(capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["kind"] == "config"
     assert "moment 2" in err["message"] and "n = 1" in err["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_lln_point_mass_far_from_zero(tmp_path, fmt):
+    # every figure is exactly 0: the sweep convolves centred values, so no
+    # rounding residue of 10 * 1e300 is raised to a power
+    argv = ["lln", "--p", "1.0", "--n", "10", "--moment", "1", "--values", "1e300",
+            "--format", fmt]
+    code, path = run(tmp_path, argv, "point." + fmt)
+    assert code == 0
+    (row,) = read_artifact(str(path))["results"]
+    assert row == {"n": 10, "moment": 0, "variance": 0, "tail_probability": 0,
+                   "chebyshev_bound": 0}
 
 
 def test_stdout_output(capsys):

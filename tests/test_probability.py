@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ def test_state_rejects_non_finite():
     for bad in ([float("nan"), float("nan")], [float("inf"), -float("inf")], [0.5, float("inf")]):
         with pytest.raises(ValueError, match="finite"):
             State(alg, bad)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([float("inf"), -float("inf")], "finite"),
+    ([1e308, 1e308], "sum to 1"),
+    ([1e400, 0.0], "finite"),
+])
+def test_state_refuses_without_a_numpy_warning(weights, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            State(AtomicAlgebra(2), weights)
 
 
 def test_state_evaluation_linear():
@@ -310,6 +323,23 @@ def test_sum_pushforward_against_enumeration():
     assert len(acc) == len(v)
     for vi, mi in zip(v, m):
         assert mi == pytest.approx(acc[round(float(vi), 9)], abs=1e-12)
+
+
+def test_lln_point_mass_far_from_zero_has_no_deviation():
+    # the sweep convolves centred values, so a point mass has every figure 0
+    # however large its value (its raw sums would leave rounding residues)
+    omega = State(AtomicAlgebra(1), [1.0])
+    obs = Element(omega.algebra, [1e300])
+    assert lln_moment_sweep(omega, [1, 10], 2, observable=obs) == {1: 0.0, 10: 0.0}
+    assert chebyshev_tail(omega, 10, 1e-300, observable=obs) == 0.0
+    v, m = sum_pushforward([1e300], [1.0], 10)
+    assert v.tolist() == [1e301] and m.tolist() == [1.0]
+    # the raw sums it returns must still fit in a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in ([1e308], [1e308, 0.5e308]):
+            with pytest.raises(ValueError, match="2 copies span beyond the float range"):
+                sum_pushforward(values, [1.0 / len(values)] * len(values), 2)
 
 
 def test_lln_moment_matches_dense_oracle():
