@@ -69,6 +69,67 @@ def _tol(tol):
     return EQ_TOL if tol is None else float(tol)
 
 
+def _positive(value, name):
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError("%s must be positive and finite, got %r" % (name, value))
+    return value
+
+
+class _Frozen:
+    """Immutable value: constructors and unpickling fill the slots with
+    ``object.__setattr__``, and a copy is the value itself."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __setstate__(self, state):
+        # pickled from __slots__ as (None, {slot: value}); arrays come back
+        # writeable
+        for name, value in state[1].items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+
+class _ArrayValue(_Frozen):
+    """Frozen value that is equal to another of its type exactly when both
+    ``_identity()`` pairs ``(key, array)`` have equal keys and arrays."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        key, arr = self._identity()
+        other_key, other_arr = other._identity()
+        return key == other_key and bool(np.array_equal(arr, other_arr))
+
+    def __hash__(self):
+        key, arr = self._identity()
+        # + 0.0 turns -0.0 into 0.0: equal values must hash alike
+        return hash((key, (arr + 0.0).tobytes()))
+
+
+def _check_dim(data, algebra):
+    """The algebra of a serialized value: ``algebra``, which must have the
+    serialized dimension, or a new one of that dimension."""
+    dim = int(data["dim"])
+    if algebra is None:
+        return AtomicAlgebra(dim)
+    if algebra.dim != dim:
+        raise AlgebraMismatch("serialized dim %d != algebra dim %d" % (dim, algebra.dim))
+    return algebra
+
+
 def _cluster_sorted(values, tol):
     # Greedy clustering of (real, imag)-sorted values: a value within tol of
     # the first value of the current cluster joins it.  Unlike the gap rule
@@ -106,7 +167,7 @@ def _call_scalar(f, value, domain_check):
     return out
 
 
-class AtomicAlgebra:
+class AtomicAlgebra(_Frozen):
     """A d-dimensional abelian C*-algebra presented by its atomic basis.
 
     ``labels``, when given, name the atoms (the alphabet of a source);
@@ -127,9 +188,6 @@ class AtomicAlgebra:
                 raise ValueError("atom labels must be distinct")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AtomicAlgebra is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, AtomicAlgebra):
@@ -163,7 +221,7 @@ class AtomicAlgebra:
         return Element(self, np.zeros(self.dim, dtype=complex))
 
 
-class Element:
+class Element(_ArrayValue):
     """``x = sum_i a_i e_i``: a coefficient vector over the atomic basis."""
 
     __slots__ = ("algebra", "coeffs")
@@ -179,9 +237,6 @@ class Element:
         arr.setflags(write=False)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
 
     def _check_same(self, other):
         if self.algebra != other.algebra:
@@ -214,10 +269,7 @@ class Element:
             return Element(self.algebra, self.coeffs * complex(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Number):
-            return Element(self.algebra, self.coeffs * complex(other))
-        return NotImplemented
+    __rmul__ = __mul__  # the algebra is abelian
 
     def star(self):
         """Involution: complex conjugation of the coefficients."""
@@ -283,16 +335,8 @@ class Element:
             return False
         return float(np.max(np.abs(self.coeffs - other.coeffs))) <= _tol(tol)
 
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.algebra == other.algebra and bool(
-            np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0: equal elements must hash alike
-        return hash((self.algebra, (self.coeffs + 0.0).tobytes()))
+    def _identity(self):
+        return self.algebra, self.coeffs
 
     def __repr__(self):
         return "Element(%r, %s)" % (self.algebra, np.array2string(self.coeffs, separator=", "))
@@ -307,16 +351,12 @@ class Element:
 
     @classmethod
     def from_dict(cls, data, algebra=None):
-        dim = int(data["dim"])
-        if algebra is None:
-            algebra = AtomicAlgebra(dim)
-        elif algebra.dim != dim:
-            raise AlgebraMismatch("serialized dim %d != algebra dim %d" % (dim, algebra.dim))
+        algebra = _check_dim(data, algebra)
         coeffs = [complex(re, im) for re, im in data["coeffs"]]
         return cls(algebra, coeffs)
 
 
-class MultiIndex:
+class MultiIndex(_Frozen):
     """Finite-support basis string of a tensor power.
 
     Stores sorted ``(position, atom_index)`` pairs with 1-based positions;
@@ -346,9 +386,6 @@ class MultiIndex:
             pairs.append((pos, idx))
         pairs.sort()
         object.__setattr__(self, "pairs", tuple(pairs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiIndex is immutable")
 
     @property
     def support(self):
@@ -568,7 +605,7 @@ def _tensor_element(factor_algebra, scalar, blocks):
     return t
 
 
-class TensorElement:
+class TensorElement(_Frozen):
     """Element of the tensor power of one atomic algebra.
 
     The element is stored as a sum of elementary tensors: a scalar multiple
@@ -632,9 +669,6 @@ class TensorElement:
         _set_scalar(self, clean.get(MultiIndex(), 0j))
         _set_blocks(self, blocks)
         _set_cache(self, {"terms": clean, "level": level})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
 
     @classmethod
     def scalar(cls, factor_algebra, value):
@@ -741,10 +775,7 @@ class TensorElement:
             return _tensor_element(self.factor_algebra, self._scalar * c, blocks)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Number):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # the algebra is abelian
 
     def _times(self, other):
         # (s + sum A)(t + sum B) = st + t A + s B + sum A B, block by block
@@ -896,13 +927,7 @@ class TensorElement:
 
     @classmethod
     def from_dict(cls, data, factor_algebra=None):
-        dim = int(data["dim"])
-        if factor_algebra is None:
-            factor_algebra = AtomicAlgebra(dim)
-        elif factor_algebra.dim != dim:
-            raise AlgebraMismatch(
-                "serialized dim %d != algebra dim %d" % (dim, factor_algebra.dim)
-            )
+        factor_algebra = _check_dim(data, factor_algebra)
         terms = []
         for entry in data["terms"]:
             idx = MultiIndex({int(pos): atom for pos, atom in entry["idx"].items()})

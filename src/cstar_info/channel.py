@@ -38,7 +38,10 @@ from .algebra import (
     AtomicAlgebra,
     Element,
     TensorElement,
+    _ArrayValue,
+    _Frozen,
     _guard,
+    _positive,
     _tol,
     check_guard,
     tensor_power,
@@ -60,7 +63,7 @@ class ConvergenceError(RuntimeError):
     """Raised when an iterative solver stops short of its tolerance."""
 
 
-class Channel:
+class Channel(_ArrayValue):
     """Row-stochastic channel matrix, input-major: matrix[i][j] = C(y_j | x_i)."""
 
     __slots__ = ("matrix",)
@@ -74,14 +77,12 @@ class Channel:
             raise ValueError("channel probabilities must be finite")
         if float(np.min(mat)) < -t:
             raise ValueError("channel probabilities must be nonnegative")
-        sums = mat.sum(axis=1)
+        with np.errstate(over="ignore"):  # a row that overflows is refused below
+            sums = mat.sum(axis=1)
         if float(np.max(np.abs(sums - 1.0))) > t:
             raise ValueError("channel rows must sum to 1")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Channel is immutable")
 
     @property
     def input_dim(self):
@@ -97,16 +98,8 @@ class Channel:
     def output_algebra(self):
         return AtomicAlgebra(self.output_dim)
 
-    def __eq__(self, other):
-        if not isinstance(other, Channel):
-            return NotImplemented
-        return self.matrix.shape == other.matrix.shape and bool(
-            np.array_equal(self.matrix, other.matrix)
-        )
-
-    def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0: equal channels must hash alike
-        return hash((self.matrix.shape, (self.matrix + 0.0).tobytes()))
+    def _identity(self):
+        return self.matrix.shape, self.matrix
 
     def __repr__(self):
         return "Channel(%d -> %d)" % (self.input_dim, self.output_dim)
@@ -166,19 +159,24 @@ def apply_channel(channel, y):
     return Element(channel.input_algebra(), channel.matrix @ y.coeffs)
 
 
-def push_state(channel, omega):
-    """Image of an input state under the channel."""
+def _check_input(channel, omega):
     if omega.algebra.dim != channel.input_dim:
         raise ValueError(
-            "state dim %d, channel input dim %d" % (omega.algebra.dim, channel.input_dim)
+            "state dim %d does not match channel input dim %d"
+            % (omega.algebra.dim, channel.input_dim)
         )
+
+
+def push_state(channel, omega):
+    """Image of an input state under the channel."""
+    _check_input(channel, omega)
     return State(channel.output_algebra(), omega.weights @ channel.matrix)
 
 
 # joint states -----------------------------------------------------------------
 
 
-class JointState:
+class JointState(_Frozen):
     """Input-output joint state at block length ``level`` on the pair algebra.
 
     It is the iid product of the level-1 pair state, which is all it holds;
@@ -191,17 +189,13 @@ class JointState:
         level = int(level)
         if level < 1:
             raise ValueError("block length must be >= 1")
-        if input_state.algebra.dim != channel.input_dim:
-            raise ValueError("input state does not match the channel input")
+        _check_input(channel, input_state)
         level_one = input_state.weights[:, None] * channel.matrix  # (m, n)
         pair_algebra = AtomicAlgebra(channel.output_dim * channel.input_dim)
         object.__setattr__(self, "pair_algebra", pair_algebra)
         object.__setattr__(self, "input_state", input_state)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "pair_state", State(pair_algebra, level_one.T.ravel()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JointState is immutable")
 
     def __call__(self, x):
         if isinstance(x, TensorElement) and x.level > self.level:
@@ -329,8 +323,7 @@ class InfoMetrics(NamedTuple):
 
 def info_metrics(channel, omega):
     """Input/output entropies, equivocation, and mutual information (bits)."""
-    if omega.algebra.dim != channel.input_dim:
-        raise ValueError("state does not match the channel input")
+    _check_input(channel, omega)
     w = np.clip(np.asarray(omega.weights, dtype=float), 0.0, None)
     joint_w = w[:, None] * channel.matrix  # (m, n)
     q = joint_w.sum(axis=0)
@@ -448,19 +441,12 @@ class LosslessChannel:
         return Channel(self.matrix)
 
 
-def _check_rate(rate):
-    rate = float(rate)
-    if not 0.0 < rate < np.inf:
-        raise ValueError("rate must be positive and finite, got %r" % rate)
-    return rate
-
-
 def _codebook_size(k, rate, n, guard_bits):
     """The floor(2**(k rate)) codewords of a trial, refused by the work
     guard before they are counted."""
     if k < 1:
         raise ValueError("block lengths must be >= 1")
-    rate = _check_rate(rate)
+    rate = _positive(rate, "rate")
     span = float(min(k, 2 ** 1000))  # any longer block is refused all the same
     bits = span * rate
     if bits < 1:
@@ -528,8 +514,8 @@ def _decoder_from_rows(rows):
     r = rows.shape[0]
     decision = np.argmax(rows, axis=0)
     owner = decision[None, :] == np.arange(r)[:, None]
-    masses = np.where(owner, rows, 0.0).sum(axis=1)
     decoder = np.where(owner, rows, 0.0)
+    masses = decoder.sum(axis=1)
     empty_mass = masses <= 0.0
     if np.any(empty_mass):
         warnings.warn(_ZERO_MASS)
@@ -629,8 +615,7 @@ def build_code_and_decoder(channel, omega, k, rate, seed=0, guard_bits=None):
     (ints) drawn iid from the k-fold input state; repeats are possible.
     """
     k = int(k)
-    if omega.algebra.dim != channel.input_dim:
-        raise ValueError("state does not match the channel input")
+    _check_input(channel, omega)
     r = _codebook_size(k, rate, channel.output_dim, guard_bits)
     rng = np.random.default_rng(seed)
     codebook = _sample_codebook(rng, omega.weights, k, r)
@@ -681,8 +666,9 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
     trials = int(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
-    # refused before the capacity probe, which would warn about it first
-    rate = _check_rate(rate)
+    # refused before the capacity probe, which would warn about them first
+    rate = _positive(rate, "rate")
+    _check_input(channel, omega)
     try:
         cap = capacity(channel, tol=1e-6, max_iter=2000).capacity
     except ConvergenceError:
@@ -694,8 +680,6 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
         warnings.warn(
             "rate %g is not below capacity %.6g; deviations need not shrink" % (rate, cap)
         )
-    if omega.algebra.dim != channel.input_dim:
-        raise ValueError("state does not match the channel input")
     results = []
     for k in sorted(set(int(k) for k in ks)):
         r = _codebook_size(k, rate, channel.output_dim, guard_bits)

@@ -12,13 +12,13 @@ JSON object on standard error.
 """
 
 import argparse
+import functools
 import json
+import math
 import os
 import re
 import sys
 import warnings
-
-import numpy as np
 
 from .algebra import AtomicAlgebra, Element, GuardExceeded
 from .probability import State, lln_sweep
@@ -127,9 +127,16 @@ def _parse_grid(value):
     return items
 
 
+def _parse_text(value):
+    # a flag carries text, and so must the config key
+    if not isinstance(value, str):
+        raise TypeError("expected a string, got %r" % (value,))
+    return value
+
+
 def _parse_words(value):
     if isinstance(value, (list, tuple)):
-        return [str(w) for w in value]
+        return [_parse_text(w) for w in value]
     items = [w.strip() for w in str(value).split(",")]
     if any(not w for w in items):
         raise ValueError("empty codeword in %r" % (value,))
@@ -190,7 +197,7 @@ _REQUIRED = object()
 
 _COMMON = {
     "seed": (_parse_int, 0, "integer seed, echoed in the artifact"),
-    "output": (str, "-", "artifact path, - for stdout"),
+    "output": (_parse_text, "-", "artifact path, - for stdout"),
     "format": (_parse_format, "json", "artifact format, json or csv"),
     "guard_override": (_parse_bool, False,
                        "lift the block-size guards (memory is then the caller's problem)"),
@@ -251,7 +258,9 @@ def _add_flags(parser, params):
             parser.add_argument(_flag(key), help="%s (default %s)" % (text, default))
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parsing leaves the parser unchanged
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON or TOML config file")
     _add_flags(common, _COMMON)
@@ -360,12 +369,17 @@ def _run_lln(config):
     rows = []
     for n in config["n"]:
         moment, variance, tail = table[n]
+        square = eps * eps  # may underflow to 0
+        bound = variance / square if square else math.inf if variance else 0.0
+        if not math.isfinite(bound):
+            raise ConfigError("--eps %r: the Chebyshev bound variance / eps^2 at n = %d is "
+                              "beyond the float range" % (eps, n))
         rows.append({
             "n": n,
             "moment": moment,
             "variance": variance,
             "tail_probability": tail,
-            "chebyshev_bound": variance / (eps * eps),
+            "chebyshev_bound": bound,
         })
     return rows, None
 
@@ -397,7 +411,7 @@ def _run_code(config):
         for i, w in enumerate(code.words)
     ]
     prefix_free = code.is_prefix_free()
-    entropy_base_n = entropy(state) / float(np.log2(alphabet))
+    entropy_base_n = entropy(state, alphabet)
     summary = {
         "alphabet_size": alphabet,
         "prefix_free": prefix_free,
@@ -610,9 +624,9 @@ def main(argv=None):
     """Run one command; returns the process exit code.
 
     Warnings keep the caller's filters but are written to standard error
-    as one JSON object per line, each distinct warning once per run.
-    numpy's floating-point warnings are off: a value that overflows is
-    refused by the JSON encoder, or written as ``inf`` to a CSV artifact.
+    as one JSON object per line, each distinct warning once per run.  The
+    library refuses the values it cannot compute before numpy warns, so a
+    numpy floating-point warning that still shows is a real numeric fault.
     """
     seen = set()
 
@@ -622,7 +636,7 @@ def main(argv=None):
             seen.add(key)
             _emit({"warning": {"category": key[0], "message": key[1]}})
 
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
+    with warnings.catch_warnings():
         warnings.showwarning = show
         try:
             config = resolve_config(argv)

@@ -34,18 +34,20 @@ from .algebra import (
     MultiIndex,
     TERMS_GUARD_BITS,
     TensorElement,
+    _Frozen,
     _digits,
     _from_dense,
     _guard,
+    _positive,
     check_guard,
 )
-from .probability import State, _check_eps
+from .probability import State
 
 # Typical-set reports refuse more than 2**TYPE_GUARD_BITS type classes.
 TYPE_GUARD_BITS = 17
 
 
-class Source:
+class Source(_Frozen):
     """A memoryless source: an atomic algebra carrying a state."""
 
     __slots__ = ("algebra", "state")
@@ -57,9 +59,6 @@ class Source:
             raise AlgebraMismatch("state lives on %r, not %r" % (state.algebra, algebra))
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "state", state)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Source is immutable")
 
     @classmethod
     def from_weights(cls, weights, labels=None):
@@ -85,9 +84,12 @@ def _entropy_bits(weights):
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def entropy(state):
-    """Shannon entropy of the weight vector, in bits (0 log 0 = 0)."""
-    return _entropy_bits(state.weights)
+def entropy(state, base=2):
+    """Shannon entropy of the weight vector (0 log 0 = 0), in bits by
+    default and in base-``base`` digits otherwise."""
+    if not base > 1:
+        raise ValueError("entropy base must be above 1, got %r" % (base,))
+    return _entropy_bits(state.weights) / float(np.log2(base))
 
 
 # typical sets -----------------------------------------------------------------
@@ -125,7 +127,7 @@ def _block_args(n, eps):
     n = int(n)
     if n < 1:
         raise ValueError("block length must be >= 1")
-    return n, _check_eps(eps)
+    return n, _positive(eps, "eps")
 
 
 def _is_typical(lp, n, h, eps):
@@ -266,7 +268,7 @@ def aep_projection(source, n, eps, guard_bits=None):
 # prefix codes -----------------------------------------------------------------
 
 
-class Code:
+class Code(_Frozen):
     """A variable-length code: one digit string per source atom.
 
     Words are strings over the digits 0..alphabet_size-1 (alphabet sizes up
@@ -293,9 +295,6 @@ class Code:
                     )
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "alphabet_size", alphabet_size)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Code is immutable")
 
     @property
     def source_dim(self):
@@ -406,11 +405,9 @@ def code_metrics(code, state):
     if not is_prefix_free(code):
         raise ValueError("expected-length bounds require a prefix-free code")
     w = np.clip(np.asarray(state.weights, dtype=float), 0.0, None)
-    ks = np.array(code.lengths, dtype=float)
-    expected = float(np.dot(w, ks))
-    nz = w > 0.0
-    h_base_n = float(-np.sum(w[nz] * np.log(w[nz]) / np.log(code.alphabet_size)))
-    return CodeMetrics(expected_length=expected, bound_value=expected - h_base_n)
+    expected = float(np.dot(w, np.array(code.lengths, dtype=float)))
+    return CodeMetrics(expected_length=expected,
+                       bound_value=expected - entropy(state, code.alphabet_size))
 
 
 def huffman_code(state, alphabet_size=2):

@@ -28,7 +28,11 @@ from .algebra import (
     AtomicAlgebra,
     Element,
     TensorElement,
+    _ArrayValue,
+    _Frozen,
+    _check_dim,
     _guard,
+    _positive,
     _tol,
 )
 
@@ -39,7 +43,7 @@ SWEEP_GUARD_BITS = 23
 _LOG_FLOAT_MAX = 709.0
 
 
-class State:
+class State(_ArrayValue):
     """Probability weights over the atoms: a positive unital functional."""
 
     __slots__ = ("algebra", "weights")
@@ -67,9 +71,6 @@ class State:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "weights", w)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("State is immutable")
-
     @classmethod
     def uniform(cls, algebra):
         return cls(algebra, np.full(algebra.dim, 1.0 / algebra.dim))
@@ -92,16 +93,8 @@ class State:
         t = _tol(tol)
         return bool(np.max(self.weights) >= 1.0 - t)
 
-    def __eq__(self, other):
-        if not isinstance(other, State):
-            return NotImplemented
-        return self.algebra == other.algebra and bool(
-            np.array_equal(self.weights, other.weights)
-        )
-
-    def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0: equal states must hash alike
-        return hash((self.algebra, (self.weights + 0.0).tobytes()))
+    def _identity(self):
+        return self.algebra, self.weights
 
     def __repr__(self):
         return "State(%r, %s)" % (self.algebra, np.array2string(self.weights, separator=", "))
@@ -111,15 +104,10 @@ class State:
 
     @classmethod
     def from_dict(cls, data, algebra=None):
-        dim = int(data["dim"])
-        if algebra is None:
-            algebra = AtomicAlgebra(dim)
-        elif algebra.dim != dim:
-            raise AlgebraMismatch("serialized dim %d != algebra dim %d" % (dim, algebra.dim))
-        return cls(algebra, data["weights"])
+        return cls(_check_dim(data, algebra), data["weights"])
 
 
-class ProductState:
+class ProductState(_Frozen):
     """Product state on a tensor power: explicit factors, then an iid tail.
 
     ``state_at(p)`` is ``factors[p-1]`` while it exists and ``tail`` beyond;
@@ -144,9 +132,6 @@ class ProductState:
                 raise AlgebraMismatch("all factors must share one algebra")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "tail", tail)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductState is immutable")
 
     @classmethod
     def iid(cls, state):
@@ -549,13 +534,6 @@ def _check_moment_order(k):
     return k
 
 
-def _check_eps(eps):
-    eps = float(eps)
-    if not 0.0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
-    return eps
-
-
 def lln_sweep(omega, ns, k, eps, observable=None, merge_tol=None, guard_bits=None):
     """Weak-law figures of the n-fold average over a grid, in one pass.
 
@@ -566,7 +544,7 @@ def lln_sweep(omega, ns, k, eps, observable=None, merge_tol=None, guard_bits=Non
     by default) and raises GuardExceeded before it would form more.
     """
     k = _check_moment_order(k)
-    eps = _check_eps(eps)
+    eps = _positive(eps, "eps")
     return {
         n: (sweep.moment(k), sweep.moment(2), sweep.tail(eps))
         for n, sweep in _average_sweeps(omega, ns, observable, merge_tol, guard_bits)
@@ -596,6 +574,6 @@ def lln_moment_sweep(omega, ns, k, observable=None, merge_tol=None):
 
 def chebyshev_tail(omega, n, eps, observable=None, merge_tol=None):
     """Exact P(|s_n - omega(x)| > eps) for the n-fold average."""
-    eps = _check_eps(eps)
+    eps = _positive(eps, "eps")
     _, sweep = next(_average_sweeps(omega, [n], observable, merge_tol))
     return sweep.tail(eps)

@@ -713,6 +713,25 @@ def test_coding_experiment_warns_above_capacity():
         coding_experiment(c, omega, rate=0.99, ks=[4], trials=2, seed=0)
 
 
+def test_one_message_for_a_state_that_misses_the_channel_input():
+    c = bsc(0.05)
+    omega = State.uniform(AtomicAlgebra(3))
+    calls = [
+        lambda: push_state(c, omega),
+        lambda: JointState(c, omega),
+        lambda: info_metrics(c, omega),
+        lambda: build_code_and_decoder(c, omega, 4, 0.5),
+        # rate 0.99 is above capacity: the probe would warn before the refusal
+        lambda: coding_experiment(c, omega, 0.99, [4], trials=1),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                call()
+        assert str(refused.value) == "state dim 3 does not match channel input dim 2"
+
+
 def test_coding_experiment_guards():
     c = bsc(0.05)
     omega = State.uniform(AtomicAlgebra(2))

@@ -101,6 +101,8 @@ _REQUIRED_FILE_VALUES = {
     ("coding-experiment", "rate", True),
     ("lln", "format", "xml"),
     ("lln", "guard_override", "maybe"),
+    ("capacity", "output", True),
+    ("code", "words", ["0", True]),
 ])
 def test_config_values_are_converted_as_flags_are(tmp_path, capsys, command, key, value):
     # a flag can only carry text, so a boolean or a fractional integer from
@@ -181,6 +183,34 @@ def test_parameter_table_drives_flags_config_keys_and_help(tmp_path, capsys, com
         assert flag(key) in shown
         if convert is not cli._parse_bool and default not in (None, cli._REQUIRED):
             assert "(default %s)" % default in shown, key
+
+
+def test_one_parser_serves_consecutive_runs(capsys):
+    runs = [
+        ["capacity", "--channel", "identity(2)"],
+        ["aep", "--p", "0.9,0.1", "--eps", "0.2", "--n", "4:6", "--format", "csv"],
+        ["lln", "--p", "0.5,0.5", "--n", "2", "--moment", "x"],
+        ["code", "--state", "0.5,0.5", "--words", "0,1"],
+        ["channel-info", "--channel", "bsc(0.1)", "--bogus"],
+        ["nope"],
+    ]
+
+    def outcome(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    consecutive = [outcome(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert consecutive == fresh
+    assert [code for code, _ in fresh] == [0, 0, 1, 0, 1, 1]
+    assert cli._build_parser() is cli._build_parser()
+    for argv in runs[:2]:
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert "--guard-override" in capsys.readouterr().out
 
 
 def test_toml_config_depends_on_interpreter(tmp_path):
@@ -517,6 +547,37 @@ def test_lln_point_mass_far_from_zero(tmp_path, fmt):
                    "chebyshev_bound": 0}
 
 
+@pytest.mark.parametrize("eps", ["1e-200", "1e-160"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_lln_chebyshev_bound_beyond_the_float_range_names_eps(capsys, eps, fmt):
+    # variance / eps**2 overflows, and at 1e-200 eps * eps underflows to 0
+    assert main(["lln", "--p", "0.5,0.5", "--n", "10", "--eps", eps, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config" and err["message"].startswith("--eps %s: " % eps)
+
+
+def test_lln_chebyshev_bound_of_zero_variance_with_a_tiny_eps(tmp_path):
+    code, path = run(tmp_path, ["lln", "--p", "1.0", "--n", "3", "--eps", "1e-200"])
+    assert code == 0
+    (row,) = read_artifact(str(path))["results"]
+    assert row["variance"] == 0 and row["chebyshev_bound"] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 10]), st.lists(st.integers(1, 9), min_size=1, max_size=8))
+def test_code_bound_value_is_expected_length_minus_entropy(alphabet, counts):
+    # bound_value and entropy_base_n come from the same base-n entropy
+    argv = ["code", "--huffman", "--alphabet", str(alphabet),
+            "--state", ",".join(repr(c / sum(counts)) for c in counts)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    summary = json.loads(out.getvalue())["summary"]
+    assert summary["bound_value"] == summary["expected_length"] - summary["entropy_base_n"]
+
+
 def test_stdout_output(capsys):
     assert main(["capacity", "--channel", "identity(2)"]) == 0
     out = capsys.readouterr().out
@@ -580,12 +641,14 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
 _NUMBER_TOKENS = ["0.5", "0.25", "1", "0", "-0.5", "2", "1e-300", "1e300", "1e400", "nan",
                   "inf", "-inf", "abc", ""]
 # Block lengths: small ones that run, and huge ones that only a guard or a
-# parse error can stop.  None of the huge ones runs long even with
-# --guard-override: every eps drawn is at least 1e-3 or invalid, so the count
-# bound 2**(n (H + eps)) is beyond the float range.
+# parse error can stop.  A huge one runs long with --guard-override only when
+# the count bound 2**(n (H + eps)) is a finite float.  With eps at least 1e-3
+# it is not; with the tiny eps tokens it is only for weights made of 1, 0 and
+# 1e-300 (H below 1e-297), which this strategy draws far less than once in a
+# million examples.
 _HUGE_N = ["100000000", str(10 ** 30), str(2 ** 64), str(10 ** 400)]
 _GRID_TOKENS = ["1:6", "5,3,5", "2:12:5", "0", "-3", "3:1", "1:3:0", "x", "1e3", ""]
-_EPS_TOKENS = ["2", "0", "-1", "nan", "inf", "1e300", "abc"]
+_EPS_TOKENS = ["2", "0", "-1", "nan", "inf", "1e300", "abc", "1e-200", "1e-160"]
 
 
 def _present():

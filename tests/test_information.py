@@ -53,6 +53,12 @@ def test_entropy_known_values():
     assert entropy(State(alg3, [0.5, 0.25, 0.25])) == pytest.approx(1.5, abs=1e-15)
     alg4 = AtomicAlgebra(4)
     assert entropy(State.uniform(alg4)) == pytest.approx(2.0, abs=1e-12)
+    # in base-n digits
+    assert entropy(State.uniform(alg4), 4) == pytest.approx(1.0, abs=1e-15)
+    assert entropy(State(alg3, [0.5, 0.25, 0.25]), 3) == pytest.approx(1.5 / math.log2(3))
+    for base in (1, 0.5, 0, math.nan):
+        with pytest.raises(ValueError, match="base"):
+            entropy(State.uniform(alg4), base)
 
 
 def test_entropy_bounds_random():
