@@ -17,11 +17,19 @@ how far the block channel sits from the induced lossless decoder channel:
 the mean total-variation style deviation and the decoding error both shrink
 as k grows whenever R is below capacity.  A repeated codeword loses every
 tie to its first occurrence, so a trial decodes over the u <= r distinct
-codewords only and copies their sums back to the repeats.  It streams the
-u x n**k likelihood table in blocks of at most ``STREAM_BLOCK_ENTRIES``
-entries (one output string when u alone is more) and keeps only
-per-codeword sums, so its memory grows with the k * n * u entries of the
-per-symbol likelihood factors, not with u * n**k.
+codewords only and copies their sums back to the repeats.
+
+The block channel is the k-fold tensor power of the channel, so a
+likelihood is the product of two half powers, L(y) = H(y_head) T(y_tail),
+over the first ceil(k/2) and the last floor(k/2) output symbols.  A trial
+builds the half table T once, streams H, and forms each of the u * n**k
+likelihoods with about one multiplication, in blocks of at most
+``STREAM_BLOCK_ENTRIES`` entries (one output string when u alone is more).
+It keeps only per-codeword sums, so its memory is the two half tables (T
+whole, H one block at a time) plus the k * n * u entries of the per-symbol
+likelihood factors, never u * n**k.  The uniform-row gap of a codeword
+that owns no output string depends only on its type (its sorted symbols),
+so a second pass covers one word per type.
 """
 
 from __future__ import annotations
@@ -52,8 +60,8 @@ from .probability import ProductState, State, independence_test
 # A coding trial evaluates r * n**k likelihoods; the guard bounds that work
 # at 2**(guard + 2).
 EXPERIMENT_GUARD_BITS = 24
-# Coding trials stream the likelihood table in blocks of r x n**t entries,
-# with the longest tail t that keeps a block within this many entries.
+# Coding trials stream the likelihood table in blocks of at most this many
+# entries (one output string when a row of the table alone is more).
 STREAM_BLOCK_ENTRIES = 2 ** 18
 # Shared by the dense decoder and the streamed trial.
 _ZERO_MASS = "decision block with zero mass; decoder row set to uniform"
@@ -474,16 +482,18 @@ def _sample_codebook(rng, weights, k, r):
     return rng.choice(m, size=(r, k), p=w).astype(np.int64)
 
 
-def _first_occurrences(codebook):
-    # source[j] is the lowest index of a word equal to word j: a stable sort
-    # puts equal words next to each other in index order.
-    order = np.lexsort(codebook.T)
-    words = codebook[order]
+def _kinds(words):
+    # first[j]: word j is the first of its kind; kind[j]: the index of word
+    # j's kind among the first words, in index order.  A stable sort puts
+    # equal words next to each other in index order.
+    order = np.lexsort(words.T)
+    sorted_words = words[order]
     head = np.ones(order.size, dtype=bool)
-    np.any(words[1:] != words[:-1], axis=1, out=head[1:])
+    np.any(sorted_words[1:] != sorted_words[:-1], axis=1, out=head[1:])
     source = np.empty_like(order)
     source[order] = order[head][np.cumsum(head) - 1]
-    return source
+    first = source == np.arange(order.size)
+    return first, (np.cumsum(first) - 1)[source]
 
 
 def _symbol_factors(matrix, codebook):
@@ -493,19 +503,55 @@ def _symbol_factors(matrix, codebook):
 
 def _extend_columns(columns, factors):
     # Likelihood columns (one per output prefix, one entry per codeword) grown
-    # by one output symbol per factor, big-endian.  The product runs left to
-    # right over the block, so every entry is bit-identical however the block
-    # is split, and argmax ties break the same way in every path.
+    # by one output symbol per factor, big-endian, multiplied left to right.
     for factor in factors:
         columns = (columns[:, None, :] * factor[None, :, :]).reshape(-1, columns.shape[1])
     return columns
 
 
+def _chain_blocks(factors, entries):
+    # The left-to-right product table of the factors, one row per output
+    # prefix, as consecutive blocks of n**t rows with the longest t that keeps
+    # a block within ``entries`` entries (one row when a row alone is more).
+    # Every entry is bit-identical however the table is cut.
+    n, r = factors[0].shape
+    tail = 0
+    while tail < len(factors) and r * n ** (tail + 1) <= entries:
+        tail += 1
+    split = len(factors) - max(tail, 1)
+    leads = _chain_blocks(factors[:split], entries) if split else [np.ones((1, r))]
+    for lead in leads:
+        for a in range(lead.shape[0]):
+            if tail:
+                yield _extend_columns(lead[a : a + 1], factors[split:])
+            else:
+                for symbol in factors[-1]:
+                    yield lead[a : a + 1] * symbol
+
+
+def _likelihood_blocks(factors):
+    # The r x n**k likelihood table, transposed, in consecutive blocks of at
+    # most STREAM_BLOCK_ENTRIES entries (one output string when r alone is
+    # more).  The block channel is the k-fold tensor power of the channel, so
+    # L(y) = H(y_head) T(y_tail): the half table H over the first ceil(k/2)
+    # symbols streams from the chain, the half table T over the last
+    # floor(k/2) is built once, and a block is a run of H rows times all of T
+    # or one H row times a run of T rows.  The split does not depend on the
+    # block size, so every entry is bit-identical however the table is cut.
+    half = (len(factors) + 1) // 2
+    r = factors[0].shape[1]
+    tail = _extend_columns(np.ones((1, r)), factors[half:])
+    step = max(1, STREAM_BLOCK_ENTRIES // r)  # T rows per block
+    for heads in _chain_blocks(factors[:half], STREAM_BLOCK_ENTRIES // tail.shape[0]):
+        for start in range(0, tail.shape[0], step):
+            yield (heads[:, None, :] * tail[None, start : start + step, :]).reshape(-1, r)
+
+
 def _block_rows(matrix, codebook):
     # Row j is the block channel C^k conditioned on codeword j; output strings
     # are packed big-endian, matching the dense() ordering of tensor elements.
-    start = np.ones((1, codebook.shape[0]))
-    return _extend_columns(start, _symbol_factors(matrix, codebook)).T
+    # The rows are the streamed blocks stacked, so both decoders agree bit for bit.
+    return np.vstack(list(_likelihood_blocks(_symbol_factors(matrix, codebook)))).T
 
 
 def _decoder_from_rows(rows):
@@ -532,71 +578,54 @@ def _decoder_from_rows(rows):
     return decision, decoder, masses
 
 
-def _likelihood_blocks(factors):
-    # The r x n**k likelihood table, transposed, as consecutive blocks of
-    # n**t output strings: a lead prefix column extended by the t tail
-    # factors, or by one symbol of the last factor when t = 0.  The lead
-    # prefixes come from the same generator, so no piece holds more than
-    # STREAM_BLOCK_ENTRIES entries, or one column when r alone is more.
-    n, r = factors[0].shape
-    tail = 0
-    while tail < len(factors) and r * n ** (tail + 1) <= STREAM_BLOCK_ENTRIES:
-        tail += 1
-    split = len(factors) - max(tail, 1)
-    leads = _likelihood_blocks(factors[:split]) if split else [np.ones((1, r))]
-    for lead in leads:
-        for a in range(lead.shape[0]):
-            if tail:
-                yield _extend_columns(lead[a : a + 1], factors[split:])
-            else:
-                for symbol in factors[-1]:
-                    yield lead[a : a + 1] * symbol
+def _row_sums(matrix, codebook):
+    """Per codeword: the owned mass m_j, the number of owned output strings,
+    and the uniform-row gap sum_y |row_j(y) - 1/n**k|, filled in for every
+    row that owns nothing (and for the first of a repeated word).
+
+    Each output string goes to its most likely codeword, ties to the lowest
+    index, in one streamed pass over the likelihood table.
+    """
+    uniform = 1.0 / matrix.shape[1] ** codebook.shape[1]
+    # A repeated codeword has the same row as its first occurrence and loses
+    # every tie to it, so it owns nothing: the pass runs over the u distinct
+    # words in index order, one column each.
+    first, column = _kinds(codebook)
+    words = codebook[first]
+    u = words.shape[0]
+    mass = np.zeros(u)
+    owned = np.zeros(u, dtype=np.int64)
+    for block in _likelihood_blocks(_symbol_factors(matrix, words)):
+        winner = np.argmax(block, axis=1)
+        mass += np.bincount(winner, weights=block[np.arange(block.shape[0]), winner],
+                            minlength=u)
+        owned += np.bincount(winner, minlength=u)
+    # The gap is needed for the words that own nothing and for the repeated
+    # ones, whose repeats own nothing.  Permuting a word's symbols permutes
+    # the output strings of its row, so the gap depends only on the word's
+    # type, its sorted symbols: the second pass runs over one word per type.
+    need = (owned == 0) | (np.bincount(column, minlength=u) > 1)
+    types = np.sort(words[need], axis=1)
+    distinct, kind = _kinds(types)
+    type_gap = np.zeros(np.count_nonzero(distinct))
+    if type_gap.size:
+        for block in _likelihood_blocks(_symbol_factors(matrix, types[distinct])):
+            type_gap += np.abs(block - uniform).sum(axis=0)
+    gap = np.zeros(u)
+    gap[need] = type_gap[kind]
+    return np.where(first, mass[column], 0.0), np.where(first, owned[column], 0), gap[column]
 
 
 def _streamed_trial(matrix, codebook):
     """Deviation and error probability of one codebook's ML decoder channel.
 
-    One streamed pass over the likelihood table: each output string goes to
-    its most likely codeword (ties to the lowest index), which gains the
-    string's likelihood as owned mass m_j.  With s_j the row sums, the error
-    is sum_j (s_j - m_j) / r, and decoder row j contributes
+    From the per-codeword sums of ``_row_sums``: with s_j the row sums, the
+    error is sum_j (s_j - m_j) / r, and decoder row j contributes
     |1 - m_j| + (s_j - m_j) to the deviation.  A row that owns only strings
     of zero likelihood contributes 1 + s_j; a row that owns none falls back
-    to the uniform decoder row and contributes sum_y |row_j(y) - 1/n**k|.
+    to the uniform decoder row and contributes its uniform-row gap.
     """
-    r, k = codebook.shape
-    uniform = 1.0 / matrix.shape[1] ** k
-    # A repeated codeword has the same row as its first occurrence and loses
-    # every tie to it, so it owns nothing: the pass runs over the u distinct
-    # words in index order, one column each, and the repeats copy the
-    # uniform-row gap of their first occurrence, summed in the same pass.
-    source = _first_occurrences(codebook)
-    first = source == np.arange(r)
-    column = (np.cumsum(first) - 1)[source]
-    u = np.count_nonzero(first)
-    shared = np.flatnonzero(np.bincount(column, minlength=u) > 1)
-    factors = _symbol_factors(matrix, codebook[first])
-    mass = np.zeros(u)
-    owned = np.zeros(u, dtype=np.int64)
-    gap = np.zeros(u)
-    for block in _likelihood_blocks(factors):
-        winner = np.argmax(block, axis=1)
-        best = np.take_along_axis(block, winner[:, None], axis=1)[:, 0]
-        mass += np.bincount(winner, weights=best, minlength=u)
-        owned += np.bincount(winner, minlength=u)
-        gap[shared] += np.abs(block[:, shared] - uniform).sum(axis=0)
-    # Any other word that owns nothing is beaten or tied on every output
-    # string, which needs a channel other than a BSC; a second pass covers
-    # just those words.
-    lone = np.setdiff1d(np.flatnonzero(owned == 0), shared)
-    if lone.size:
-        for t, factor in enumerate(factors):  # one full factor at a time in memory
-            factors[t] = factor[:, lone]
-        for block in _likelihood_blocks(factors):
-            gap[lone] += np.abs(block - uniform).sum(axis=0)
-    mass = np.where(first, mass[column], 0.0)
-    owned = np.where(first, owned[column], 0)
-    gap = gap[column]
+    mass, owned, gap = _row_sums(matrix, codebook)
     if np.any(mass <= 0.0):
         warnings.warn(_ZERO_MASS)
     sums = np.prod(matrix.sum(axis=1)[codebook], axis=1)
@@ -605,6 +634,7 @@ def _streamed_trial(matrix, codebook):
         np.abs(1.0 - mass) + (sums - mass),
         np.where(owned > 0, 1.0 + sums, gap),
     )
+    r = codebook.shape[0]
     return float(deviation.sum()) / r, float(np.sum(sums - mass)) / r
 
 

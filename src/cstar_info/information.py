@@ -142,6 +142,39 @@ def _times_pow2(count, lp):
     return float(count >> shift) * 2.0 ** (lp + shift)
 
 
+# a bound on the relative float error of a log-probability and its rate test
+_ROUNDING = 8 * math.ulp(1.0)
+
+
+def _typical_run(lp, w, last, left, n, h, eps):
+    """The counts c of the next-to-last atom that can be typical.
+
+    The log-probability ``x(c) = lp + c w + (left - c) last`` is linear in c,
+    so the counts whose x lies in the band ``-n (h +- eps)`` form an
+    interval.  Its ends are solved as step counts from the end of [0, left]
+    where |x| is least (every term of x has one sign, so the band is near
+    that end whenever |x| is large), which keeps them exact to the float
+    error of x even where c itself is not exact as a float, and are widened
+    by that error; ``_is_typical`` still decides every count in the range.
+    Beyond the float error, the 1e-12 slack of ``_is_typical`` admits no
+    further count.
+    """
+    slope = w - last
+    if not slope:
+        return range(left + 1)
+    ref, x = (left, lp + left * w) if slope > 0 else (0, lp + left * last)
+    width = n * (h + eps)
+    reach = left + 1.0
+    low = min(max((-width - x) / slope, -reach), reach)
+    high = min(max((n * (eps - h) - x) / slope, -reach), reach)
+    if slope < 0:
+        low, high = high, low
+    error = _ROUNDING * ((abs(x) + width) / abs(slope) + max(-low, high))
+    if not error < math.inf:
+        return range(left + 1)
+    return range(max(ref + math.ceil(low - error), 0), min(ref + math.floor(high + error), left) + 1)
+
+
 def _typical_sums(logw, n, h, eps):
     """Exact count and probability mass of the eps-typical type classes.
 
@@ -150,9 +183,11 @@ def _typical_sums(logw, n, h, eps):
     ``sum(c_i log2 w_i)``.  The compositions of n are walked depth first,
     atom by atom, carrying the exact count of the prefix.  A branch ends as
     soon as no symbols are left, and the last two atoms are scanned in one
-    loop, so the walk costs O(1) steps per type class.  Along that loop the
-    rate is linear in the count, so the typical types form a run, and each
-    binomial of the run follows from the one before.
+    loop over the counts that can be typical (``_typical_run``), so the walk
+    costs O(1) steps per type class and the last loop O(1) steps per typical
+    class.  Along that loop the rate is linear in the count, so the typical
+    types form a run, and each binomial of the run follows from the one
+    before.
     """
     d = len(logw)
     count = 0
@@ -172,7 +207,7 @@ def _typical_sums(logw, n, h, eps):
             continue
         w, last = logw[i], logw[i + 1]
         binom, at = 0, -2  # binom = C(left, at)
-        for c in range(left + 1):
+        for c in _typical_run(lp, w, last, left, n, h, eps):
             x = lp + c * w + (left - c) * last
             if _is_typical(x, n, h, eps):
                 binom = binom * (left - at) // c if at == c - 1 else math.comb(left, c)

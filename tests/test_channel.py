@@ -25,6 +25,8 @@ from cstar_info.channel import (
     _block_rows,
     _decoder_from_rows,
     _likelihood_blocks,
+    _row_sums,
+    _sample_codebook,
     _streamed_trial,
     _symbol_factors,
     apply_channel,
@@ -793,10 +795,10 @@ def _check_every_split(matrix, codebook):
 
 
 @st.composite
-def _coding_cases(draw):
+def _coding_cases(draw, max_k=4):
     m = draw(st.integers(2, 3))
     n = draw(st.integers(2, 3))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, max_k))
     # a small grid of weights gives zero entries and exact or rounded ties
     grid = st.sampled_from([0.0, 0.0, 0.05, 0.1, 0.25, 1.0, 3.0])
     mat = np.array([[draw(grid) for _ in range(n)] for _ in range(m)])
@@ -822,8 +824,9 @@ def test_streamed_trial_matches_dense_oracle(case):
 
 def test_streamed_trial_dominated_codeword():
     # the (0.5, 0.5) input loses every output to a sharper codeword without
-    # repeating one, so its decoder row falls back to uniform in a second
-    # pass; in the second codebook that dominated word is also repeated
+    # repeating one, so its decoder row falls back to uniform and its gap
+    # comes from the second pass; in the second codebook that dominated word
+    # is also repeated
     matrix = np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
     for codebook in ([[0], [1], [2]], [[2, 2], [0, 0], [0, 1], [1, 0], [1, 1], [2, 2]]):
         codebook = np.array(codebook)
@@ -862,8 +865,8 @@ def test_streamed_blocks_when_one_string_exceeds_the_block(case):
 
 def test_coding_trial_memory_stays_below_the_table():
     # r = 172,950 codewords over 2**6 output strings: r * n > 2**18, so every
-    # block is one string and the lead prefixes must stream too; the whole
-    # table would be 11 M likelihoods.
+    # block is one string, the head half streams one row at a time and the
+    # tail half holds 8 strings; the whole table would be 11 M likelihoods.
     mat = np.random.default_rng(7).random((16, 2))
     c = Channel(mat / mat.sum(axis=1, keepdims=True))
     omega = State.uniform(AtomicAlgebra(16))
@@ -876,7 +879,7 @@ def test_coding_trial_memory_stays_below_the_table():
         tracemalloc.stop()
     assert result.codebook_size == 172950
     assert peak < 64 * 2 ** 20
-    # the values of a lead built in one piece, bit for bit
+    # the values, bit for bit
     assert result.deviation == 0.9894682274113076
     assert result.error_prob == 0.9997979332373419
 
@@ -900,27 +903,73 @@ def test_streamed_trial_decodes_distinct_codewords_only():
     with pytest.warns(UserWarning, match="zero mass"):
         codebook, _ = build_code_and_decoder(c, omega, k=9, rate=0.99, seed=4)
         _, widths = _block_widths(c.matrix, codebook)
-    distinct = len(np.unique(codebook, axis=0))
-    assert distinct < len(codebook)
-    assert widths == [distinct]  # one pass; a BSC leaves no word without strings
+    words, counts = np.unique(codebook, axis=0, return_counts=True)
+    assert len(words) < len(codebook)
+    # one pass over the distinct words, then one word per type of the
+    # repeated ones; a BSC leaves no word without strings
+    types = {tuple(sorted(word)) for word in words[counts > 1].tolist()}
+    assert widths == [len(words), len(types)]
 
 
 def test_streamed_trial_lone_and_repeated_dominated_words():
-    # (0.5, 0.5) is dominated: [2, 2] is repeated, so its gap is summed in the
-    # first pass and copied to the repeat; [0, 2] is not repeated and owns no
-    # string, so a second pass over that word alone sums its gap
+    # (0.5, 0.5) is dominated: [2, 2] is repeated and owns nothing, [0, 2] is
+    # not repeated and owns nothing, and [0, 0] is repeated; the second pass
+    # sums the gap of their three types, (2, 2), (0, 2) and (0, 0), once each
     matrix = np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
     codebook = np.array([[2, 2], [0, 0], [0, 2], [0, 1], [1, 0], [2, 2], [1, 1], [0, 0]])
     _check_every_split(matrix, codebook)
     with pytest.warns(UserWarning, match="zero mass"):
         (dev, err), widths = _block_widths(matrix, codebook)
-    assert widths == [6, 1]
+    assert widths == [6, 3]
     assert (dev, err) == (0.42999999999999994, 0.595)  # the all-rows pass, bit for bit
 
 
+@settings(max_examples=60, deadline=None)
+@given(_coding_cases(max_k=6))
+def test_uniform_row_gap_is_the_dense_row_gap(case):
+    # a row that owns no output string falls back to the uniform decoder row;
+    # its gap comes from one word of its type, and must be its own row's gap
+    matrix, codebook = case
+    rows = _block_rows(matrix, codebook)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        decision, _, masses = _decoder_from_rows(rows)
+    fallback = (masses <= 0.0) & (np.bincount(decision, minlength=len(codebook)) == 0)
+    mass, owned, gap = _row_sums(matrix, codebook)
+    assert np.array_equal(fallback, (mass <= 0.0) & (owned == 0))
+    want = np.abs(rows - 1.0 / rows.shape[1]).sum(axis=1)
+    assert np.all(np.abs(gap[fallback] - want[fallback]) <= 1e-12)
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.58, 0.42)])
+def test_trial_error_is_the_hamming_oracle(weights):
+    # On a BSC with p < 1/2 the most likely codeword for y is one nearest in
+    # Hamming distance d, so the success is (1/r) sum_y (1 - p)**(k - d) p**d
+    # with d the least distance: an oracle that shares no product with the
+    # trial.  Trial t draws its codebook with seed + t.
+    p, seed = 0.05, 31
+    omega = State(AtomicAlgebra(2), list(weights))
+    with pytest.warns(UserWarning, match="not below capacity"):
+        results = coding_experiment(bsc(p), omega, 0.99, ks=(8, 10, 12), trials=2, seed=seed)
+    for result in results:
+        k, r = result.k, result.codebook_size
+        for t in range(result.trials):
+            codebook = _sample_codebook(np.random.default_rng(seed + t), omega.weights, k, r)
+            words = codebook @ (1 << np.arange(k - 1, -1, -1))
+            least = np.concatenate([
+                np.bitwise_count(ys[:, None] ^ words[None, :]).min(axis=1)
+                for ys in np.array_split(np.arange(2 ** k), 16)
+            ])
+            counts = np.bincount(least, minlength=k + 1)
+            success = sum(int(counts[d]) * (1 - p) ** (k - d) * p ** d for d in range(k + 1))
+            error = result.trial_error_probs[t]
+            assert abs(error - (1.0 - success / r)) <= 1e-12
+            assert result.trial_deviations[t] <= 2.0 * error
+
+
 def test_coding_experiment_values_are_pinned():
-    # every value of the benchmark's coding shapes, bit for bit as decoded
-    # over all r codewords
+    # every value of the benchmark's coding shapes, bit for bit as the
+    # half-table products and per-type gaps give them
     c = bsc(0.05)
     with pytest.warns(UserWarning, match="not below capacity"):
         uniform = coding_experiment(c, State.uniform(AtomicAlgebra(2)), 0.99, ks=(8, 9, 10),
@@ -930,16 +979,16 @@ def test_coding_experiment_values_are_pinned():
     got = [(r.codebook_size, r.deviation, r.error_prob, r.trial_deviations, r.trial_error_probs)
            for r in (*uniform, skewed)]
     assert got == [
-        (242, 1.027997813916258, 0.5449264810165936,
-         (1.0412896155578513, 1.032428414463456, 1.0102754117274666),
-         (0.5527178475432594, 0.5475236031921489, 0.5345379923143725)),
-        (481, 1.079800479648833, 0.5707766357231682,
-         (1.093134338411594, 1.0847129539298501, 1.0615541466050549),
-         (0.5786383747218119, 0.5736730658805633, 0.5600184665671294)),
-        (955, 1.1480837923040974, 0.597168335396962,
-         (1.1547292616346974, 1.1316449997494558, 1.1578771155281393),
-         (0.600930033444533, 0.5878630823319182, 0.6027118904144351)),
-        (1897, 1.2452128486441485, 0.6415261294248106,
-         (1.2496719776194556, 1.2407537196688414),
+        (242, 1.0279978139162556, 0.5449264810165936,
+         (1.0412896155578488, 1.0324284144634535, 1.0102754117274642),
+         (0.5527178475432594, 0.5475236031921489, 0.5345379923143727)),
+        (481, 1.0798004796488307, 0.570776635723168,
+         (1.0931343384115915, 1.084712953929848, 1.0615541466050529),
+         (0.5786383747218118, 0.5736730658805631, 0.5600184665671292)),
+        (955, 1.1480837923041007, 0.5971683353969619,
+         (1.1547292616347005, 1.131644999749459, 1.1578771155281427),
+         (0.600930033444533, 0.5878630823319179, 0.6027118904144348)),
+        (1897, 1.2452128486441536, 0.6415261294248106,
+         (1.249671977619461, 1.2407537196688463),
          (0.6439705469430229, 0.6390817119065982)),
     ]

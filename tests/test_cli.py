@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -326,6 +327,20 @@ def test_aep_report_rows(tmp_path):
     for row in art["results"]:
         assert row["count"] <= row["upper_bound"]
         assert row["count_ok"] is True
+
+
+def test_aep_on_a_block_past_the_type_guard_ends(tmp_path):
+    # --guard-override admits 2**64 + 1 type classes; only the counts next to
+    # the eps band are tested, so the walk ends at once.  Every string but
+    # the all-first-atom one has rate >= 996.6 / 2**64 = 5.4e-17, far above
+    # eps = 1e-200.
+    argv = ["aep", "--p", "1,1e-300", "--eps", "1e-200", "--n", str(2 ** 64), "--guard-override"]
+    start = time.perf_counter()
+    code, path = run(tmp_path, argv, "aep.json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    (row,) = read_artifact(str(path))["results"]
+    assert (row["count"], row["prob_mass"], row["count_ok"]) == (1, 1.0, True)
 
 
 def test_capacity_artifact(tmp_path):

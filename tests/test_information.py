@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cstar_info.algebra import (
     tensor_power,
     trace,
 )
+from cstar_info import information
 from cstar_info.information import (
     Code,
     TYPE_GUARD_BITS,
@@ -251,6 +253,39 @@ def test_typical_set_types_match_string_enumeration(case):
     count, mass = oracle_typical(weights, n, eps)
     assert report.count == count
     assert abs(report.prob_mass - mass) <= 1e-12
+
+
+@st.composite
+def typical_window_cases(draw):
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 60))
+    ints = draw(st.lists(st.integers(0, 6), min_size=d, max_size=d).filter(any))
+    weights = [k / sum(ints) for k in ints]
+    if draw(st.booleans()):
+        eps = draw(st.sampled_from([1e-9, 0.05, 0.125, 0.25, 0.5, 1.0, 2.0]))
+    else:
+        # a band edge: the distance of one type's rate from the entropy
+        h = entropy(make_source(weights).state)
+        positive = [math.log2(w) for w in weights if w > 0.0]
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=len(positive) - 1,
+                                    max_size=len(positive) - 1)))
+        counts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        eps = abs(-sum(c * lw for c, lw in zip(counts, positive)) / n - h) or 0.25
+    return weights, n, eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(typical_window_cases())
+def test_typical_run_equals_the_full_scan(case):
+    # the last two atoms' loop tests only the counts next to the eps band;
+    # the full scan tests every count from 0 to the symbols left
+    weights, n, eps = case
+    source = make_source(weights)
+    report = aep_typical_set(source, n, eps)
+    full_scan = lambda lp, w, last, left, *band: range(left + 1)  # noqa: E731
+    with mock.patch.object(information, "_typical_run", full_scan):
+        want = aep_typical_set(source, n, eps)
+    assert (report.count, report.prob_mass) == (want.count, want.prob_mass)
 
 
 # prefix codes -------------------------------------------------------------------
