@@ -22,14 +22,20 @@ codewords only and copies their sums back to the repeats.
 The block channel is the k-fold tensor power of the channel, so a
 likelihood is the product of two half powers, L(y) = H(y_head) T(y_tail),
 over the first ceil(k/2) and the last floor(k/2) output symbols.  A trial
-builds the half table T once, streams H, and forms each of the u * n**k
-likelihoods with about one multiplication, in blocks of at most
-``STREAM_BLOCK_ENTRIES`` entries (one output string when u alone is more).
-It keeps only per-codeword sums, so its memory is the two half tables (T
+builds the half table T once and forms each of the u * n**k likelihoods
+with about one multiplication, in blocks of at most ``STREAM_BLOCK_ENTRIES``
+entries (one output string when u alone is more).  H streams in one flat
+loop over row prefixes: a prefix's lead row, the product of its symbols'
+factors, grows by the last head symbols into a run of H rows.  A trial
+keeps only per-codeword sums, so its memory is the two half tables (T
 whole, H one block at a time) plus the k * n * u entries of the per-symbol
 likelihood factors, never u * n**k.  The uniform-row gap of a codeword
 that owns no output string depends only on its type (its sorted symbols),
 so a second pass covers one word per type.
+
+The dense decoder (``build_code_and_decoder``) holds the r x n**k rows and
+one decoder table filled and divided in place, then drops the rows before
+``LosslessChannel`` copies the decoder: it peaks at about twice the table.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .algebra import (
     TensorElement,
     _ArrayValue,
     _Frozen,
+    _digits,
     _guard,
     _positive,
     _tol,
@@ -89,6 +96,8 @@ class Channel(_ArrayValue):
             sums = mat.sum(axis=1)
         if float(np.max(np.abs(sums - 1.0))) > t:
             raise ValueError("channel rows must sum to 1")
+        if float(np.min(mat)) < 0.0:  # entries the tolerance admits below zero
+            mat[mat < 0.0] = 0.0
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -178,7 +187,8 @@ def _check_input(channel, omega):
 def push_state(channel, omega):
     """Image of an input state under the channel."""
     _check_input(channel, omega)
-    return State(channel.output_algebra(), omega.weights @ channel.matrix)
+    # two inputs each EQ_TOL off give a sum up to 2 EQ_TOL + EQ_TOL**2 off
+    return State(channel.output_algebra(), omega.weights @ channel.matrix, tol=3 * EQ_TOL)
 
 
 # joint states -----------------------------------------------------------------
@@ -203,7 +213,8 @@ class JointState(_Frozen):
         object.__setattr__(self, "pair_algebra", pair_algebra)
         object.__setattr__(self, "input_state", input_state)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "pair_state", State(pair_algebra, level_one.T.ravel()))
+        pair_state = State(pair_algebra, level_one.T.ravel(), tol=3 * EQ_TOL)  # as push_state
+        object.__setattr__(self, "pair_state", pair_state)
 
     def __call__(self, x):
         if isinstance(x, TensorElement) and x.level > self.level:
@@ -332,7 +343,7 @@ class InfoMetrics(NamedTuple):
 def info_metrics(channel, omega):
     """Input/output entropies, equivocation, and mutual information (bits)."""
     _check_input(channel, omega)
-    w = np.clip(np.asarray(omega.weights, dtype=float), 0.0, None)
+    w = omega.weights
     joint_w = w[:, None] * channel.matrix  # (m, n)
     q = joint_w.sum(axis=0)
     h_in = _entropy_bits(w)
@@ -367,10 +378,8 @@ def capacity(channel, tol=1e-9, max_iter=10000):
     """
     if not (0.0 <= tol < np.inf and max_iter >= 1):
         raise ValueError("need a finite tol >= 0 and max_iter >= 1, got %r, %r" % (tol, max_iter))
-    # Entries the channel tolerance admits below zero count as zeros; output
-    # columns without mass carry nothing and leave the products.
-    mat = np.clip(channel.matrix, 0.0, None)
-    mat = np.ascontiguousarray(mat[:, mat.any(axis=0)])
+    # Output columns without mass carry nothing and leave the products.
+    mat = np.ascontiguousarray(channel.matrix[:, channel.matrix.any(axis=0)])
     mat_t = np.ascontiguousarray(mat.T)
     h = (mat * np.log2(mat, out=np.zeros_like(mat), where=mat > 0.0)).sum(axis=1)
     # A q_j that underflows to 0 is read as the least positive float, which
@@ -477,9 +486,7 @@ def _sample_codebook(rng, weights, k, r):
     m = weights.size
     if r > m ** k:
         raise ValueError("codebook of %d words cannot fit %d**%d input strings" % (r, m, k))
-    w = np.clip(weights, 0.0, None)
-    w = w / w.sum()
-    return rng.choice(m, size=(r, k), p=w).astype(np.int64)
+    return rng.choice(m, size=(r, k), p=weights / weights.sum()).astype(np.int64)
 
 
 def _kinds(words):
@@ -509,40 +516,29 @@ def _extend_columns(columns, factors):
     return columns
 
 
-def _chain_blocks(factors, entries):
-    # The left-to-right product table of the factors, one row per output
-    # prefix, as consecutive blocks of n**t rows with the longest t that keeps
-    # a block within ``entries`` entries (one row when a row alone is more).
-    # Every entry is bit-identical however the table is cut.
-    n, r = factors[0].shape
-    tail = 0
-    while tail < len(factors) and r * n ** (tail + 1) <= entries:
-        tail += 1
-    split = len(factors) - max(tail, 1)
-    leads = _chain_blocks(factors[:split], entries) if split else [np.ones((1, r))]
-    for lead in leads:
-        for a in range(lead.shape[0]):
-            if tail:
-                yield _extend_columns(lead[a : a + 1], factors[split:])
-            else:
-                for symbol in factors[-1]:
-                    yield lead[a : a + 1] * symbol
-
-
 def _likelihood_blocks(factors):
     # The r x n**k likelihood table, transposed, in consecutive blocks of at
     # most STREAM_BLOCK_ENTRIES entries (one output string when r alone is
     # more).  The block channel is the k-fold tensor power of the channel, so
-    # L(y) = H(y_head) T(y_tail): the half table H over the first ceil(k/2)
-    # symbols streams from the chain, the half table T over the last
-    # floor(k/2) is built once, and a block is a run of H rows times all of T
-    # or one H row times a run of T rows.  The split does not depend on the
-    # block size, so every entry is bit-identical however the table is cut.
+    # L(y) = H(y_head) T(y_tail): the half table T over the last floor(k/2)
+    # symbols is built once, and the half table H over the first ceil(k/2)
+    # streams as runs of n**t rows, the longest that fit a block with all of
+    # T, each a lead row over the prefix's digits grown by t head symbols.  A
+    # block is a run times all of T or one H row times a run of T rows.  Every
+    # product is taken left to right, so every entry is bit-identical however
+    # the table is cut.
     half = (len(factors) + 1) // 2
-    r = factors[0].shape[1]
+    n, r = factors[0].shape
     tail = _extend_columns(np.ones((1, r)), factors[half:])
+    t = 0
+    while t < half and n ** (t + 1) * tail.size <= STREAM_BLOCK_ENTRIES:
+        t += 1
     step = max(1, STREAM_BLOCK_ENTRIES // r)  # T rows per block
-    for heads in _chain_blocks(factors[:half], STREAM_BLOCK_ENTRIES // tail.shape[0]):
+    for prefix in range(n ** (half - t)):
+        lead = np.ones((1, r))
+        for factor, symbol in zip(factors, _digits(prefix, n, half - t)):
+            lead = lead * factor[symbol]
+        heads = _extend_columns(lead, factors[half - t : half])
         for start in range(0, tail.shape[0], step):
             yield (heads[:, None, :] * tail[None, start : start + step, :]).reshape(-1, r)
 
@@ -556,25 +552,26 @@ def _block_rows(matrix, codebook):
 
 def _decoder_from_rows(rows):
     # Maximum-likelihood decision per output string, ties to the lowest
-    # codeword index; decoder rows are renormalized restrictions.
-    r = rows.shape[0]
+    # codeword index; decoder rows are renormalized restrictions.  The
+    # decoder is one table beside the rows, filled and divided in place; it
+    # is C-ordered because the last bits of its row sums, the masses, depend
+    # on the layout.
+    r, size = rows.shape
     decision = np.argmax(rows, axis=0)
-    owner = decision[None, :] == np.arange(r)[:, None]
-    decoder = np.where(owner, rows, 0.0)
+    strings = np.arange(size)
+    decoder = np.zeros(rows.shape)
+    decoder[decision, strings] = rows[decision, strings]
     masses = decoder.sum(axis=1)
-    empty_mass = masses <= 0.0
-    if np.any(empty_mass):
+    empty = masses <= 0.0
+    if np.any(empty):
         warnings.warn(_ZERO_MASS)
-        for j in np.flatnonzero(empty_mass):
-            block = owner[j]
-            if np.any(block):
-                decoder[j, block] = 1.0 / np.count_nonzero(block)
-            else:
-                decoder[j, :] = 1.0 / rows.shape[1]
-        ok = ~empty_mass
-        decoder[ok] = decoder[ok] / masses[ok, None]
-    else:
-        decoder = decoder / masses[:, None]
+        # a row without mass is uniform on the strings it owns, or on every
+        # string when it owns none
+        owned = np.bincount(decision, minlength=r)
+        lost = empty[decision]
+        decoder[decision[lost], strings[lost]] = 1.0 / owned[decision[lost]]
+        decoder[empty & (owned == 0)] = 1.0 / size
+    np.divide(decoder, masses[:, None], out=decoder, where=~empty[:, None])
     return decision, decoder, masses
 
 
@@ -649,9 +646,9 @@ def build_code_and_decoder(channel, omega, k, rate, seed=0, guard_bits=None):
     r = _codebook_size(k, rate, channel.output_dim, guard_bits)
     rng = np.random.default_rng(seed)
     codebook = _sample_codebook(rng, omega.weights, k, r)
-    rows = _block_rows(channel.matrix, codebook)
-    decision, decoder, _ = _decoder_from_rows(rows)
-    return codebook, LosslessChannel(decoder, tuple(int(v) for v in decision))
+    # the rows go before LosslessChannel copies the decoder
+    decision, decoder, _ = _decoder_from_rows(_block_rows(channel.matrix, codebook))
+    return codebook, LosslessChannel(decoder, decision.tolist())
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,7 @@ def source_output(source):
 
 def _entropy_bits(weights):
     # Shannon entropy of a weight vector in bits, with 0 log 0 = 0.
-    w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
-    nz = w[w > 0.0]
+    nz = weights[weights > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
 
 
@@ -275,7 +274,7 @@ def _string_log_probs(weights, n):
     # log2-probability of every length-n string, strings packed big-endian;
     # impossible strings carry -inf.
     with np.errstate(divide="ignore"):
-        logp = np.log2(np.clip(np.asarray(weights, dtype=float), 0.0, None))
+        logp = np.log2(weights)
     out = np.zeros(1)
     for _ in range(n):
         out = (out[:, None] + logp[None, :]).ravel()
@@ -439,8 +438,7 @@ def code_metrics(code, state):
         )
     if not is_prefix_free(code):
         raise ValueError("expected-length bounds require a prefix-free code")
-    w = np.clip(np.asarray(state.weights, dtype=float), 0.0, None)
-    expected = float(np.dot(w, np.array(code.lengths, dtype=float)))
+    expected = float(np.dot(state.weights, np.array(code.lengths, dtype=float)))
     return CodeMetrics(expected_length=expected,
                        bound_value=expected - entropy(state, code.alphabet_size))
 
@@ -460,7 +458,7 @@ def huffman_code(state, alphabet_size=2):
     d = state.algebra.dim
     if d == 1:
         return Code(("0",), n)
-    weights = np.clip(np.asarray(state.weights, dtype=float), 0.0, None)
+    weights = state.weights
     # pad with zero-weight dummies so every merge takes exactly n nodes
     pad = (1 - d) % (n - 1)
     heap = [(float(weights[i]), i) for i in range(d)]

@@ -67,6 +67,8 @@ class State(_ArrayValue):
             raise ValueError("state weights must be nonnegative")
         if abs(total - 1.0) > t:
             raise ValueError("state weights must sum to 1 (got %.17g)" % total)
+        if min(values) < 0.0:  # weights the tolerance admits below zero
+            w[w < 0.0] = 0.0
         w.setflags(write=False)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "weights", w)

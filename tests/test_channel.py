@@ -1,6 +1,7 @@
 """Unit tests for channels, joint states, capacity, and random coding."""
 
 import functools
+import hashlib
 import json
 import math
 import time
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cstar_info import channel as channel_module
@@ -42,7 +43,7 @@ from cstar_info.channel import (
     push_state,
     useless_channel,
 )
-from cstar_info.information import entropy
+from cstar_info.information import entropy, huffman_code
 from cstar_info.probability import State
 
 RNG = np.random.default_rng(90125)
@@ -127,6 +128,21 @@ def test_push_state_duality():
         q = push_state(c, omega)
         y = Element(c.output_algebra(), RNG.uniform(-2, 2, n) + 1j * RNG.uniform(-2, 2, n))
         assert omega(apply_channel(c, y)) == pytest.approx(q(y), abs=1e-12)
+
+
+
+def test_derived_states_admit_inputs_within_tolerance():
+    # each input is within EQ_TOL of summing to 1, their product is off by
+    # 1.8e-9; the derived states keep the product's weights as they are
+    c = useless_channel([0.5000000009, 0.5])
+    omega = State(AtomicAlgebra(2), [0.5000000009, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(push_state(c, omega).weights, omega.weights @ c.matrix)
+        js = JointState(c, omega, 2)
+        assert np.array_equal(js.pair_state.weights, (omega.weights[:, None] * c.matrix).T.ravel())
+        assert joint(c, omega, 2).state.level == 2
+        assert classify(c, omega).kind == "useless"
 
 
 # joint states ---------------------------------------------------------------------
@@ -508,6 +524,33 @@ def test_capacity_zero_output_column():
     assert np.array_equal(got.optimal_input.weights, want.optimal_input.weights)
 
 
+
+def test_weights_admitted_below_zero_are_stored_as_zeros():
+    state = State(AtomicAlgebra(2), [1 + 1e-10, -1e-10])
+    assert state.weights[1] == 0.0 and not np.signbit(state.weights[1])
+    # -0.0 is not below zero and keeps its bits
+    assert np.signbit(State(AtomicAlgebra(2), [1.0, -0.0]).weights[1])
+    assert np.signbit(Channel([[1.0, -0.0], [0.5, 0.5]]).matrix[0, 1])
+    tilted = Channel([[1.0, 0.0, 0.0], [0.0, 1.0 + 1e-10, -1e-10]])
+    assert tilted.matrix[1, 2] == 0.0
+    # the values the readers gave when each clipped the weights itself
+    assert entropy(state) == -1.4426951603302212e-10
+    assert huffman_code(state).words == ("1", "0")
+    assert tuple(info_metrics(bsc(0.1), state)) == (
+        -1.4426951603302212e-10, 0.4689955934919112, 0.0, -1.4426951603302212e-10)
+    result = capacity(tilted)
+    assert (result.capacity, result.iterations, result.gap) == (1.00000000005, 1, 5.000000413701855e-11)
+    assert result.optimal_input.weights.tolist() == [0.5, 0.5]
+    with pytest.warns(UserWarning, match="zero mass"):  # every codeword is 0000
+        (trial,) = coding_experiment(bsc(0.05), state, 0.5, ks=[4], trials=1, seed=0)
+    assert (trial.deviation, trial.error_prob) == (1.1280093750000002, 0.7500000000000001)
+    # the tilted row's likelihoods no longer exceed its row sum, so the error is
+    # not negative
+    (trial,) = coding_experiment(tilted, State.uniform(AtomicAlgebra(2)), 0.5, ks=[4],
+                                 trials=1, seed=0)
+    assert (trial.deviation, trial.error_prob) == (2.5000002068509275e-10, 0.0)
+
+
 def test_capacity_survives_an_output_law_that_underflows():
     # A near-uniform extra input, the only one to reach an output of weight
     # 1e-300, decays geometrically; that output's q_j underflows to 0 within
@@ -884,6 +927,26 @@ def test_coding_trial_memory_stays_below_the_table():
     assert result.error_prob == 0.9997979332373419
 
 
+
+def test_dense_decoder_is_pinned_and_peaks_near_two_tables():
+    # the rows and the decoder, then the decoder and the channel's copy of it
+    omega = State.uniform(AtomicAlgebra(2))
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="zero mass"):
+            _, lossless = build_code_and_decoder(bsc(0.05), omega, k=10, rate=0.99, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lossless.matrix.shape == (955, 1024)
+    assert peak <= 2.5 * lossless.matrix.nbytes
+    # bit for bit
+    digest = hashlib.sha256(lossless.matrix.tobytes()).hexdigest()
+    assert digest == "ccdeb4b1307e65c975127477ad170603b2eacef495d8b4c8e15712b66a8a3e6f"
+    digest = hashlib.sha256(np.array(lossless.decision, dtype=np.int64).tobytes()).hexdigest()
+    assert digest == "6afd6b512399b614f71e6a0a2d46ca737dea867e4955e073db7ecad4609db9e7"
+
+
 def _block_widths(matrix, codebook):
     # the width of every likelihood block _streamed_trial asks for, per pass
     widths = []
@@ -939,6 +1002,52 @@ def test_uniform_row_gap_is_the_dense_row_gap(case):
     assert np.array_equal(fallback, (mass <= 0.0) & (owned == 0))
     want = np.abs(rows - 1.0 / rows.shape[1]).sum(axis=1)
     assert np.all(np.abs(gap[fallback] - want[fallback]) <= 1e-12)
+
+
+
+def _decoder_by_strings(rows):
+    # one output string at a time: the first codeword of greatest likelihood
+    # takes the string; a row without mass is uniform on the strings it owns,
+    # or on every string when it owns none
+    r, size = rows.shape
+    decision = np.zeros(size, dtype=np.int64)
+    decoder = np.zeros((r, size))
+    masses = np.zeros(r)
+    for y in range(size):
+        best = 0
+        for j in range(1, r):
+            if rows[j, y] > rows[best, y]:
+                best = j
+        decision[y] = best
+        decoder[best, y] = rows[best, y]
+        masses[best] += rows[best, y]
+    for j in range(r):
+        block = decision == j
+        if masses[j] > 0.0:
+            decoder[j] /= masses[j]
+        elif block.any():
+            decoder[j, block] = 1.0 / block.sum()
+        else:
+            decoder[j] = 1.0 / size
+    return decision, decoder, masses
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coding_cases())
+# codeword 0 owns only output 2, which no codeword reaches
+@example((np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[0], [1], [2]])))
+def test_dense_decoder_matches_a_per_string_loop(case):
+    rows = _block_rows(*case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        decision, decoder, masses = _decoder_from_rows(rows)
+    want_decision, want_decoder, want_masses = _decoder_by_strings(rows)
+    assert np.array_equal(decision, want_decision)
+    fallback = want_masses <= 0.0
+    assert np.array_equal(masses <= 0.0, fallback)
+    assert np.array_equal(decoder[fallback], want_decoder[fallback])
+    assert np.all(np.abs(decoder - want_decoder) <= 1e-15)
+    assert np.all(np.abs(masses - want_masses) <= 1e-15)
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.58, 0.42)])

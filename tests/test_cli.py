@@ -369,6 +369,18 @@ def test_channel_info_with_and_without_state(tmp_path):
     assert row["h_input"] == pytest.approx(1.0, abs=1e-12)
 
 
+
+def test_channel_info_admits_a_state_and_channel_each_within_tolerance(tmp_path):
+    # the joint state's weights sum to 1 + 1.8e-9, twice the tolerance of
+    # either input; it is a product of admitted inputs and is admitted too
+    code, path = run(tmp_path, ["channel-info", "--channel", "useless(0.5000000009,0.5)",
+                                "--state", "0.5000000009,0.5"], "ci.json")
+    assert code == 0
+    row = read_artifact(str(path))["results"][0]
+    assert row["kind"] == "useless"
+    assert row["h_input_given_output"] == pytest.approx(1.0, abs=1e-8)
+
+
 def test_lln_rows_track_variance(tmp_path):
     code, path = run(tmp_path, ["lln", "--p", "0.5,0.5", "--n", "1,4,16", "--eps", "0.5"], "l.json")
     assert code == 0
