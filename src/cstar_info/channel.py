@@ -23,15 +23,17 @@ The block channel is the k-fold tensor power of the channel, so a
 likelihood is the product of two half powers, L(y) = H(y_head) T(y_tail),
 over the first ceil(k/2) and the last floor(k/2) output symbols.  A trial
 builds the half table T once and forms each of the u * n**k likelihoods
-with about one multiplication, in blocks of at most ``STREAM_BLOCK_ENTRIES``
-entries (one output string when u alone is more).  H streams in one flat
-loop over row prefixes: a prefix's lead row, the product of its symbols'
-factors, grows by the last head symbols into a run of H rows.  A trial
-keeps only per-codeword sums, so its memory is the two half tables (T
-whole, H one block at a time) plus the k * n * u entries of the per-symbol
-likelihood factors, never u * n**k.  The uniform-row gap of a codeword
-that owns no output string depends only on its type (its sorted symbols),
-so a second pass covers one word per type.
+with about one multiplication, in blocks of at most
+``STREAM_BLOCK_ENTRIES`` entries (one output string when u alone is more).
+H streams in one flat loop over row prefixes: a prefix's lead row, the
+product of its symbols' factors, reuses the partial products over the
+leading symbols it shares with the previous prefix and grows by the last
+head symbols into a run of H rows.  A trial keeps only per-codeword sums,
+so its memory is the two half tables (T whole, H one block at a time) plus
+the k * n * u entries of the per-symbol likelihood factors, never u * n**k.
+The uniform-row gap of a codeword that owns no output string depends only
+on its type (its sorted symbols), so a second pass covers one word per
+type.
 
 The dense decoder (``build_code_and_decoder``) holds the r x n**k rows and
 one decoder table filled and divided in place, then drops the rows before
@@ -62,7 +64,7 @@ from .algebra import (
     tensor_power,
 )
 from .information import _entropy_bits
-from .probability import ProductState, State, independence_test
+from .probability import ProductState, State
 
 # A coding trial evaluates r * n**k likelihoods; the guard bounds that work
 # at 2**(guard + 2).
@@ -321,15 +323,12 @@ def classify(channel, omega=None, tol=None, rank_tol=1e-8):
 
 
 def _verify_useless_independence(channel, omega, tol):
-    # On the level-1 joint state the input and output factor subalgebras
-    # must be independent for a rank-1 channel.
-    js = JointState(channel, omega, 1)
-    m, n = channel.input_dim, channel.output_dim
-    pair = js.pair_algebra
-    out_gen = Element(pair, np.repeat(np.arange(n, dtype=float), m))
-    in_gen = Element(pair, np.tile(np.arange(m, dtype=float), n))
-    flag, _ = independence_test([out_gen], [in_gen], js.pair_state, tol=max(tol, 1e-9))
-    if not flag:
+    # For a rank-1 channel input and output must be independent: the
+    # level-1 joint table is the product of its margins.
+    _check_input(channel, omega)
+    table = omega.weights[:, None] * channel.matrix
+    margins = np.outer(table.sum(axis=1), table.sum(axis=0))
+    if np.any(np.abs(table - margins) > max(tol, 1e-9)):
         warnings.warn("rank-1 channel failed the joint independence check")
 
 
@@ -431,16 +430,11 @@ class LosslessChannel:
     decision: tuple
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = Channel(self.matrix).matrix  # a checked, read-only copy
         if len(self.decision) != mat.shape[1]:
             raise ValueError("need one decision per output string")
         if any(not 0 <= int(i) < mat.shape[0] for i in self.decision):
             raise ValueError("decision indices out of range")
-        sums = mat.sum(axis=1)
-        if float(np.max(np.abs(sums - 1.0))) > EQ_TOL:
-            raise ValueError("decoder rows must sum to 1")
-        mat = mat.copy()
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "decision", tuple(int(i) for i in self.decision))
 
@@ -534,11 +528,18 @@ def _likelihood_blocks(factors):
     while t < half and n ** (t + 1) * tail.size <= STREAM_BLOCK_ENTRIES:
         t += 1
     step = max(1, STREAM_BLOCK_ENTRIES // r)  # T rows per block
+    # leads[i] is the product over the prefix's first i symbols; a prefix
+    # recomputes only from the first symbol that differs from the last one's
+    leads = [np.ones((1, r))]
+    symbols = []
     for prefix in range(n ** (half - t)):
-        lead = np.ones((1, r))
-        for factor, symbol in zip(factors, _digits(prefix, n, half - t)):
-            lead = lead * factor[symbol]
-        heads = _extend_columns(lead, factors[half - t : half])
+        previous, symbols = symbols, _digits(prefix, n, half - t)
+        kept = next((i for i, (a, b) in enumerate(zip(previous, symbols)) if a != b),
+                    len(previous))
+        del leads[kept + 1 :]
+        for factor, symbol in zip(factors[kept:], symbols[kept:]):
+            leads.append(leads[-1] * factor[symbol])
+        heads = _extend_columns(leads[-1], factors[half - t : half])
         for start in range(0, tail.shape[0], step):
             yield (heads[:, None, :] * tail[None, start : start + step, :]).reshape(-1, r)
 
@@ -664,19 +665,6 @@ class CodingExperimentResult:
     error_prob: float
     trial_deviations: tuple
     trial_error_probs: tuple
-
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "rate": self.rate,
-            "codebook_size": self.codebook_size,
-            "trials": self.trials,
-            "seed": self.seed,
-            "deviation": self.deviation,
-            "error_prob": self.error_prob,
-            "trial_deviations": list(self.trial_deviations),
-            "trial_error_probs": list(self.trial_error_probs),
-        }
 
 
 def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=None):

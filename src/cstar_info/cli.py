@@ -12,6 +12,7 @@ JSON object on standard error.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -389,7 +390,7 @@ def _run_aep(config):
     rows = []
     for n in config["n"]:
         report = aep_typical_set(source, n, config["eps"], guard_bits=_guard_bits(config))
-        rows.append(report.to_dict())
+        rows.append(dataclasses.asdict(report))
     return rows, None
 
 

@@ -108,19 +108,6 @@ class TypicalSetReport:
     mass_ok: bool
     count_ok: bool
 
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "eps": self.eps,
-            "entropy": self.entropy,
-            "count": self.count,
-            "prob_mass": self.prob_mass,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "mass_ok": self.mass_ok,
-            "count_ok": self.count_ok,
-        }
-
 
 def _block_args(n, eps):
     n = int(n)

@@ -7,10 +7,15 @@ when it is multiplicative.  On tensor powers, product states evaluate
 elementary tensors factor by factor, with a designated tail state for
 positions beyond the explicit factors.
 
-Distributions of self-adjoint elements are pushforwards of the weights onto
-the coefficient values.  Averages of independent copies of an observable are
-handled by exact convolution of that pushforward, which keeps moment and
-tail computations for the weak law exact up to float rounding.
+A unital subalgebra is a partition of the atoms; the one generated by
+self-adjoint elements merges the atoms on which every generator takes one
+value (within tol).  Two subalgebras are independent under a state when the
+joint table of their partitions is the product of its margins, and the
+distribution of self-adjoint elements pushes the weights onto the blocks of
+the subalgebra they generate.  Averages of independent copies of an
+observable are handled by exact convolution of that pushforward, which
+keeps moment and tail computations for the weak law exact up to float
+rounding.
 """
 
 from __future__ import annotations
@@ -234,6 +239,25 @@ class Subalgebra:
         return True
 
 
+def _partition(generators, algebra, tol, what="generators"):
+    # Atoms share a block when every generator puts them in one tol-cluster.
+    # Returns the per-generator cluster ids, each atom's block label and each
+    # block's first atom; blocks are numbered by their first atom, and no
+    # generators give one block.
+    ids = []
+    for g in generators:
+        if g.algebra != algebra:
+            raise AlgebraMismatch("generators live on different algebras")
+        if not g.is_self_adjoint(tol):
+            raise ValueError("%s must be self-adjoint" % what)
+        ids.append(_cluster_ids(g.coeffs.real, tol))
+    keys = np.array(ids, dtype=int).reshape(len(ids), algebra.dim).T
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    # the inverse's shape varies across numpy 2.x, as in _block_strings
+    return ids, np.argsort(order)[inverse.ravel()], first[order]
+
+
 def generated_subalgebra(generators, algebra=None, tol=None):
     """Smallest unital subalgebra containing the given self-adjoint elements.
 
@@ -242,44 +266,37 @@ def generated_subalgebra(generators, algebra=None, tol=None):
     block, so ``algebra`` must then be supplied.
     """
     generators = tuple(generators)
-    t = _tol(tol)
     if algebra is None:
         if not generators:
             raise ValueError("need an algebra when the generator set is empty")
         algebra = generators[0].algebra
-    keys = [()] * algebra.dim
-    for g in generators:
-        if g.algebra != algebra:
-            raise AlgebraMismatch("generators live on different algebras")
-        if not g.is_self_adjoint(t):
-            raise ValueError("generators must be self-adjoint")
-        ids = _cluster_ids(g.coeffs.real, t)
-        keys = [key + (int(ids[i]),) for i, key in enumerate(keys)]
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    blocks = sorted((tuple(v) for v in groups.values()), key=lambda b: b[0])
-    return Subalgebra(algebra, tuple(blocks))
+    _, labels, _ = _partition(generators, algebra, _tol(tol))
+    atoms = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels))[:-1]
+    return Subalgebra(algebra, tuple(tuple(b.tolist()) for b in np.split(atoms, ends)))
 
 
 def independence_test(gens_a, gens_b, omega, tol=None):
     """Check whether two generated subalgebras are independent under omega.
 
     Independence means the state factors over products of block projections:
-    ``omega(P Q) = omega(P) omega(Q)`` for every pair.  Returns ``(flag,
-    witness)`` where the witness is an offending ``(P, Q)`` pair, if any.
+    ``omega(P Q) = omega(P) omega(Q)`` for every pair, that is, the joint
+    table of the two atom partitions is the product of its margins.  Returns
+    ``(flag, witness)`` where the witness is the first offending ``(P, Q)``
+    pair in row-major block order, if any.
     """
     t = _tol(tol)
-    sub_a = generated_subalgebra(gens_a, algebra=omega.algebra, tol=t)
-    sub_b = generated_subalgebra(gens_b, algebra=omega.algebra, tol=t)
-    for p in sub_a.block_projections():
-        wp = omega(p).real
-        for q in sub_b.block_projections():
-            lhs = omega(p * q).real
-            rhs = wp * omega(q).real
-            if abs(lhs - rhs) > t:
-                return False, (p, q)
-    return True, None
+    algebra = omega.algebra
+    _, rows, firsts_a = _partition(gens_a, algebra, t)
+    _, cols, firsts_b = _partition(gens_b, algebra, t)
+    shape = (firsts_a.size, firsts_b.size)
+    table = np.bincount(rows * shape[1] + cols, omega.weights, shape[0] * shape[1]).reshape(shape)
+    off = np.abs(table - np.outer(table.sum(axis=1), table.sum(axis=0))) > t
+    if not off.any():
+        return True, None
+    i, j = np.unravel_index(np.argmax(off), shape)
+    return False, (Element(algebra, (rows == i).astype(complex)),
+                   Element(algebra, (cols == j).astype(complex)))
 
 
 # distributions --------------------------------------------------------------
@@ -338,27 +355,13 @@ class Distribution:
         return cls(tuple(sorted(atoms, key=lambda a: a[0])), description)
 
 
-def _generator_clusters(gens, tol):
-    reps = []
-    ids = []
-    for g in gens:
-        if not g.is_self_adjoint(tol):
-            raise ValueError("observables must be self-adjoint")
-        labels = _cluster_ids(g.coeffs.real, tol)
-        rep = {}
-        for i, lab in enumerate(labels):
-            rep.setdefault(int(lab), float(g.coeffs.real[i]))
-        reps.append(rep)
-        ids.append(labels)
-    return reps, ids
-
-
 def distribution_of(gens, omega, tol=None):
     """Joint pushforward distribution of self-adjoint elements under omega.
 
     Atom ``i`` contributes its weight to the value vector ``(g(i) for g in
     gens)``; coefficients equal within tol are identified (the cluster takes
-    the value of its lowest atom).
+    the value of its lowest atom).  The atoms of the distribution are the
+    blocks of the subalgebra the observables generate.
     """
     gens = tuple(gens)
     if not gens:
@@ -367,16 +370,16 @@ def distribution_of(gens, omega, tol=None):
     for g in gens:
         if g.algebra != omega.algebra:
             raise AlgebraMismatch("observable and state algebras differ")
-    reps, ids = _generator_clusters(gens, t)
-    acc = {}
-    for i in range(omega.algebra.dim):
-        key = tuple(int(labels[i]) for labels in ids)
-        acc[key] = acc.get(key, 0.0) + float(omega.weights[i])
-    atoms = []
-    for key, mass in acc.items():
-        values = tuple(reps[k][lab] for k, lab in enumerate(key))
-        atoms.append((values[0] if len(gens) == 1 else values, mass))
-    atoms.sort(key=lambda a: a[0])
+    ids, labels, firsts = _partition(gens, omega.algebra, t, "observables")
+    values = []
+    for g, clusters in zip(gens, ids):
+        # a generator's value on a block: its coefficient at the lowest atom
+        # of its cluster there
+        lowest = np.unique(clusters, return_index=True)[1]
+        values.append(g.coeffs.real[lowest[clusters[firsts]]].tolist())
+    masses = np.bincount(labels, omega.weights).tolist()
+    points = values[0] if len(gens) == 1 else list(zip(*values))
+    atoms = sorted(zip(points, masses), key=lambda a: a[0])
     names = "joint of %d observables" % len(gens) if len(gens) > 1 else "observable"
     return Distribution(tuple(atoms), names)
 

@@ -672,6 +672,11 @@ def test_lossless_channel_validation():
         LosslessChannel(np.array([[0.5, 0.5]]), (0,))
     with pytest.raises(ValueError):
         LosslessChannel(np.array([[0.5, 0.5]]), (0, 1))
+    # the rules of every stochastic matrix, as Channel refuses them
+    with pytest.raises(ValueError):
+        LosslessChannel(np.array([[np.nan, 1.0]]), (0, 0))
+    with pytest.raises(ValueError):
+        LosslessChannel(np.array([[1.5, -0.5]]), (0, 0))
 
 
 def test_deviation_equals_twice_error():
@@ -1005,14 +1010,19 @@ def test_uniform_row_gap_is_the_dense_row_gap(case):
 
 
 
+def _normalized(rows):
+    mat = np.array(rows)
+    return Channel(mat / mat.sum(axis=1, keepdims=True)).matrix
+
+
 def _decoder_by_strings(rows):
     # one output string at a time: the first codeword of greatest likelihood
-    # takes the string; a row without mass is uniform on the strings it owns,
-    # or on every string when it owns none
+    # takes the string; a row's mass is the correctly rounded sum of the
+    # likelihoods it owns; a row without mass is uniform on the strings it
+    # owns, or on every string when it owns none
     r, size = rows.shape
     decision = np.zeros(size, dtype=np.int64)
     decoder = np.zeros((r, size))
-    masses = np.zeros(r)
     for y in range(size):
         best = 0
         for j in range(1, r):
@@ -1020,7 +1030,7 @@ def _decoder_by_strings(rows):
                 best = j
         decision[y] = best
         decoder[best, y] = rows[best, y]
-        masses[best] += rows[best, y]
+    masses = np.array([math.fsum(decoder[j]) for j in range(r)])
     for j in range(r):
         block = decision == j
         if masses[j] > 0.0:
@@ -1036,6 +1046,9 @@ def _decoder_by_strings(rows):
 @given(_coding_cases())
 # codeword 0 owns only output 2, which no codeword reaches
 @example((np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[0], [1], [2]])))
+# 81 output strings whose masses a sequential sum misses by 1.1e-15
+@example((_normalized([[0.05, 0.0, 0.1], [3.0, 0.05, 0.05]]),
+          np.array([[1, 1, 1, 0], [0, 0, 0, 0]])))
 def test_dense_decoder_matches_a_per_string_loop(case):
     rows = _block_rows(*case)
     with warnings.catch_warnings():
@@ -1046,8 +1059,12 @@ def test_dense_decoder_matches_a_per_string_loop(case):
     fallback = want_masses <= 0.0
     assert np.array_equal(masses <= 0.0, fallback)
     assert np.array_equal(decoder[fallback], want_decoder[fallback])
-    assert np.all(np.abs(decoder - want_decoder) <= 1e-15)
-    assert np.all(np.abs(masses - want_masses) <= 1e-15)
+    # a sum of `size` nonnegative terms, in any order, is within
+    # size * 2**-53 of the exact one relative to it; a decoder entry divides
+    # by that sum and rounds once more
+    size = rows.shape[1]
+    assert np.all(np.abs(masses - want_masses) <= size * 2.0 ** -53 * want_masses)
+    assert np.all(np.abs(decoder - want_decoder) <= (size + 2) * 2.0 ** -53 * want_decoder)
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.58, 0.42)])

@@ -7,8 +7,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cstar_info.algebra import AlgebraMismatch, AtomicAlgebra, Element, embed_at, tensor_product
+from cstar_info.algebra import (
+    EQ_TOL,
+    AlgebraMismatch,
+    AtomicAlgebra,
+    Element,
+    embed_at,
+    tensor_product,
+)
 from cstar_info.probability import (
     Distribution,
     ProductState,
@@ -226,6 +235,107 @@ def test_independence_against_scalars():
     gen = Element(alg, [0.0, 1.0, 2.0, 3.0])
     flag, _ = independence_test([], [gen], omega)
     assert flag
+
+
+# A coefficient grid with chains spaced 0.4 EQ_TOL: three steps stay one
+# cluster though their ends lie 1.2 EQ_TOL apart.
+_CHAINED = [v + k * 0.4 * EQ_TOL for v in (-0.5, 0.0, 1.0) for k in range(4)]
+
+
+@st.composite
+def _partition_cases(draw):
+    d = draw(st.integers(1, 8))
+    alg = AtomicAlgebra(d)
+
+    def generators(least):
+        count = draw(st.integers(least, 3))
+        return [Element(alg, draw(st.lists(st.sampled_from(_CHAINED), min_size=d, max_size=d)))
+                for _ in range(count)]
+
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0]),
+                                     min_size=d, max_size=d)))
+    if not weights.any():
+        weights[draw(st.integers(0, d - 1))] = 1.0
+    return generators(1), generators(0), State(alg, weights / weights.sum())
+
+
+@st.composite
+def _near_product_cases(draw):
+    # A product state on a rows x cols grid of atoms with a few EQ_TOL of
+    # mass moved between two atoms, against the row and column generators:
+    # joint tables on both sides of the tolerance.  The moved masses have
+    # prime factors no grid sum has, so no table deviation lands within
+    # rounding of the tolerance.
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    grid = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    weights = np.outer(draw(st.lists(grid, min_size=rows, max_size=rows)),
+                       draw(st.lists(grid, min_size=cols, max_size=cols))).ravel()
+    if not weights.any():
+        weights[draw(st.integers(0, rows * cols - 1))] = 1.0
+    weights /= weights.sum()
+    moved = draw(st.sampled_from([0.0, 0.53, 1.7, 3.7])) * EQ_TOL
+    weights[draw(st.sampled_from(np.flatnonzero(weights).tolist()))] -= moved
+    weights[draw(st.integers(0, rows * cols - 1))] += moved
+    alg = AtomicAlgebra(rows * cols)
+    row_gen, col_gen = _factor_generators(alg, rows, cols)
+    return [row_gen], [col_gen], State(alg, weights)
+
+
+def _blocks_by_atoms(gens, d, tol=EQ_TOL):
+    # two atoms share a block when every generator links them by a chain of
+    # steps of at most tol: a union-find over every pair of atoms
+    key = [()] * d
+    for g in gens:
+        values = g.coeffs.real
+        root = list(range(d))
+
+        def find(i):
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        for i in range(d):
+            for j in range(d):
+                if abs(values[i] - values[j]) <= tol:
+                    root[find(i)] = find(j)
+        key = [key[i] + (find(i),) for i in range(d)]
+    blocks = {}
+    for i in range(d):
+        blocks.setdefault(key[i], []).append(i)
+    return sorted(tuple(b) for b in blocks.values())
+
+
+def _independent_by_atoms(blocks_a, blocks_b, weights, tol=EQ_TOL):
+    for p in blocks_a:
+        for q in blocks_b:
+            both = sum(weights[i] for i in p if i in q)
+            if abs(both - sum(weights[i] for i in p) * sum(weights[i] for i in q)) > tol:
+                return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_partition_cases(), _near_product_cases()))
+def test_one_partition_behind_subalgebra_distribution_and_independence(case):
+    gens, others, omega = case
+    d = omega.algebra.dim
+    sub = generated_subalgebra(gens)
+    assert list(sub.blocks) == _blocks_by_atoms(gens, d)
+    assert sub.dim == len(distribution_of(gens, omega).atoms)
+    for g in gens:
+        values = np.sort(g.coeffs.real)
+        for block in sub.blocks:
+            # constant within tol: a chain of steps of at most tol, through
+            # the generator's values on any atoms, spans the block's values
+            on_block = g.coeffs.real[list(block)]
+            chain = values[(values >= on_block.min()) & (values <= on_block.max())]
+            assert np.all(np.diff(chain) <= EQ_TOL)
+    flag, witness = independence_test(gens, others, omega)
+    blocks_b = _blocks_by_atoms(others, d)
+    assert flag == _independent_by_atoms(sub.blocks, blocks_b, omega.weights)
+    if witness is not None:
+        p, q = witness
+        assert abs(omega(p * q) - omega(p) * omega(q)) > EQ_TOL
 
 
 # distributions ---------------------------------------------------------------
