@@ -100,9 +100,9 @@ class _Frozen:
             object.__setattr__(self, name, value)
 
 
-class _ArrayValue(_Frozen):
-    """Frozen value that is equal to another of its type exactly when both
-    ``_identity()`` pairs ``(key, array)`` have equal keys and arrays."""
+class _Value(_Frozen):
+    """Frozen value equal to another of its type when both ``_identity()``
+    pairs ``(key, array)`` have equal keys and arrays (or None for both)."""
 
     __slots__ = ()
 
@@ -111,12 +111,12 @@ class _ArrayValue(_Frozen):
             return NotImplemented
         key, arr = self._identity()
         other_key, other_arr = other._identity()
-        return key == other_key and bool(np.array_equal(arr, other_arr))
+        return key == other_key and (arr is None or bool(np.array_equal(arr, other_arr)))
 
     def __hash__(self):
         key, arr = self._identity()
         # + 0.0 turns -0.0 into 0.0: equal values must hash alike
-        return hash((key, (arr + 0.0).tobytes()))
+        return hash(key if arr is None else (key, (arr + 0.0).tobytes()))
 
 
 def _check_dim(data, algebra):
@@ -167,7 +167,7 @@ def _call_scalar(f, value, domain_check):
     return out
 
 
-class AtomicAlgebra(_Frozen):
+class AtomicAlgebra(_Value):
     """A d-dimensional abelian C*-algebra presented by its atomic basis.
 
     ``labels``, when given, name the atoms (the alphabet of a source);
@@ -189,13 +189,8 @@ class AtomicAlgebra(_Frozen):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", labels)
 
-    def __eq__(self, other):
-        if not isinstance(other, AtomicAlgebra):
-            return NotImplemented
-        return self.dim == other.dim and self.labels == other.labels
-
-    def __hash__(self):
-        return hash((self.dim, self.labels))
+    def _identity(self):
+        return (self.dim, self.labels), None
 
     def __repr__(self):
         if self.labels is None:
@@ -221,7 +216,7 @@ class AtomicAlgebra(_Frozen):
         return Element(self, np.zeros(self.dim, dtype=complex))
 
 
-class Element(_ArrayValue):
+class Element(_Value):
     """``x = sum_i a_i e_i``: a coefficient vector over the atomic basis."""
 
     __slots__ = ("algebra", "coeffs")
@@ -239,7 +234,7 @@ class Element(_ArrayValue):
         object.__setattr__(self, "coeffs", arr)
 
     def _check_same(self, other):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraMismatch(
                 "operands live on %r and %r" % (self.algebra, other.algebra)
             )
@@ -356,7 +351,7 @@ class Element(_ArrayValue):
         return cls(algebra, coeffs)
 
 
-class MultiIndex(_Frozen):
+class MultiIndex(_Value):
     """Finite-support basis string of a tensor power.
 
     Stores sorted ``(position, atom_index)`` pairs with 1-based positions;
@@ -405,13 +400,8 @@ class MultiIndex(_Frozen):
         """Same string with every position moved by offset."""
         return MultiIndex(tuple((pos + offset, idx) for pos, idx in self.pairs))
 
-    def __eq__(self, other):
-        if not isinstance(other, MultiIndex):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
+    def _identity(self):
+        return self.pairs, None
 
     def __len__(self):
         return len(self.pairs)
@@ -561,13 +551,42 @@ def _broadcast_axes(support, d, level):
     return [grid[i] for i in keep], [shape[i] for i in keep]
 
 
+def _runs(rows):
+    # a stable big-endian sort of integer rows: the order, and where each
+    # run of equal rows starts along it
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ordered = rows[order]
+    starts = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    return order, starts
+
+
+def _kinds(words):
+    # first[j]: row j is the first of its kind; kind[j]: the index of row
+    # j's kind among the first rows, in index order
+    order, starts = _runs(words)
+    source = np.empty_like(order)
+    source[order] = order[starts][np.cumsum(starts) - 1]
+    first = source == np.arange(order.size)
+    return first, (np.cumsum(first) - 1)[source]
+
+
+def _string_bits(rows):
+    # log2 of the basis strings of a block before equal ones are summed: per
+    # row, the product over its positions of the nonzero atoms.  Summed in
+    # log2, so a 200-fold power cannot overflow.
+    counts = np.count_nonzero(rows, axis=2)
+    logs = np.log2(counts, out=np.full(counts.shape, -np.inf), where=counts > 0)
+    return np.logaddexp2.reduce(logs.sum(axis=1), initial=-np.inf)
+
+
 def _block_strings(rows):
     """Every basis string of a block as ``(atoms, coefficients)`` arrays.
 
     ``atoms[i, k]`` is the atom string i fixes at the block's k-th
     position.  A row yields the nonzero entries of its Kronecker product,
-    in big-endian order; with several rows, equal strings are summed and
-    all strings sorted big-endian.
+    in big-endian order; with several rows, equal strings are summed in
+    row order and all strings sorted big-endian.
     """
     nonzero = rows != 0
     radix = nonzero.sum(axis=2)
@@ -587,12 +606,15 @@ def _block_strings(rows):
             atoms = np.column_stack((atoms[pick], atom))
             coeffs = coeffs[pick] * rows[row, k, atom]
     if len(rows) > 1:
-        atoms, inverse = np.unique(atoms, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        coeffs = np.bincount(inverse, coeffs.real, len(atoms)) + 1j * np.bincount(
-            inverse, coeffs.imag, len(atoms)
-        )
+        order, starts = _runs(atoms)
+        atoms = atoms[order[starts]]
+        coeffs = _sums(np.cumsum(starts) - 1, coeffs[order], len(atoms))
     return atoms, coeffs
+
+
+def _sums(labels, values, size):
+    # complex values summed per label in order, which np.add.reduceat does not do
+    return np.bincount(labels, values.real, size) + 1j * np.bincount(labels, values.imag, size)
 
 
 def _tensor_element(factor_algebra, scalar, blocks):
@@ -605,7 +627,7 @@ def _tensor_element(factor_algebra, scalar, blocks):
     return t
 
 
-class TensorElement(_Frozen):
+class TensorElement(_Value):
     """Element of the tensor power of one atomic algebra.
 
     The element is stored as a sum of elementary tensors: a scalar multiple
@@ -631,7 +653,11 @@ class TensorElement(_Frozen):
     ``level`` is the largest position of a block that is not zero.  It is
     the largest position in ``terms`` unless every string coefficient of
     that block is below ``ZERO_TOL``, as in a high tensor power of a small
-    vector, whose trace and product-state values are still exact.
+    vector, whose trace and product-state values are still exact.  A
+    block that sums elementary tensors may cancel, so finding the level
+    expands it, behind the dense guard (``GUARD_BITS``, or the
+    ``guard_bits`` of ``dense``, ``norm``, ``spectrum``, ``equals`` and
+    ``apply``).
     """
 
     __slots__ = ("factor_algebra", "_scalar", "_blocks", "_cache")
@@ -685,21 +711,31 @@ class TensorElement(_Frozen):
             got = self._cache["terms"] = self._expand()
         return got
 
-    @property
-    def level(self):
+    def _level(self, guard_bits=None):
         got = self._cache.get("level")
         if got is None:
-            got = self._cache["level"] = self._top_position()
+            got = self._cache["level"] = self._top_position(guard_bits)
         return got
 
+    level = property(_level)
+
+    def _reach(self):
+        # the last explicit position: the level, unless a sum block there cancels
+        return max((support[-1] for support in self._blocks), default=0)
+
+    def _checked_level(self, level, guard_bits=None):
+        # level, by default the element's own; an explicit one past every
+        # block needs no check for cancellation
+        if level is None:
+            return self._level(guard_bits)
+        lvl = int(level)
+        if lvl < self._reach() and lvl < self._level(guard_bits):
+            raise ValueError("level %d below element support %d" % (lvl, self.level))
+        return lvl
+
     def _expand(self):
-        # an elementary tensor yields the product over its positions of the
-        # nonzero atoms; summed in log2, so a 200-fold power cannot overflow
-        bits = 0.0 if self._scalar else -math.inf
-        for rows in self._blocks.values():
-            counts = np.count_nonzero(rows, axis=2)
-            logs = np.log2(counts, out=np.full(counts.shape, -np.inf), where=counts > 0)
-            bits = np.logaddexp2.reduce(logs.sum(axis=1), initial=bits)
+        bits = np.logaddexp2.reduce([_string_bits(rows) for rows in self._blocks.values()],
+                                    initial=0.0 if self._scalar else -math.inf)
         _guard(bits, TERMS_GUARD_BITS, None, "basis strings in .terms")
         out = {}
         if abs(self._scalar) >= ZERO_TOL:
@@ -725,10 +761,11 @@ class TensorElement(_Frozen):
             self._cache.setdefault("masks", {})[support] = got
             return got
 
-    def _top_position(self):
+    def _top_position(self, guard_bits):
         # The largest position of a block that is not zero.  A single
         # elementary tensor is zero exactly when it vanishes at some
-        # position; a sum of them can cancel, so it is expanded.
+        # position; a sum of them can cancel, so it is expanded, behind the
+        # dense guard, as dense() expands it.
         top = 0
         for support, rows in self._blocks.items():
             if support[-1] <= top:
@@ -736,6 +773,7 @@ class TensorElement(_Frozen):
             if len(rows) == 1:
                 nonzero = rows[0].any(axis=1).all()
             else:
+                _guard(_string_bits(rows), GUARD_BITS, guard_bits, "basis strings in a sum block")
                 nonzero = _block_strings(rows)[1].any()
             if nonzero:
                 top = support[-1]
@@ -840,9 +878,7 @@ class TensorElement(_Frozen):
         the identity positions.
         """
         d = self.factor_algebra.dim
-        lvl = self.level if level is None else int(level)
-        if lvl < self.level:
-            raise ValueError("level %d below element support %d" % (lvl, self.level))
+        lvl = self._checked_level(level, guard_bits)
         check_guard(d, lvl, guard_bits)
         out = np.full(d ** lvl, self._scalar, dtype=complex)
         for support, rows in self._blocks.items():
@@ -853,10 +889,7 @@ class TensorElement(_Frozen):
             else:
                 atoms, coeffs = _block_strings(rows)
                 cells = atoms @ d ** np.arange(len(support) - 1, -1, -1)
-                size = d ** len(support)
-                block = np.bincount(cells, coeffs.real, size) + 1j * np.bincount(
-                    cells, coeffs.imag, size
-                )
+                block = _sums(cells, coeffs, d ** len(support))
             grid, shape = _broadcast_axes(support, d, lvl)
             out.reshape(grid)[...] += block.reshape(shape)
         return out
@@ -873,7 +906,7 @@ class TensorElement(_Frozen):
         Keeps the sparse term structure when every term is fully explicit
         and f maps 0 to 0; otherwise expands densely first (guarded).
         """
-        lvl = self.level
+        lvl = self._level(guard_bits)
         fully_explicit = all(len(i) == lvl for i in self.terms)
         if fully_explicit:
             f0 = _call_scalar(f, 0j, domain_check) if lvl > 0 else 0j
@@ -891,24 +924,19 @@ class TensorElement(_Frozen):
             return False
         if self.factor_algebra != other.factor_algebra:
             return False
-        lvl = max(self.level, other.level)
+        lvl = max(self._level(guard_bits), other._level(guard_bits))
         diff = self.dense(lvl, guard_bits) - other.dense(lvl, guard_bits)
         return float(np.max(np.abs(diff))) <= _tol(tol)
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.factor_algebra == other.factor_algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.factor_algebra, frozenset(self.terms.items())))
+    def _identity(self):
+        return (self.factor_algebra, frozenset(self.terms.items())), None
 
     def __repr__(self):
         count = sum(len(rows) for rows in self._blocks.values()) + (self._scalar != 0)
-        return "TensorElement(%r, %d elementary tensors, level %d)" % (
+        return "TensorElement(%r, %d elementary tensors, up to position %d)" % (
             self.factor_algebra,
             count,
-            self.level,
+            self._reach(),
         )
 
     # serialization --------------------------------------------------------
@@ -1030,17 +1058,17 @@ def trace(x, level=None):
     For tensor elements the trace is taken at ``level`` (default: the
     element's own level).  It factors: an elementary tensor with p explicit
     positions contributes the product of its factor traces times the
-    d**(level - p) strings it covers, so nothing is expanded.  A trace
-    beyond the float range raises ValueError.
+    d**(level - p) strings it covers, so nothing is expanded but, with no
+    ``level`` given, a sum of elementary tensors at the element's last
+    position, which may cancel (behind the dense guard).  A trace beyond
+    the float range raises ValueError.
     """
     if isinstance(x, Element):
         return complex(np.sum(x.coeffs))
     if not isinstance(x, TensorElement):
         raise TypeError("expected Element or TensorElement")
     d = x.factor_algebra.dim
-    lvl = x.level if level is None else int(level)
-    if lvl < x.level:
-        raise ValueError("level %d below element support %d" % (lvl, x.level))
+    lvl = x._checked_level(level)
     total = 0j
     for support, value in x.factor_sums():
         if support and support[-1] > lvl:

@@ -54,10 +54,11 @@ from .algebra import (
     AtomicAlgebra,
     Element,
     TensorElement,
-    _ArrayValue,
     _Frozen,
+    _Value,
     _digits,
     _guard,
+    _kinds,
     _positive,
     _tol,
     check_guard,
@@ -80,7 +81,7 @@ class ConvergenceError(RuntimeError):
     """Raised when an iterative solver stops short of its tolerance."""
 
 
-class Channel(_ArrayValue):
+class Channel(_Value):
     """Row-stochastic channel matrix, input-major: matrix[i][j] = C(y_j | x_i)."""
 
     __slots__ = ("matrix",)
@@ -219,7 +220,8 @@ class JointState(_Frozen):
         object.__setattr__(self, "pair_state", pair_state)
 
     def __call__(self, x):
-        if isinstance(x, TensorElement) and x.level > self.level:
+        # the last explicit position bounds the level and costs nothing
+        if isinstance(x, TensorElement) and x._reach() > self.level and x.level > self.level:
             raise ValueError("element level %d exceeds block length %d" % (x.level, self.level))
         if isinstance(x, Element):
             return self.pair_state(x)
@@ -417,8 +419,7 @@ def capacity(channel, tol=1e-9, max_iter=10000):
 # random coding ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LosslessChannel:
+class LosslessChannel(_Value):
     """Decoder channel induced by a codebook: block rows renormalized on
     their decision sets.
 
@@ -426,17 +427,16 @@ class LosslessChannel:
     ``matrix`` is r x n**k, one row per codeword.
     """
 
-    matrix: np.ndarray
-    decision: tuple
+    __slots__ = ("matrix", "decision")
 
-    def __post_init__(self):
-        mat = Channel(self.matrix).matrix  # a checked, read-only copy
-        if len(self.decision) != mat.shape[1]:
+    def __init__(self, matrix, decision):
+        mat = Channel(matrix).matrix  # a checked, read-only copy
+        if len(decision) != mat.shape[1]:
             raise ValueError("need one decision per output string")
-        if any(not 0 <= int(i) < mat.shape[0] for i in self.decision):
+        if any(not 0 <= int(i) < mat.shape[0] for i in decision):
             raise ValueError("decision indices out of range")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "decision", tuple(int(i) for i in self.decision))
+        object.__setattr__(self, "decision", tuple(int(i) for i in decision))
 
     @property
     def codebook_size(self):
@@ -450,6 +450,12 @@ class LosslessChannel:
 
     def as_channel(self):
         return Channel(self.matrix)
+
+    def _identity(self):
+        return self.decision, self.matrix
+
+    def __repr__(self):
+        return "LosslessChannel(%d codewords -> %d strings)" % self.matrix.shape
 
 
 def _codebook_size(k, rate, n, guard_bits):
@@ -481,20 +487,6 @@ def _sample_codebook(rng, weights, k, r):
     if r > m ** k:
         raise ValueError("codebook of %d words cannot fit %d**%d input strings" % (r, m, k))
     return rng.choice(m, size=(r, k), p=weights / weights.sum()).astype(np.int64)
-
-
-def _kinds(words):
-    # first[j]: word j is the first of its kind; kind[j]: the index of word
-    # j's kind among the first words, in index order.  A stable sort puts
-    # equal words next to each other in index order.
-    order = np.lexsort(words.T)
-    sorted_words = words[order]
-    head = np.ones(order.size, dtype=bool)
-    np.any(sorted_words[1:] != sorted_words[:-1], axis=1, out=head[1:])
-    source = np.empty_like(order)
-    source[order] = order[head][np.cumsum(head) - 1]
-    first = source == np.arange(order.size)
-    return first, (np.cumsum(first) - 1)[source]
 
 
 def _symbol_factors(matrix, codebook):

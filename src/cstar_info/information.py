@@ -35,6 +35,7 @@ from .algebra import (
     TERMS_GUARD_BITS,
     TensorElement,
     _Frozen,
+    _Value,
     _digits,
     _from_dense,
     _guard,
@@ -289,7 +290,7 @@ def aep_projection(source, n, eps, guard_bits=None):
 # prefix codes -----------------------------------------------------------------
 
 
-class Code(_Frozen):
+class Code(_Value):
     """A variable-length code: one digit string per source atom.
 
     Words are strings over the digits 0..alphabet_size-1 (alphabet sizes up
@@ -328,13 +329,8 @@ class Code(_Frozen):
     def is_prefix_free(self):
         return is_prefix_free(self)
 
-    def __eq__(self, other):
-        if not isinstance(other, Code):
-            return NotImplemented
-        return self.words == other.words and self.alphabet_size == other.alphabet_size
-
-    def __hash__(self):
-        return hash((self.words, self.alphabet_size))
+    def _identity(self):
+        return (self.words, self.alphabet_size), None
 
     def __repr__(self):
         return "Code(%r, alphabet_size=%d)" % (self.words, self.alphabet_size)

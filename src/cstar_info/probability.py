@@ -33,10 +33,11 @@ from .algebra import (
     AtomicAlgebra,
     Element,
     TensorElement,
-    _ArrayValue,
     _Frozen,
+    _Value,
     _check_dim,
     _guard,
+    _kinds,
     _positive,
     _tol,
 )
@@ -48,7 +49,7 @@ SWEEP_GUARD_BITS = 23
 _LOG_FLOAT_MAX = 709.0
 
 
-class State(_ArrayValue):
+class State(_Value):
     """Probability weights over the atoms: a positive unital functional."""
 
     __slots__ = ("algebra", "weights")
@@ -207,7 +208,8 @@ class Subalgebra:
     """Unital subalgebra of an atomic algebra, stored as its atom partition.
 
     ``blocks`` are the minimal projections: an element belongs to the
-    subalgebra exactly when its coefficients are constant on every block.
+    subalgebra exactly when its coefficients are constant on every block,
+    up to the clustering within tol that ``generated_subalgebra`` uses.
     """
 
     parent: AtomicAlgebra
@@ -231,12 +233,11 @@ class Subalgebra:
         return out
 
     def contains(self, x, tol=None):
+        # the real parts, and apart from them the imaginary parts, put each
+        # block in one cluster
         t = _tol(tol)
-        for block in self.blocks:
-            vals = x.coeffs[list(block)]
-            if np.max(np.abs(vals - vals[0])) > t:
-                return False
-        return True
+        ids = [_cluster_ids(part, t) for part in (x.coeffs.real, x.coeffs.imag)]
+        return all(np.ptp(i[list(block)]) == 0 for i in ids for block in self.blocks)
 
 
 def _partition(generators, algebra, tol, what="generators"):
@@ -251,11 +252,8 @@ def _partition(generators, algebra, tol, what="generators"):
         if not g.is_self_adjoint(tol):
             raise ValueError("%s must be self-adjoint" % what)
         ids.append(_cluster_ids(g.coeffs.real, tol))
-    keys = np.array(ids, dtype=int).reshape(len(ids), algebra.dim).T
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    # the inverse's shape varies across numpy 2.x, as in _block_strings
-    return ids, np.argsort(order)[inverse.ravel()], first[order]
+    first, labels = _kinds(np.array(ids, dtype=int).reshape(len(ids), algebra.dim).T)
+    return ids, labels, np.flatnonzero(first)
 
 
 def generated_subalgebra(generators, algebra=None, tol=None):

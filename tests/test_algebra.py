@@ -417,6 +417,37 @@ def test_terms_guard(monkeypatch):
         (four + embed_at(half, 5)).terms  # 16 + 2 strings
 
 
+def test_level_of_a_sum_block_is_guarded(monkeypatch):
+    # .level expands a block that sums elementary tensors, to see whether
+    # it cancels; it counts the strings first, behind the dense guard
+    half = Element(AtomicAlgebra(2), [0.5, 0.5])
+    x = tensor_power(half, 16)
+    assert (x + x).level == 16
+    x = tensor_power(half, 26)
+    start = time.perf_counter()
+    for read in (lambda: (x + x).level, lambda: (x + x).dense(), lambda: trace(x + x)):
+        with pytest.raises(GuardExceeded, match="2\\^27 basis strings in a sum block"):
+            read()
+    # an explicit level past the last position, and repr, need no such check
+    assert trace(x + x, level=26) == pytest.approx(2.0)
+    assert repr(x + x).endswith("2 elementary tensors, up to position 26)")
+    assert time.perf_counter() - start < 0.1
+    # Between the .terms guard and the dense guard the check passes, and
+    # guard_bits lifts it; both guards scaled down by 16 bits
+    monkeypatch.setattr(algebra, "TERMS_GUARD_BITS", 4)
+    monkeypatch.setattr(algebra, "GUARD_BITS", 8)
+    x = tensor_power(half, 7)  # x + x: 2^8 strings
+    assert (x + x).level == 7
+    assert (x + x).norm() == pytest.approx(2.0 ** -6)
+    assert (x + x).equals(2.0 * x)
+    assert trace(x + x) == pytest.approx(2.0)
+    x = tensor_power(half, 8)  # 2^9 strings, 2^8 entries in dense()
+    with pytest.raises(GuardExceeded, match="2\\^9 basis strings in a sum block; guard is 2\\^8"):
+        (x + x).norm()
+    assert (x + x).norm(guard_bits=9) == pytest.approx(2.0 ** -7)
+    assert (x + x).equals(2.0 * x, guard_bits=9)
+
+
 def test_tensor_apply_projection_identity():
     alg = AtomicAlgebra(2)
     q = tensor_product(alg.atom(0), alg.atom(1)) + tensor_product(alg.atom(1), alg.atom(0))

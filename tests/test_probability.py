@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cstar_info.algebra import (
@@ -336,6 +336,26 @@ def test_one_partition_behind_subalgebra_distribution_and_independence(case):
     if witness is not None:
         p, q = witness
         assert abs(omega(p * q) - omega(p) * omega(q)) > EQ_TOL
+
+
+_A4 = AtomicAlgebra(4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_partition_cases())
+# one block whose values chain over 1.2 EQ_TOL
+@example(([Element(_A4, [0, 4e-10, 8e-10, 1.2e-9])], [], State(_A4, [0.25] * 4)))
+def test_a_generated_subalgebra_contains_its_generators(case):
+    gens, others, _ = case
+    alg = gens[0].algebra
+    sub = generated_subalgebra(gens + others)
+    for g in gens + others:
+        assert sub.contains(g)
+        assert sub.contains(Element(alg, 1j * g.coeffs))
+    for p in sub.block_projections():
+        assert sub.contains(p)
+    for i in range(alg.dim):
+        assert sub.contains(alg.atom(i)) == ((i,) in sub.blocks)
 
 
 # distributions ---------------------------------------------------------------

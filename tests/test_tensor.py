@@ -1,6 +1,7 @@
 """The factored tensor layer against the basis-string oracle in tensor_oracle."""
 
 import functools
+import math
 import operator
 from unittest import mock
 
@@ -12,6 +13,7 @@ from cstar_info import algebra
 from cstar_info.algebra import (
     AtomicAlgebra,
     Element,
+    MultiIndex,
     TensorElement,
     embed_at,
     tensor_power,
@@ -29,9 +31,9 @@ WEIGHTS = st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any)
 
 
 @st.composite
-def programs(draw):
+def programs(draw, dims=st.integers(2, 4)):
     """A factor dimension and an expression tree over it."""
-    d = draw(st.integers(2, 4))
+    d = draw(dims)
     vec = st.lists(COEFFS, min_size=d, max_size=d)
     leaf = st.one_of(
         st.tuples(st.just("embed"), vec, st.integers(1, MAX_LEVEL)),
@@ -103,6 +105,49 @@ def test_factored_elements_agree_with_the_string_oracle(program, weight_rows):
         omega = ProductState(states[:-1], states[-1])
         want = oracle.product_state(lambda pos: omega.state_at(pos).weights)
         assert close(omega(x), want, scale)
+
+
+def _reflected(node):
+    # the same program with every vector's atoms in reverse order
+    op = node[0]
+    if op in ("embed", "power"):
+        return (op, node[1][::-1], node[2])
+    if op == "scalar":
+        return node
+    if op == "scale":
+        return (op, node[1], _reflected(node[2]))
+    return (op,) + tuple(_reflected(sub) for sub in node[1:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_equality_and_hash_follow_the_oracle_term_maps(data):
+    # == is "the same term map, coefficients exactly equal", whatever
+    # elementary tensors carry it; dyadic values keep both sides exact
+    d, tree = data.draw(programs())
+    (x, ox), (y, oy) = evaluate(d, tree), evaluate(d, data.draw(programs(st.just(d)))[1])
+    # self-adjoint with a real scalar part, so its conjugate differs from it
+    # by -0.0 in the scalar's imaginary part at least
+    r = x + x.star() + TensorElement.scalar(x.factor_algebra, 0.1)
+    o_r = ox + ox.star() + DictTensor.scalar(d, 0.1)
+    assert math.copysign(1.0, r.star().terms[MultiIndex()].imag) == -1.0
+    o_xy = ox * oy
+    pairs = [
+        ((x, ox), (y, oy)),
+        ((x, ox), evaluate(d, _reflected(tree))),
+        ((x, ox), (x + y - y, ox + oy + oy.scale(-1))),
+        ((x + y, ox + oy), (y + x, oy + ox)),
+        ((x * y, o_xy), (y * x, o_xy)),
+        ((x, ox), (x.star(), ox.star())),
+        ((r, o_r), (r.star(), o_r.star())),
+        # a scalar below ZERO_TOL is no term, nor is a zero elementary tensor
+        ((TensorElement.identity(x.factor_algebra) * 1e-16, DictTensor(d, {})),
+         (x * 0.0, DictTensor(d, {}))),
+    ]
+    for (a, oa), (b, ob) in pairs:
+        assert (a == b) == (oa.terms == ob.terms) == (b == a)
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 def _one_axis_per_position(support, d, level):

@@ -17,6 +17,7 @@ from cstar_info.algebra import (
     Element,
     GuardExceeded,
     MultiIndex,
+    _Frozen,
     embed_at,
     tensor_power,
 )
@@ -24,6 +25,7 @@ from cstar_info.channel import (
     Channel,
     ConvergenceError,
     JointState,
+    LosslessChannel,
     bsc,
     capacity,
     coding_experiment,
@@ -47,10 +49,23 @@ def _values():
         "Channel": bsc(0.1),
         "Source": Source.from_weights([0.5, 0.5], labels="ab"),
         "Code": Code(["0", "10", "11"], 2),
+        "LosslessChannel": LosslessChannel([[0.5, 0.5, 0, 0], [0, 0, 0.25, 0.75]], (0, 0, 1, 1)),
     }
 
 
-_ARRAY_SLOTS = {"Element": "coeffs", "State": "weights", "Channel": "matrix"}
+_ARRAY_SLOTS = {"Element": "coeffs", "State": "weights", "Channel": "matrix",
+                "LosslessChannel": "matrix"}
+
+
+def test_every_value_type_is_listed():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    public = {cls.__name__ for cls in subclasses(_Frozen)
+              if cls.__module__.startswith("cstar_info.") and not cls.__name__.startswith("_")}
+    assert public == set(_values())
 
 
 @pytest.mark.parametrize("name", sorted(_values()))
