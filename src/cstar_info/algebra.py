@@ -119,6 +119,22 @@ class _Value(_Frozen):
         return hash(key if arr is None else (key, (arr + 0.0).tobytes()))
 
 
+class _TermMap:
+    """A term map as an identity key: equal when the dicts are, which stops
+    at once when their sizes differ; hashed as the frozenset of its items."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
 def _check_dim(data, algebra):
     """The algebra of a serialized value: ``algebra``, which must have the
     serialized dimension, or a new one of that dimension."""
@@ -929,7 +945,7 @@ class TensorElement(_Value):
         return float(np.max(np.abs(diff))) <= _tol(tol)
 
     def _identity(self):
-        return (self.factor_algebra, frozenset(self.terms.items())), None
+        return (self.factor_algebra, _TermMap(self.terms)), None
 
     def __repr__(self):
         count = sum(len(rows) for rows in self._blocks.values()) + (self._scalar != 0)

@@ -20,20 +20,27 @@ tie to its first occurrence, so a trial decodes over the u <= r distinct
 codewords only and copies their sums back to the repeats.
 
 The block channel is the k-fold tensor power of the channel, so a
-likelihood is the product of two half powers, L(y) = H(y_head) T(y_tail),
+likelihood is the product of two half powers, L(y) = A(y_head) B(y_tail),
 over the first ceil(k/2) and the last floor(k/2) output symbols.  A trial
-builds the half table T once and forms each of the u * n**k likelihoods
-with about one multiplication, in blocks of at most
-``STREAM_BLOCK_ENTRIES`` entries (one output string when u alone is more).
-H streams in one flat loop over row prefixes: a prefix's lead row, the
-product of its symbols' factors, reuses the partial products over the
-leading symbols it shares with the previous prefix and grows by the last
-head symbols into a run of H rows.  A trial keeps only per-codeword sums,
-so its memory is the two half tables (T whole, H one block at a time) plus
-the k * n * u entries of the per-symbol likelihood factors, never u * n**k.
-The uniform-row gap of a codeword that owns no output string depends only
-on its type (its sorted symbols), so a second pass covers one word per
-type.
+decodes by an exact max-product over the half tables of the H distinct
+heads and the distinct tails: the words of a head share its A, and
+rounding is monotone, so per head and tail string it keeps the greatest B,
+the lowest word attaining it and the next lower B (u * n**floor(k/2)
+entries), then takes each string's greatest product over the heads
+(H * n**k entries).  Only a string where a head's next lower B rounds to
+the same product forms its column over all u words.  That is
+u * n**floor(k/2) + H * n**k entries plus u per such string, against the
+u * n**k of the full table, with decisions, likelihoods and masses the
+same bit for bit.  Every step runs in pieces of at most
+``STREAM_BLOCK_ENTRIES`` entries (one output string when u or H alone is
+more), and a trial keeps only per-codeword sums, so its memory is the two
+half tables and those pieces, never u * n**k.  The uniform-row gap of a
+codeword that owns no output string depends only on its type (its sorted
+symbols), so a second pass streams the likelihood table of one word per
+type: its tail half is built once, and its head half streams in one flat
+loop over row prefixes, where a prefix's lead row reuses the partial
+products over the leading symbols it shares with the previous prefix and
+grows by the last head symbols into a run of head rows.
 
 The dense decoder (``build_code_and_decoder``) holds the r x n**k rows and
 one decoder table filled and divided in place, then drops the rows before
@@ -67,11 +74,11 @@ from .algebra import (
 from .information import _entropy_bits
 from .probability import ProductState, State
 
-# A coding trial evaluates r * n**k likelihoods; the guard bounds that work
-# at 2**(guard + 2).
+# A coding trial is counted as r * n**k likelihoods, a bound on its work;
+# the guard bounds that count at 2**(guard + 2).
 EXPERIMENT_GUARD_BITS = 24
-# Coding trials stream the likelihood table in blocks of at most this many
-# entries (one output string when a row of the table alone is more).
+# Coding trials work in pieces of at most this many entries (one output
+# string when the codewords, or their distinct heads, alone are more).
 STREAM_BLOCK_ENTRIES = 2 ** 18
 # Shared by the dense decoder and the streamed trial.
 _ZERO_MASS = "decision block with zero mass; decoder row set to uniform"
@@ -458,9 +465,10 @@ class LosslessChannel(_Value):
         return "LosslessChannel(%d codewords -> %d strings)" % self.matrix.shape
 
 
-def _codebook_size(k, rate, n, guard_bits):
+def _codebook_size(k, rate, m, n, guard_bits):
     """The floor(2**(k rate)) codewords of a trial, refused by the work
-    guard before they are counted."""
+    guard before they are counted, and when they outnumber the m**k input
+    strings."""
     if k < 1:
         raise ValueError("block lengths must be >= 1")
     rate = _positive(rate, "rate")
@@ -476,7 +484,10 @@ def _codebook_size(k, rate, n, guard_bits):
     lifted = None if guard_bits is None else float(guard_bits) + 2
     _guard(size_bits + strings, EXPERIMENT_GUARD_BITS + 2, lifted,
            "likelihoods per trial, 2^%.5g codewords times %d**%d strings", size_bits, n, k)
-    return int(np.floor(2.0 ** bits))
+    r = int(np.floor(2.0 ** bits))
+    if r > m ** k:
+        raise ValueError("codebook of %d words cannot fit %d**%d input strings" % (r, m, k))
+    return r
 
 
 def _sample_codebook(rng, weights, k, r):
@@ -484,8 +495,6 @@ def _sample_codebook(rng, weights, k, r):
     # random-coding argument.  A repeated row loses every argmax tie, so its
     # decision block is empty and the decoder falls back to a uniform row.
     m = weights.size
-    if r > m ** k:
-        raise ValueError("codebook of %d words cannot fit %d**%d input strings" % (r, m, k))
     return rng.choice(m, size=(r, k), p=weights / weights.sum()).astype(np.int64)
 
 
@@ -502,6 +511,16 @@ def _extend_columns(columns, factors):
     return columns
 
 
+def _block_shape(n, half, tail_rows, width):
+    # How _likelihood_blocks cuts a table `width` columns wide: runs of n**t
+    # head rows times all `tail_rows` tail rows, the longest that fit a
+    # block, or at t = 0 one head row times runs of `step` tail rows.
+    t = 0
+    while t < half and n ** (t + 1) * tail_rows * width <= STREAM_BLOCK_ENTRIES:
+        t += 1
+    return t, max(1, STREAM_BLOCK_ENTRIES // width)
+
+
 def _likelihood_blocks(factors):
     # The r x n**k likelihood table, transposed, in consecutive blocks of at
     # most STREAM_BLOCK_ENTRIES entries (one output string when r alone is
@@ -516,10 +535,7 @@ def _likelihood_blocks(factors):
     half = (len(factors) + 1) // 2
     n, r = factors[0].shape
     tail = _extend_columns(np.ones((1, r)), factors[half:])
-    t = 0
-    while t < half and n ** (t + 1) * tail.size <= STREAM_BLOCK_ENTRIES:
-        t += 1
-    step = max(1, STREAM_BLOCK_ENTRIES // r)  # T rows per block
+    t, step = _block_shape(n, half, tail.shape[0], r)
     # leads[i] is the product over the prefix's first i symbols; a prefix
     # recomputes only from the first symbol that differs from the last one's
     leads = [np.ones((1, r))]
@@ -568,28 +584,124 @@ def _decoder_from_rows(rows):
     return decision, decoder, masses
 
 
+def _half_table(matrix, parts):
+    # Row i is part i's likelihood (a run of codeword symbols) for every
+    # output string of its length: the products _likelihood_blocks forms.
+    return _extend_columns(np.ones((1, len(parts))), _symbol_factors(matrix, parts)).T
+
+
+def _head_tops(tails, tail, head, h):
+    # Per distinct head and tail string, over the head's words: the greatest
+    # tail likelihood top, the lowest word attaining it, and the greatest
+    # below it, second (0 without one).  In chunks of whole heads.
+    nb = tails.shape[1]
+    top, second = np.empty((h, nb)), np.empty((h, nb))
+    top_word = np.empty((h, nb), dtype=np.int64)
+    order = np.argsort(head, kind="stable")  # by head, each in index order
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(head, minlength=h))))
+    lo = 0
+    while lo < h:
+        fit = np.searchsorted(bounds, bounds[lo] + STREAM_BLOCK_ENTRIES // nb, side="right") - 1
+        hi = min(h, max(lo + 1, int(fit)))
+        words = order[bounds[lo] : bounds[hi]]
+        starts = bounds[lo:hi] - bounds[lo]
+        block = tails[tail[words]]
+        top[lo:hi] = np.maximum.reduceat(block, starts)
+        at = block == np.repeat(top[lo:hi], np.diff(bounds[lo : hi + 1]), axis=0)
+        top_word[lo:hi] = words[np.minimum.reduceat(
+            np.where(at, np.arange(words.size)[:, None], words.size), starts)]
+        second[lo:hi] = np.maximum.reduceat(np.where(at, 0.0, block), starts)
+        lo = hi
+    return top, top_word, second
+
+
+def _run_winners(heads, top, top_word, second, u):
+    # Best likelihood and winner per string of a run, heads against tail
+    # strings, and the strings whose column must be formed.
+    products = heads[:, :, None] * top[:, None, :]
+    best = products.max(axis=0)
+    winner = np.minimum.reduce(np.broadcast_to(top_word[:, None, :], products.shape),
+                               axis=0, where=products == best, initial=u)
+    winner[best == 0.0] = 0  # every likelihood is 0
+    # fl(A second) <= fl(A top) <= best, with equality only for a tied head
+    np.multiply(heads[:, :, None], second[:, None, :], out=products)
+    return winner, best, (products.max(axis=0) == best) & (best > 0.0)
+
+
+def _decisions(matrix, words):
+    """Maximum-likelihood decisions over distinct codewords, streamed.
+
+    Yields ``(block, winner, likelihood, redone)`` per run of output
+    strings, in string order: for each string, the block of
+    ``_likelihood_blocks(words)`` that holds it, counted from the run's
+    first, its winning word (the lowest index of greatest likelihood), that
+    likelihood, and whether its whole column was formed.
+
+    With a string split as y = (a, b) at ceil(k/2), word j's likelihood is
+    fl(A[h_j, a] B[t_j, b]), where A and B are the half tables over the
+    distinct heads h and tails t.  Rounding is monotone, so over the words
+    of head h the greatest is fl(A[h, a] top[h, b]) with top the greatest B
+    among them, and the lowest word attaining top wins the head.  A lower B
+    of a head can round to the same product only if the next lower one,
+    ``second``, does; only such strings form their column over every word.
+    """
+    u, k = words.shape
+    n = matrix.shape[1]
+    half = (k + 1) // 2
+    head_first, head = _kinds(words[:, :half])
+    tail_first, tail = _kinds(words[:, half:])
+    heads = _half_table(matrix, words[head_first, :half])
+    tails = _half_table(matrix, words[tail_first, half:])
+    h, nb = heads.shape[0], tails.shape[1]
+    top, top_word, second = _head_tops(tails, tail, head, h)
+    # Runs of whole blocks of _likelihood_blocks over the u words, each run
+    # with at most STREAM_BLOCK_ENTRIES products over the h heads and block
+    # sums over the u words.
+    t, step = _block_shape(n, half, nb, u)
+    size = n ** t * nb if step >= nb else step  # strings per block
+    count = max(1, min(STREAM_BLOCK_ENTRIES // (h * size), STREAM_BLOCK_ENTRIES // u))
+    # a run is `count` blocks of n**t whole heads, or of `step` tail strings
+    rows, run = (n ** t * count, nb) if step >= nb else (1, step * count)
+    per_column = max(1, STREAM_BLOCK_ENTRIES // u)
+    for a0 in range(0, heads.shape[1], rows):
+        for b0 in range(0, nb, run):
+            b = slice(b0, b0 + run)
+            winner, best, redone = _run_winners(heads[:, a0 : a0 + rows], top[:, b],
+                                                top_word[:, b], second[:, b], u)
+            width = best.shape[1]
+            redo = np.flatnonzero(redone)
+            for i in range(0, redo.size, per_column):
+                y = redo[i : i + per_column]
+                column = heads[head[:, None], a0 + y // width] * tails[tail[:, None], b0 + y % width]
+                winner.flat[y] = np.argmax(column, axis=0)
+            yield np.arange(best.size) // size, winner.ravel(), best.ravel(), redone.ravel()
+
+
 def _row_sums(matrix, codebook):
     """Per codeword: the owned mass m_j, the number of owned output strings,
     and the uniform-row gap sum_y |row_j(y) - 1/n**k|, filled in for every
     row that owns nothing (and for the first of a repeated word).
 
     Each output string goes to its most likely codeword, ties to the lowest
-    index, in one streamed pass over the likelihood table.
+    index, by the streamed max-product of ``_decisions``.
     """
     uniform = 1.0 / matrix.shape[1] ** codebook.shape[1]
     # A repeated codeword has the same row as its first occurrence and loses
     # every tie to it, so it owns nothing: the pass runs over the u distinct
-    # words in index order, one column each.
+    # words in index order.
     first, column = _kinds(codebook)
     words = codebook[first]
     u = words.shape[0]
     mass = np.zeros(u)
     owned = np.zeros(u, dtype=np.int64)
-    for block in _likelihood_blocks(_symbol_factors(matrix, words)):
-        winner = np.argmax(block, axis=1)
-        mass += np.bincount(winner, weights=block[np.arange(block.shape[0]), winner],
-                            minlength=u)
+    for block, winner, likelihood, _ in _decisions(matrix, words):
         owned += np.bincount(winner, minlength=u)
+        # masses summed as over the blocks of _likelihood_blocks: in string
+        # order within a block, then block by block
+        sums = np.bincount(block * u + winner, weights=likelihood,
+                           minlength=u * (block[-1] + 1))
+        for row in sums.reshape(-1, u):
+            mass += row
     # The gap is needed for the words that own nothing and for the repeated
     # ones, whose repeats own nothing.  Permuting a word's symbols permutes
     # the output strings of its row, so the gap depends only on the word's
@@ -636,7 +748,7 @@ def build_code_and_decoder(channel, omega, k, rate, seed=0, guard_bits=None):
     """
     k = int(k)
     _check_input(channel, omega)
-    r = _codebook_size(k, rate, channel.output_dim, guard_bits)
+    r = _codebook_size(k, rate, channel.input_dim, channel.output_dim, guard_bits)
     rng = np.random.default_rng(seed)
     codebook = _sample_codebook(rng, omega.weights, k, r)
     # the rows go before LosslessChannel copies the decoder
@@ -673,9 +785,12 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
     trials = int(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
-    # refused before the capacity probe, which would warn about them first
+    # the rate, the input and every block length are refused before the
+    # capacity probe, which would warn first, and before any trial
     rate = _positive(rate, "rate")
     _check_input(channel, omega)
+    sizes = {k: _codebook_size(k, rate, channel.input_dim, channel.output_dim, guard_bits)
+             for k in sorted(set(int(k) for k in ks))}
     try:
         cap = capacity(channel, tol=1e-6, max_iter=2000).capacity
     except ConvergenceError:
@@ -688,8 +803,7 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
             "rate %g is not below capacity %.6g; deviations need not shrink" % (rate, cap)
         )
     results = []
-    for k in sorted(set(int(k) for k in ks)):
-        r = _codebook_size(k, rate, channel.output_dim, guard_bits)
+    for k, r in sizes.items():
         devs = []
         errs = []
         for t in range(trials):

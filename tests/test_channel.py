@@ -24,6 +24,7 @@ from cstar_info.channel import (
     JointState,
     LosslessChannel,
     _block_rows,
+    _decisions,
     _decoder_from_rows,
     _likelihood_blocks,
     _row_sums,
@@ -793,6 +794,28 @@ def test_coding_experiment_guards():
         build_code_and_decoder(c, omega, k=2, rate=1.2, seed=0)  # 5 words, only 4 strings
 
 
+@pytest.mark.parametrize("rate, ks, error", [(0.99, (12, 30), GuardExceeded),
+                                             (1e308, (4,), GuardExceeded),
+                                             (3.0, (4,), ValueError)])
+def test_coding_grid_is_refused_before_any_work(rate, ks, error):
+    # a block length past the guard, a rate whose codebook is, or a codebook
+    # larger than the input strings refuses the whole grid before the
+    # capacity probe warns and before any codebook is drawn
+    drawn = []
+
+    def spy(*args):
+        drawn.append(args)
+        return _sample_codebook(*args)
+
+    omega = State.uniform(AtomicAlgebra(2))
+    with mock.patch.object(channel_module, "_sample_codebook", spy), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error):
+            coding_experiment(bsc(0.05), omega, rate, ks=ks, trials=5)
+    assert drawn == [] and caught == []
+
+
 def test_channel_rejects_non_finite():
     for bad in ([[math.nan, 1.0], [0.5, 0.5]], [[math.inf, -math.inf], [0.5, 0.5]]):
         with pytest.raises(ValueError, match="finite"):
@@ -952,15 +975,21 @@ def test_dense_decoder_is_pinned_and_peaks_near_two_tables():
     assert digest == "6afd6b512399b614f71e6a0a2d46ca737dea867e4955e073db7ecad4609db9e7"
 
 
-def _block_widths(matrix, codebook):
-    # the width of every likelihood block _streamed_trial asks for, per pass
+def _pass_widths(matrix, codebook):
+    # the words each pass of _streamed_trial runs over: the ML pass's
+    # distinct words, then the gap pass's likelihood blocks, one per type
     widths = []
 
-    def spy(factors):
-        widths.append(factors[0].shape[1])
+    def decisions(matrix, words):
+        widths.append(("ml", words.shape[0]))
+        return _decisions(matrix, words)
+
+    def blocks(factors):
+        widths.append(("gap", factors[0].shape[1]))
         return _likelihood_blocks(factors)
 
-    with mock.patch.object(channel_module, "_likelihood_blocks", spy):
+    with mock.patch.object(channel_module, "_decisions", decisions), \
+            mock.patch.object(channel_module, "_likelihood_blocks", blocks):
         result = _streamed_trial(matrix, codebook)
     return result, widths
 
@@ -970,13 +999,13 @@ def test_streamed_trial_decodes_distinct_codewords_only():
     omega = State.uniform(AtomicAlgebra(2))
     with pytest.warns(UserWarning, match="zero mass"):
         codebook, _ = build_code_and_decoder(c, omega, k=9, rate=0.99, seed=4)
-        _, widths = _block_widths(c.matrix, codebook)
+        _, widths = _pass_widths(c.matrix, codebook)
     words, counts = np.unique(codebook, axis=0, return_counts=True)
     assert len(words) < len(codebook)
     # one pass over the distinct words, then one word per type of the
     # repeated ones; a BSC leaves no word without strings
     types = {tuple(sorted(word)) for word in words[counts > 1].tolist()}
-    assert widths == [len(words), len(types)]
+    assert widths == [("ml", len(words)), ("gap", len(types))]
 
 
 def test_streamed_trial_lone_and_repeated_dominated_words():
@@ -987,8 +1016,8 @@ def test_streamed_trial_lone_and_repeated_dominated_words():
     codebook = np.array([[2, 2], [0, 0], [0, 2], [0, 1], [1, 0], [2, 2], [1, 1], [0, 0]])
     _check_every_split(matrix, codebook)
     with pytest.warns(UserWarning, match="zero mass"):
-        (dev, err), widths = _block_widths(matrix, codebook)
-    assert widths == [6, 3]
+        (dev, err), widths = _pass_widths(matrix, codebook)
+    assert widths == [("ml", 6), ("gap", 3)]
     assert (dev, err) == (0.42999999999999994, 0.595)  # the all-rows pass, bit for bit
 
 
@@ -1040,6 +1069,67 @@ def _decoder_by_strings(rows):
         else:
             decoder[j] = 1.0 / size
     return decision, decoder, masses
+
+
+def _masses_by_blocks(matrix, words):
+    # the reference the ML pass must reproduce: every block of the likelihood
+    # table, its argmax per string, and the winners' sums block by block
+    u = words.shape[0]
+    mass = np.zeros(u)
+    for block in _likelihood_blocks(_symbol_factors(matrix, words)):
+        winner = np.argmax(block, axis=1)
+        mass += np.bincount(winner, weights=block[np.arange(block.shape[0]), winner], minlength=u)
+    return mass
+
+
+def _check_decisions(matrix, codebook):
+    # winners, winning likelihoods and masses bit for bit against the dense
+    # rows; returns which strings the pass decided from their whole column
+    rows = _block_rows(matrix, codebook)
+    runs = list(_decisions(matrix, codebook))
+    want = np.argmax(rows, axis=0)
+    assert np.array_equal(np.concatenate([run[1] for run in runs]), want)
+    likelihood = np.concatenate([run[2] for run in runs])
+    assert likelihood.tobytes() == rows[want, np.arange(rows.shape[1])].tobytes()
+    words = codebook[np.sort(np.unique(codebook, axis=0, return_index=True)[1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mass = _row_sums(matrix, words)[0]
+    assert mass.tobytes() == _masses_by_blocks(matrix, words).tobytes()
+    return np.concatenate([run[3] for run in runs]), likelihood
+
+
+# two words of one head whose tail likelihoods differ in the last bit give
+# the same product with the head's likelihood
+_COLLAPSE = (_normalized([[3.0, 0.25, 0.05], [1.0, 0.05, 0.05]]),
+             np.array([[1, 1], [0, 1], [0, 0], [0, 1], [0, 0]]))
+# with blocks of 30 entries, codewords win strings in several blocks and
+# their block-by-block masses differ from one sum in string order
+_GROUPED = (np.array([[1.0, 0.0, 0.0], [0.4, 0.2, 0.4]]),
+            np.array([[0, 1, 0, 0, 1], [0, 0, 0, 0, 0], [1, 1, 0, 0, 1], [1, 0, 0, 0, 0],
+                      [1, 1, 1, 0, 1], [1, 0, 1, 0, 0], [1, 1, 0, 1, 1], [0, 0, 1, 1, 1]]))
+# output 2 is unreachable, so every string holding it has likelihood 0
+_UNREACHABLE = (np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                np.array([[2, 0], [0, 1], [1, 1], [2, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize("entries", [channel_module.STREAM_BLOCK_ENTRIES, 1, 30])
+@settings(max_examples=60, deadline=None)
+@given(_coding_cases(max_k=6))
+@example(_COLLAPSE)
+@example(_GROUPED)
+@example(_UNREACHABLE)
+def test_ml_pass_is_the_argmax_of_the_dense_rows(entries, case):
+    with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", entries):
+        _check_decisions(*case)
+
+
+def test_ml_pass_redoes_a_rounding_collapse_and_meets_zero_likelihoods():
+    redone, _ = _check_decisions(*_COLLAPSE)
+    assert redone.any()
+    # the strings no codeword reaches go to word 0, as argmax gives them
+    redone, likelihood = _check_decisions(*_UNREACHABLE)
+    assert np.any(likelihood == 0.0) and not redone.any()
 
 
 @settings(max_examples=60, deadline=None)

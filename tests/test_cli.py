@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -831,3 +832,56 @@ def test_fuzz_main_channel_commands(argv):
         error = json.loads(err.getvalue())["error"]
         assert error["kind"] == {1: "config", 2: "guard", 3: "numeric"}[code]
         assert "Traceback" not in error["message"]
+
+
+# golden artifacts -------------------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+_CODING = ["coding-experiment", "--channel", "bsc(0.05)"]
+# (name, exit code, argv): the README examples, a CSV form of the source
+# commands, the benchmark's widest coding grid and one refusal per exit code.
+# A run leaves <name>.json or <name>.csv (the artifact, its echoed output
+# path dropped) and, when it writes to standard error, <name>.stderr.
+_GOLDEN_CASES = [
+    ("lln", 0, ["lln", "--p", "0.5,0.5", "--n", "1:100", "--eps", "0.1"]),
+    ("aep", 0, ["aep", "--p", "0.9,0.1", "--eps", "0.2", "--n", "4:20"]),
+    ("code-huffman", 0, ["code", "--state", "0.5,0.25,0.25", "--huffman"]),
+    ("code-words", 0, ["code", "--state", "0.5,0.25,0.25", "--words", "0,10,11"]),
+    ("channel-info", 0, ["channel-info", "--channel", "bsc(0.11)", "--state", "0.5,0.5"]),
+    ("capacity", 0, ["capacity", "--channel", "bsc(0.11)"]),
+    ("coding-experiment", 0, _CODING + ["--rate", "0.4", "--ks", "4,8,12", "--seed", "21"]),
+    ("lln-csv", 0, ["lln", "--p", "0.3,0.7", "--n", "1:40", "--eps", "0.2", "--format", "csv"]),
+    ("aep-csv", 0, ["aep", "--p", "0.7,0.2,0.1", "--eps", "0.3", "--n", "2:9", "--format", "csv"]),
+    ("code-csv", 0, ["code", "--state", "0.4,0.3,0.2,0.1", "--huffman", "--alphabet", "3",
+                     "--format", "csv"]),
+    ("coding-k10-12", 0, _CODING + ["--rate", "0.99", "--ks", "10,12", "--trials", "2",
+                                    "--seed", "2001"]),
+    ("refuse-config", 1, ["lln", "--p", "0.6,0.5", "--n", "1:4"]),
+    ("refuse-guard", 2, _CODING + ["--rate", "0.4", "--ks", "30"]),
+    ("refuse-numeric", 3, ["capacity", "--channel", str(GOLDEN / "z-channel.json"),
+                           "--tol", "1e-13", "--max-iter", "2"]),
+]
+
+
+def _golden_run(tmp_path, argv):
+    # one in-process run as from a shell: each distinct warning shown once
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    path = tmp_path / ("artifact." + fmt)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("default")
+        code = main(list(argv) + ["--output", str(path)])
+    files = {"stderr": err.getvalue()} if err.getvalue() else {}
+    if path.exists():
+        files[fmt] = path.read_text(encoding="utf-8").replace(str(path), "")
+    return code, files
+
+
+@pytest.mark.parametrize("name, code, argv", _GOLDEN_CASES, ids=[c[0] for c in _GOLDEN_CASES])
+def test_artifacts_match_the_golden_files(tmp_path, name, code, argv):
+    got_code, files = _golden_run(tmp_path, argv)
+    assert got_code == code
+    assert sorted(p.name for p in GOLDEN.glob(name + ".*")) == sorted(
+        "%s.%s" % (name, suffix) for suffix in files)
+    for suffix, text in files.items():
+        assert text == (GOLDEN / ("%s.%s" % (name, suffix))).read_text(encoding="utf-8")
