@@ -36,20 +36,19 @@ same bit for bit.  Every step runs in pieces of at most
 more), and a trial keeps only per-codeword sums, so its memory is the two
 half tables and those pieces, never u * n**k.  The uniform-row gap of a
 codeword that owns no output string depends only on its type (its sorted
-symbols), so a second pass streams the likelihood table of one word per
-type: its tail half is built once, and its head half streams in one flat
-loop over row prefixes, where a prefix's lead row reuses the partial
-products over the leading symbols it shares with the previous prefix and
-grows by the last head symbols into a run of head rows.
+symbols), so a second pass builds the two half tables of one word per type
+and sums the gap over their products, in the same pieces.
 
-The dense decoder (``build_code_and_decoder``) holds the r x n**k rows and
-one decoder table filled and divided in place, then drops the rows before
-``LosslessChannel`` copies the decoder: it peaks at about twice the table.
+The dense decoder (``build_code_and_decoder``) forms the r x n**k rows as
+one product of the half tables, fills and divides one decoder table in
+place, then drops the rows before ``LosslessChannel`` copies the decoder:
+it peaks at about twice the table.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,7 +62,6 @@ from .algebra import (
     TensorElement,
     _Frozen,
     _Value,
-    _digits,
     _guard,
     _kinds,
     _positive,
@@ -440,10 +438,11 @@ class LosslessChannel(_Value):
         mat = Channel(matrix).matrix  # a checked, read-only copy
         if len(decision) != mat.shape[1]:
             raise ValueError("need one decision per output string")
-        if any(not 0 <= int(i) < mat.shape[0] for i in decision):
+        decision = tuple(map(operator.index, decision))  # a float is refused, not truncated
+        if any(not 0 <= i < mat.shape[0] for i in decision):
             raise ValueError("decision indices out of range")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "decision", tuple(int(i) for i in decision))
+        object.__setattr__(self, "decision", decision)
 
     @property
     def codebook_size(self):
@@ -498,11 +497,6 @@ def _sample_codebook(rng, weights, k, r):
     return rng.choice(m, size=(r, k), p=weights / weights.sum()).astype(np.int64)
 
 
-def _symbol_factors(matrix, codebook):
-    # Factor t is the n x r table C(y | codeword j's symbol t).
-    return [np.ascontiguousarray(matrix[symbols].T) for symbols in codebook.T]
-
-
 def _extend_columns(columns, factors):
     # Likelihood columns (one per output prefix, one entry per codeword) grown
     # by one output symbol per factor, big-endian, multiplied left to right.
@@ -511,52 +505,52 @@ def _extend_columns(columns, factors):
     return columns
 
 
+def _half_table(matrix, parts):
+    # Row i is part i's likelihood (a run of codeword symbols) for every
+    # output string of its length, each a product over the symbols left to
+    # right.  The block channel is the k-fold tensor power of the channel,
+    # so a word's likelihood is L(y) = A(y_head) B(y_tail), the product of
+    # the tables over its first ceil(k/2) and last floor(k/2) symbols: every
+    # likelihood of a trial is formed from these two tables.
+    factors = [np.ascontiguousarray(matrix[symbols].T) for symbols in parts.T]
+    return _extend_columns(np.ones((1, len(parts))), factors).T
+
+
 def _block_shape(n, half, tail_rows, width):
-    # How _likelihood_blocks cuts a table `width` columns wide: runs of n**t
-    # head rows times all `tail_rows` tail rows, the longest that fit a
-    # block, or at t = 0 one head row times runs of `step` tail rows.
+    # The (head rows, tail rows) of a block of a table `width` columns wide:
+    # runs of n**t head rows times all `tail_rows` tail rows, the longest
+    # that fit STREAM_BLOCK_ENTRIES entries, or at t = 0 one head row times
+    # runs of as many tail rows as fit (at least one).
     t = 0
     while t < half and n ** (t + 1) * tail_rows * width <= STREAM_BLOCK_ENTRIES:
         t += 1
-    return t, max(1, STREAM_BLOCK_ENTRIES // width)
+    return n ** t, min(tail_rows, max(1, STREAM_BLOCK_ENTRIES // width))
 
 
-def _likelihood_blocks(factors):
-    # The r x n**k likelihood table, transposed, in consecutive blocks of at
-    # most STREAM_BLOCK_ENTRIES entries (one output string when r alone is
-    # more).  The block channel is the k-fold tensor power of the channel, so
-    # L(y) = H(y_head) T(y_tail): the half table T over the last floor(k/2)
-    # symbols is built once, and the half table H over the first ceil(k/2)
-    # streams as runs of n**t rows, the longest that fit a block with all of
-    # T, each a lead row over the prefix's digits grown by t head symbols.  A
-    # block is a run times all of T or one H row times a run of T rows.  Every
-    # product is taken left to right, so every entry is bit-identical however
-    # the table is cut.
-    half = (len(factors) + 1) // 2
-    n, r = factors[0].shape
-    tail = _extend_columns(np.ones((1, r)), factors[half:])
-    t, step = _block_shape(n, half, tail.shape[0], r)
-    # leads[i] is the product over the prefix's first i symbols; a prefix
-    # recomputes only from the first symbol that differs from the last one's
-    leads = [np.ones((1, r))]
-    symbols = []
-    for prefix in range(n ** (half - t)):
-        previous, symbols = symbols, _digits(prefix, n, half - t)
-        kept = next((i for i, (a, b) in enumerate(zip(previous, symbols)) if a != b),
-                    len(previous))
-        del leads[kept + 1 :]
-        for factor, symbol in zip(factors[kept:], symbols[kept:]):
-            leads.append(leads[-1] * factor[symbol])
-        heads = _extend_columns(leads[-1], factors[half - t : half])
-        for start in range(0, tail.shape[0], step):
-            yield (heads[:, None, :] * tail[None, start : start + step, :]).reshape(-1, r)
+def _likelihood_blocks(matrix, words):
+    # The likelihood table of `words`, transposed (one row per output string,
+    # one column per word), in consecutive blocks cut by _block_shape from
+    # the two half tables.  Every entry is fl(A B), so it is bit-identical
+    # however the table is cut.
+    r, k = words.shape
+    half = (k + 1) // 2
+    heads = _half_table(matrix, words[:, :half]).T
+    tails = _half_table(matrix, words[:, half:]).T
+    rows, cols = _block_shape(matrix.shape[1], half, tails.shape[0], r)
+    for a in range(0, heads.shape[0], rows):
+        for b in range(0, tails.shape[0], cols):
+            yield (heads[a : a + rows, None, :] * tails[None, b : b + cols, :]).reshape(-1, r)
 
 
 def _block_rows(matrix, codebook):
     # Row j is the block channel C^k conditioned on codeword j; output strings
     # are packed big-endian, matching the dense() ordering of tensor elements.
-    # The rows are the streamed blocks stacked, so both decoders agree bit for bit.
-    return np.vstack(list(_likelihood_blocks(_symbol_factors(matrix, codebook)))).T
+    # The rows are one product of the half tables, as the streamed blocks are;
+    # it is laid out codeword-fastest like both tables, so the reshape is a view.
+    half = (codebook.shape[1] + 1) // 2
+    heads = _half_table(matrix, codebook[:, :half])
+    tails = _half_table(matrix, codebook[:, half:])
+    return (heads[:, :, None] * tails[:, None, :]).reshape(len(codebook), -1)
 
 
 def _decoder_from_rows(rows):
@@ -582,12 +576,6 @@ def _decoder_from_rows(rows):
         decoder[empty & (owned == 0)] = 1.0 / size
     np.divide(decoder, masses[:, None], out=decoder, where=~empty[:, None])
     return decision, decoder, masses
-
-
-def _half_table(matrix, parts):
-    # Row i is part i's likelihood (a run of codeword symbols) for every
-    # output string of its length: the products _likelihood_blocks forms.
-    return _extend_columns(np.ones((1, len(parts))), _symbol_factors(matrix, parts)).T
 
 
 def _head_tops(tails, tail, head, h):
@@ -633,9 +621,9 @@ def _decisions(matrix, words):
 
     Yields ``(block, winner, likelihood, redone)`` per run of output
     strings, in string order: for each string, the block of
-    ``_likelihood_blocks(words)`` that holds it, counted from the run's
-    first, its winning word (the lowest index of greatest likelihood), that
-    likelihood, and whether its whole column was formed.
+    ``_likelihood_blocks(matrix, words)`` that holds it, counted from the
+    run's first, its winning word (the lowest index of greatest
+    likelihood), that likelihood, and whether its whole column was formed.
 
     With a string split as y = (a, b) at ceil(k/2), word j's likelihood is
     fl(A[h_j, a] B[t_j, b]), where A and B are the half tables over the
@@ -646,7 +634,6 @@ def _decisions(matrix, words):
     ``second``, does; only such strings form their column over every word.
     """
     u, k = words.shape
-    n = matrix.shape[1]
     half = (k + 1) // 2
     head_first, head = _kinds(words[:, :half])
     tail_first, tail = _kinds(words[:, half:])
@@ -656,16 +643,15 @@ def _decisions(matrix, words):
     top, top_word, second = _head_tops(tails, tail, head, h)
     # Runs of whole blocks of _likelihood_blocks over the u words, each run
     # with at most STREAM_BLOCK_ENTRIES products over the h heads and block
-    # sums over the u words.
-    t, step = _block_shape(n, half, nb, u)
-    size = n ** t * nb if step >= nb else step  # strings per block
+    # sums over the u words: `count` blocks of whole heads, or of tail strings.
+    rows, cols = _block_shape(matrix.shape[1], half, nb, u)
+    size = rows * cols  # strings per block
     count = max(1, min(STREAM_BLOCK_ENTRIES // (h * size), STREAM_BLOCK_ENTRIES // u))
-    # a run is `count` blocks of n**t whole heads, or of `step` tail strings
-    rows, run = (n ** t * count, nb) if step >= nb else (1, step * count)
+    rows, cols = (rows * count, nb) if cols == nb else (1, cols * count)
     per_column = max(1, STREAM_BLOCK_ENTRIES // u)
     for a0 in range(0, heads.shape[1], rows):
-        for b0 in range(0, nb, run):
-            b = slice(b0, b0 + run)
+        for b0 in range(0, nb, cols):
+            b = slice(b0, b0 + cols)
             winner, best, redone = _run_winners(heads[:, a0 : a0 + rows], top[:, b],
                                                 top_word[:, b], second[:, b], u)
             width = best.shape[1]
@@ -711,7 +697,7 @@ def _row_sums(matrix, codebook):
     distinct, kind = _kinds(types)
     type_gap = np.zeros(np.count_nonzero(distinct))
     if type_gap.size:
-        for block in _likelihood_blocks(_symbol_factors(matrix, types[distinct])):
+        for block in _likelihood_blocks(matrix, types[distinct]):
             type_gap += np.abs(block - uniform).sum(axis=0)
     gap = np.zeros(u)
     gap[need] = type_gap[kind]

@@ -307,14 +307,15 @@ class Code(_Value):
         words = tuple(str(w) for w in words)
         if not words:
             raise ValueError("a code needs at least one word")
+        # ASCII digits only: str.isdigit and int() also take other scripts' digits
+        digits = set("0123456789"[:alphabet_size])
         for w in words:
             if not w:
                 raise ValueError("codewords must be nonempty")
-            for ch in w:
-                if not ch.isdigit() or int(ch) >= alphabet_size:
-                    raise ValueError(
-                        "codeword %r uses digits outside 0..%d" % (w, alphabet_size - 1)
-                    )
+            if not set(w) <= digits:
+                raise ValueError(
+                    "codeword %r uses digits outside 0..%d" % (w, alphabet_size - 1)
+                )
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "alphabet_size", alphabet_size)
 

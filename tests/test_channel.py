@@ -30,7 +30,6 @@ from cstar_info.channel import (
     _row_sums,
     _sample_codebook,
     _streamed_trial,
-    _symbol_factors,
     apply_channel,
     bec,
     bsc,
@@ -635,7 +634,8 @@ def test_decoder_ties_to_lowest_index():
     from cstar_info.channel import _decoder_from_rows
 
     rows = np.array([[0.5, 0.5], [0.5, 0.5]])
-    decision, decoder, masses = _decoder_from_rows(rows)
+    with pytest.warns(UserWarning, match="zero mass"):  # the second row owns nothing
+        decision, decoder, masses = _decoder_from_rows(rows)
     assert decision.tolist() == [0, 0]
     assert np.allclose(decoder[0], [0.5, 0.5])
 
@@ -678,6 +678,12 @@ def test_lossless_channel_validation():
         LosslessChannel(np.array([[np.nan, 1.0]]), (0, 0))
     with pytest.raises(ValueError):
         LosslessChannel(np.array([[1.5, -0.5]]), (0, 0))
+    # a decision is an index, not a number to truncate
+    for bad in ((0.9, 1.7), (0, 1.0), (0, "1")):
+        with pytest.raises(TypeError, match="integer"):
+            LosslessChannel(np.eye(2), bad)
+    lossless = LosslessChannel(np.eye(2), np.array([0, 1]))
+    assert lossless.decision == (0, 1) and type(lossless.decision[1]) is int
 
 
 def test_deviation_equals_twice_error():
@@ -760,7 +766,9 @@ def test_coding_experiment_refuses_useless():
 def test_coding_experiment_warns_above_capacity():
     c = bsc(0.05)
     omega = State.uniform(AtomicAlgebra(2))
-    with pytest.warns(UserWarning, match="capacity"):
+    # 15 codewords drawn from 16 strings repeat, and a repeat owns nothing
+    with pytest.warns(UserWarning, match="capacity"), \
+            pytest.warns(UserWarning, match="zero mass"):
         coding_experiment(c, omega, rate=0.99, ks=[4], trials=2, seed=0)
 
 
@@ -856,7 +864,7 @@ def _check_every_split(matrix, codebook):
     dense = _block_rows(matrix, codebook)
     for tail in range(k + 1):
         with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", r * n ** tail):
-            blocks = list(_likelihood_blocks(_symbol_factors(matrix, codebook)))
+            blocks = list(_likelihood_blocks(matrix, codebook))
             (dev, err), warned = _warned(_streamed_trial, matrix, codebook)
         assert len(blocks) == n ** (k - tail)
         assert np.array_equal(np.vstack(blocks), dense.T)  # bit-identical likelihoods
@@ -920,12 +928,12 @@ def test_streamed_trial_workload_shape():
 @settings(max_examples=30, deadline=None)
 @given(_coding_cases())
 def test_streamed_blocks_when_one_string_exceeds_the_block(case):
-    # r > STREAM_BLOCK_ENTRIES: each block is one output string, and the lead
-    # prefixes arrive one at a time as well
+    # r > STREAM_BLOCK_ENTRIES: each block is one head row times one tail
+    # row, one output string
     matrix, codebook = case
     (want_dev, want_err), want_warned = _warned(_dense_trial, matrix, codebook)
     with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", 1):
-        blocks = list(_likelihood_blocks(_symbol_factors(matrix, codebook)))
+        blocks = list(_likelihood_blocks(matrix, codebook))
         (dev, err), warned = _warned(_streamed_trial, matrix, codebook)
     assert np.array_equal(np.vstack(blocks), _block_rows(matrix, codebook).T)
     assert all(block.shape == (1, len(codebook)) for block in blocks)
@@ -936,14 +944,15 @@ def test_streamed_blocks_when_one_string_exceeds_the_block(case):
 
 def test_coding_trial_memory_stays_below_the_table():
     # r = 172,950 codewords over 2**6 output strings: r * n > 2**18, so every
-    # block is one string, the head half streams one row at a time and the
-    # tail half holds 8 strings; the whole table would be 11 M likelihoods.
+    # block is one string; the half tables hold 8 strings each, and the
+    # whole table would be 11 M likelihoods.
     mat = np.random.default_rng(7).random((16, 2))
     c = Channel(mat / mat.sum(axis=1, keepdims=True))
     omega = State.uniform(AtomicAlgebra(16))
     tracemalloc.start()
     try:
-        with pytest.warns(UserWarning, match="not below capacity"):
+        with pytest.warns(UserWarning, match="not below capacity"), \
+                pytest.warns(UserWarning, match="zero mass"):
             (result,) = coding_experiment(c, omega, rate=2.9, ks=[6], trials=1, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -975,6 +984,21 @@ def test_dense_decoder_is_pinned_and_peaks_near_two_tables():
     assert digest == "6afd6b512399b614f71e6a0a2d46ca737dea867e4955e073db7ecad4609db9e7"
 
 
+def test_block_rows_are_one_product_of_the_half_tables():
+    # the rows are the outer product of the two half tables, formed once:
+    # no stacked copy of the blocks beside them
+    codebook = _sample_codebook(np.random.default_rng(1), np.array([0.5, 0.5]), 10, 955)
+    matrix = bsc(0.05).matrix
+    tracemalloc.start()
+    try:
+        rows = _block_rows(matrix, codebook)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (955, 1024)
+    assert peak <= 1.2 * rows.nbytes
+
+
 def _pass_widths(matrix, codebook):
     # the words each pass of _streamed_trial runs over: the ML pass's
     # distinct words, then the gap pass's likelihood blocks, one per type
@@ -984,9 +1008,9 @@ def _pass_widths(matrix, codebook):
         widths.append(("ml", words.shape[0]))
         return _decisions(matrix, words)
 
-    def blocks(factors):
-        widths.append(("gap", factors[0].shape[1]))
-        return _likelihood_blocks(factors)
+    def blocks(matrix, words):
+        widths.append(("gap", words.shape[0]))
+        return _likelihood_blocks(matrix, words)
 
     with mock.patch.object(channel_module, "_decisions", decisions), \
             mock.patch.object(channel_module, "_likelihood_blocks", blocks):
@@ -1076,7 +1100,7 @@ def _masses_by_blocks(matrix, words):
     # table, its argmax per string, and the winners' sums block by block
     u = words.shape[0]
     mass = np.zeros(u)
-    for block in _likelihood_blocks(_symbol_factors(matrix, words)):
+    for block in _likelihood_blocks(matrix, words):
         winner = np.argmax(block, axis=1)
         mass += np.bincount(winner, weights=block[np.arange(block.shape[0]), winner], minlength=u)
     return mass
@@ -1165,7 +1189,8 @@ def test_trial_error_is_the_hamming_oracle(weights):
     # trial.  Trial t draws its codebook with seed + t.
     p, seed = 0.05, 31
     omega = State(AtomicAlgebra(2), list(weights))
-    with pytest.warns(UserWarning, match="not below capacity"):
+    with pytest.warns(UserWarning, match="not below capacity"), \
+            pytest.warns(UserWarning, match="zero mass"):
         results = coding_experiment(bsc(p), omega, 0.99, ks=(8, 10, 12), trials=2, seed=seed)
     for result in results:
         k, r = result.k, result.codebook_size
@@ -1187,7 +1212,8 @@ def test_coding_experiment_values_are_pinned():
     # every value of the benchmark's coding shapes, bit for bit as the
     # half-table products and per-type gaps give them
     c = bsc(0.05)
-    with pytest.warns(UserWarning, match="not below capacity"):
+    with pytest.warns(UserWarning, match="not below capacity"), \
+            pytest.warns(UserWarning, match="zero mass"):
         uniform = coding_experiment(c, State.uniform(AtomicAlgebra(2)), 0.99, ks=(8, 9, 10),
                                     trials=3, seed=17)
         (skewed,) = coding_experiment(c, State(AtomicAlgebra(2), [0.58, 0.42]), 0.99, ks=(11,),

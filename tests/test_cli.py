@@ -479,6 +479,13 @@ def test_code_rejects_word_count_mismatch(tmp_path):
     assert code == 1
 
 
+def test_code_refuses_non_ascii_digits(tmp_path, capsys):
+    code, path = run(tmp_path, ["code", "--state", "0.5,0.5", "--words", "0,\u0661"], "na.json")
+    assert code == 1 and not path.exists()
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "outside 0..1" in err["message"]
+
+
 def test_code_reports_non_prefix_free(tmp_path):
     code, path = run(tmp_path, ["code", "--state", "0.5,0.25,0.25",
                                 "--words", "0,01,11"], "npf.json")

@@ -313,6 +313,11 @@ def test_code_validation():
         Code((), 2)
     with pytest.raises(ValueError):
         Code(("0",), 1)
+    # other scripts' digits are refused: "\u0661" (Arabic-Indic one) would
+    # embed as the word "1"
+    for words in (("1", "\u0661"), ("0", "\uff11"), ("0", "\u00b2")):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            Code(words, 2)
     c = Code(("0", "10", "11"), 2)
     assert c.lengths == (1, 2, 2)
     assert c.source_dim == 3
