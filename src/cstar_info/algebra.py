@@ -451,6 +451,24 @@ def _digits(value, base, width):
     return out
 
 
+def _pack(rows):
+    """Integer rows packed big-endian into int64 keys, most significant first.
+
+    The inverse of ``_digits``: with base the largest digit + 1, each key
+    holds the next ``per`` digits of every row, as many as base**per <=
+    2**63 - 1 allows, so the keys order the rows as their digits do.  Rows
+    of width 0 have no keys.
+    """
+    width = rows.shape[1]
+    base = int(rows.max(initial=0)) + 1
+    per = 1
+    while per < width and base ** (per + 1) < 2 ** 63:
+        per += 1
+    powers = base ** np.arange(per - 1, -1, -1, dtype=np.int64)
+    return [rows[:, lo : lo + per] @ powers[max(0, lo + per - width) :]
+            for lo in range(0, width, per)]
+
+
 def _slots(slots):
     # consecutive slots become a slice, so numpy indexes a view
     if slots == list(range(slots[0], slots[0] + len(slots))):
@@ -568,12 +586,15 @@ def _broadcast_axes(support, d, level):
 
 
 def _runs(rows):
-    # a stable big-endian sort of integer rows: the order, and where each
-    # run of equal rows starts along it
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-    ordered = rows[order]
-    starts = np.ones(len(order), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    # a stable big-endian sort of integer rows by their packed keys: the
+    # order, and where each run of equal rows starts along it
+    keys = _pack(rows)
+    order = np.lexsort(keys[::-1]) if keys else np.arange(len(rows))
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
     return order, starts
 
 

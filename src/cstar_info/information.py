@@ -290,6 +290,18 @@ def aep_projection(source, n, eps, guard_bits=None):
 # prefix codes -----------------------------------------------------------------
 
 
+# ASCII digits only: str.isdigit and int() also take other scripts' digits
+_DIGIT_VALUES = {ch: d for d, ch in enumerate("0123456789")}
+
+
+def _word_digits(word, base):
+    """The digits of a nonempty digit string over 0..base-1, as ints."""
+    digits = [_DIGIT_VALUES.get(ch, base) for ch in word]
+    if max(digits) >= base:
+        raise ValueError("word %r uses digits outside 0..%d" % (word, base - 1))
+    return digits
+
+
 class Code(_Value):
     """A variable-length code: one digit string per source atom.
 
@@ -307,15 +319,10 @@ class Code(_Value):
         words = tuple(str(w) for w in words)
         if not words:
             raise ValueError("a code needs at least one word")
-        # ASCII digits only: str.isdigit and int() also take other scripts' digits
-        digits = set("0123456789"[:alphabet_size])
         for w in words:
             if not w:
                 raise ValueError("codewords must be nonempty")
-            if not set(w) <= digits:
-                raise ValueError(
-                    "codeword %r uses digits outside 0..%d" % (w, alphabet_size - 1)
-                )
+            _word_digits(w, alphabet_size)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "alphabet_size", alphabet_size)
 
@@ -345,11 +352,14 @@ class Code(_Value):
 
 
 def embed_word(word, algebra):
-    """Embed a digit string as the matching atomic tensor word."""
+    """Embed a digit string as the matching atomic tensor word.
+
+    Characters are ASCII digits below ``algebra.dim``; any other is refused.
+    """
     word = str(word)
     if not word:
         raise ValueError("cannot embed the empty word")
-    terms = {MultiIndex({t + 1: int(ch) for t, ch in enumerate(word)}): 1.0}
+    terms = {MultiIndex(dict(enumerate(_word_digits(word, algebra.dim), 1))): 1.0}
     return TensorElement(algebra, terms)
 
 

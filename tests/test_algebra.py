@@ -9,6 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cstar_info import algebra
 from cstar_info.algebra import (
@@ -513,3 +516,61 @@ def test_negated_element_hashes_like_its_equal():
     x = Element(a, [0.0, 1.0]) * -1.0  # coefficient 0 becomes -0.0
     y = Element(a, [0.0, -1.0])
     assert x == y and len({x, y}) == 1
+
+
+# row sorts ------------------------------------------------------------------
+
+
+@st.composite
+def _integer_rows(draw):
+    base = draw(st.integers(1, 2 ** 20))
+    count = draw(st.integers(0, 60))
+    width = draw(st.integers(0, 70))
+    rows = draw(arrays(np.int64, (count, width), elements=st.integers(0, base - 1)))
+    if rows.size:
+        # the largest digit sets the packing base
+        rows[draw(st.integers(0, count - 1)), draw(st.integers(0, width - 1))] = base - 1
+    if count > 1:
+        for j in draw(st.lists(st.integers(1, count - 1), max_size=5)):
+            rows[j] = rows[draw(st.integers(0, j - 1))]  # forced repeats
+    return rows
+
+
+@settings(max_examples=300)
+@given(_integer_rows())
+def test_runs_and_kinds_match_a_tuple_sort(rows):
+    tuples = [tuple(row) for row in rows.tolist()]
+    want = sorted(range(len(tuples)), key=lambda i: tuples[i])
+    order, starts = algebra._runs(rows)
+    assert order.tolist() == want
+    assert starts.tolist() == [i == 0 or tuples[want[i]] != tuples[want[i - 1]]
+                               for i in range(len(want))]
+    kinds, want_first, want_kind = {}, [], []
+    for t in tuples:
+        want_first.append(t not in kinds)
+        want_kind.append(kinds.setdefault(t, len(kinds)))
+    first, kind = algebra._kinds(rows)
+    assert first.tolist() == want_first
+    assert kind.tolist() == want_kind
+    keys = algebra._pack(rows)
+    if len(keys) == 1:
+        base = int(rows.max(initial=0)) + 1
+        digits = algebra._digits(keys[0], base, rows.shape[1])
+        assert np.array_equal(np.stack(digits, axis=1), rows)
+
+
+@pytest.mark.parametrize("base, width, count", [
+    (2, 0, 0), (1, 70, 1), (2, 62, 1), (2, 63, 2), (3, 39, 1), (3, 40, 2),
+    (8, 60, 3), (8, 61, 4), (2 ** 20, 70, 24),
+])
+def test_pack_fills_each_key_below_two_to_the_63(base, width, count):
+    # the largest row, the zero row, and the largest row with its last digit 0
+    rows = np.full((3, width), base - 1)
+    rows[1] = 0
+    rows[2, width - 1:] = 0
+    keys = algebra._pack(rows)
+    assert len(keys) == count
+    assert all(key.dtype == np.int64 and key.min() >= 0 for key in keys)
+    order, starts = algebra._runs(rows)
+    assert order.tolist() == ([0, 1, 2] if base == 1 or not width else [1, 2, 0])
+    assert starts.tolist() == [True, base > 1 and width > 0, base > 1 and width > 0]

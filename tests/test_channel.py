@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cstar_info import channel as channel_module
-from cstar_info.algebra import AtomicAlgebra, Element, GuardExceeded, tensor_power, trace
+from cstar_info.algebra import AtomicAlgebra, Element, GuardExceeded, _pack, tensor_power, trace
 from cstar_info.channel import (
     CapacityResult,
     Channel,
@@ -408,7 +408,7 @@ def _entropy_by_hand(p):
     return float(-np.sum(p * np.log2(p)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_channels_and_states())
 def test_info_metrics_identities(case):
     # I = H(X) + H(Y) - H(X,Y) = H(X) - H(X|Y), entropies of the joint by hand
@@ -592,7 +592,7 @@ def _channels_and_states(draw):
     return Channel(mat).matrix, states
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_channels_and_states())
 def test_capacity_bounds_mutual_information(case):
     mat, states = case
@@ -895,7 +895,7 @@ def _coding_cases(draw, max_k=4):
     return Channel(mat).matrix, codebook
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_coding_cases())
 def test_streamed_trial_matches_dense_oracle(case):
     _check_every_split(*case)
@@ -925,7 +925,23 @@ def test_streamed_trial_workload_shape():
     _check_every_split(c.matrix, codebook)
 
 
-@settings(max_examples=30, deadline=None)
+def test_streamed_trial_with_two_keys_per_codeword():
+    # 64**11 = 2**66: each codeword packs into two int64 keys, and words 2
+    # and 3 share the first key; words 5 and 9 repeat words 1 and 3
+    rng = np.random.default_rng(64)
+    flips = rng.choice([0.0, 0.05, 0.5, 0.95, 1.0], size=64)
+    matrix = np.column_stack((flips, 1.0 - flips))
+    codebook = rng.integers(0, 64, size=(12, 11))
+    codebook[0, -1] = 63
+    codebook[3] = codebook[2]
+    codebook[3, -1] = (codebook[2, -1] + 1) % 64
+    codebook[5] = codebook[1]
+    codebook[9] = codebook[3]
+    assert len(_pack(codebook)) == 2
+    _check_every_split(matrix, codebook)
+
+
+@settings(max_examples=30)
 @given(_coding_cases())
 def test_streamed_blocks_when_one_string_exceeds_the_block(case):
     # r > STREAM_BLOCK_ENTRIES: each block is one head row times one tail
@@ -1045,7 +1061,7 @@ def test_streamed_trial_lone_and_repeated_dominated_words():
     assert (dev, err) == (0.42999999999999994, 0.595)  # the all-rows pass, bit for bit
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_coding_cases(max_k=6))
 def test_uniform_row_gap_is_the_dense_row_gap(case):
     # a row that owns no output string falls back to the uniform decoder row;
@@ -1138,7 +1154,7 @@ _UNREACHABLE = (np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
 
 
 @pytest.mark.parametrize("entries", [channel_module.STREAM_BLOCK_ENTRIES, 1, 30])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_coding_cases(max_k=6))
 @example(_COLLAPSE)
 @example(_GROUPED)
@@ -1156,7 +1172,7 @@ def test_ml_pass_redoes_a_rounding_collapse_and_meets_zero_likelihoods():
     assert np.any(likelihood == 0.0) and not redone.any()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_coding_cases())
 # codeword 0 owns only output 2, which no codeword reaches
 @example((np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[0], [1], [2]])))

@@ -600,7 +600,7 @@ def test_lln_chebyshev_bound_of_zero_variance_with_a_tiny_eps(tmp_path):
     assert row["variance"] == 0 and row["chebyshev_bound"] == 0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.sampled_from([2, 3, 10]), st.lists(st.integers(1, 9), min_size=1, max_size=8))
 def test_code_bound_value_is_expected_length_minus_entropy(alphabet, counts):
     # bound_value and entropy_base_n come from the same base-n entropy
@@ -725,7 +725,7 @@ def _lln_and_aep_argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_lln_and_aep_argv())
 def test_fuzz_main_lln_and_aep(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -814,7 +814,7 @@ def _channel_argv(draw):
     return argv
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_channel_argv())
 def test_fuzz_main_channel_commands(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -14,6 +14,7 @@ from cstar_info.algebra import (
     AtomicAlgebra,
     Element,
     GuardExceeded,
+    MultiIndex,
     tensor_power,
     trace,
 )
@@ -245,7 +246,7 @@ def typical_set_cases(draw):
     return list(weights), n, eps
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(typical_set_cases())
 def test_typical_set_types_match_string_enumeration(case):
     weights, n, eps = case
@@ -274,7 +275,7 @@ def typical_window_cases(draw):
     return weights, n, eps
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(typical_window_cases())
 def test_typical_run_equals_the_full_scan(case):
     # the last two atoms' loop tests only the counts next to the eps band;
@@ -321,6 +322,23 @@ def test_code_validation():
     c = Code(("0", "10", "11"), 2)
     assert c.lengths == (1, 2, 2)
     assert c.source_dim == 3
+
+
+def test_embed_word_refuses_non_ascii_digits():
+    # int("\u0661") is 1, so these once embedded as "1", "01" and "2"
+    alg = AtomicAlgebra(3)
+    for word in ("\u0661", "0\uff11", "\u00b2"):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            embed_word(word, alg)
+    assert embed_word("1", alg) != embed_word("0", alg)
+
+
+def test_embed_word_refuses_digits_beyond_the_algebra():
+    for word, dim in (("2", 2), ("0102", 2), ("9", 3), ("a", 2)):
+        with pytest.raises(ValueError, match="outside 0..%d" % (dim - 1)):
+            embed_word(word, AtomicAlgebra(dim))
+    word = embed_word("21", AtomicAlgebra(3))
+    assert word.terms == {MultiIndex({1: 2, 2: 1}): 1.0}
 
 
 def test_prefix_free_detection():
@@ -461,7 +479,7 @@ def test_huffman_ternary():
     assert max(code.lengths) == 2
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.sampled_from([2, 3]),
        st.lists(st.sampled_from([0, 0, 1, 2, 3, 7]), min_size=1, max_size=9).filter(any))
 def test_huffman_lengths_and_noiseless_bounds(n, counts):

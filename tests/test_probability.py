@@ -314,7 +314,7 @@ def _independent_by_atoms(blocks_a, blocks_b, weights, tol=EQ_TOL):
     return True
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.one_of(_partition_cases(), _near_product_cases()))
 def test_one_partition_behind_subalgebra_distribution_and_independence(case):
     gens, others, omega = case
@@ -341,7 +341,7 @@ def test_one_partition_behind_subalgebra_distribution_and_independence(case):
 _A4 = AtomicAlgebra(4)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_partition_cases())
 # one block whose values chain over 1.2 EQ_TOL
 @example(([Element(_A4, [0, 4e-10, 8e-10, 1.2e-9])], [], State(_A4, [0.25] * 4)))

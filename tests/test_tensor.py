@@ -85,7 +85,7 @@ def close(a, b, scale):
     return abs(a - b) <= 1e-12 * max(1.0, scale)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(programs(), st.lists(WEIGHTS, min_size=4, max_size=4))
 def test_factored_elements_agree_with_the_string_oracle(program, weight_rows):
     d, tree = program
@@ -119,7 +119,7 @@ def _reflected(node):
     return (op,) + tuple(_reflected(sub) for sub in node[1:])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_equality_and_hash_follow_the_oracle_term_maps(data):
     # == is "the same term map, coefficients exactly equal", whatever
@@ -159,7 +159,7 @@ def _one_axis_per_position(support, d, level):
     return [d] * level, shape
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(programs(), st.integers(0, 2))
 def test_dense_with_merged_runs_equals_one_axis_per_position(program, extra):
     d, tree = program
@@ -228,7 +228,7 @@ def _elementary(d, factors):
     return x, ox
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(elementary_pairs())
 @example((2, [(1, [1, 0]), (2, [0, 0])], [(1, [1, 1])]))  # zero vector, unshared
 @example((3, [(2, [1, 0, 0])], [(2, [0, 1, 0]), (4, [1, 1, 1])]))  # disjoint atoms

@@ -117,7 +117,7 @@ def _flip_zeros(values, flips):
     return [-v if v == 0 and f else v for v, f in zip(values, flips)]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.tuples(_SIGNED, _SIGNED), min_size=1, max_size=4),
        st.lists(st.booleans(), min_size=8, max_size=8),
        st.lists(st.tuples(_SIGNED, _SIGNED), min_size=1, max_size=4))
@@ -132,7 +132,7 @@ def test_equal_elements_hash_alike(pairs, flips, others):
         assert hash(x) == hash(z)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=1, max_size=4).filter(any),
        st.lists(st.booleans(), min_size=4, max_size=4))
 def test_equal_states_and_channels_hash_alike(counts, flips):
@@ -189,14 +189,14 @@ def _state(weights):
     return _outcome(lambda: State(AtomicAlgebra(max(len(weights), 1)), weights))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_vectors(), st.integers(1, 4))
 def test_fuzz_state(weights, dim):
     _state(weights)
     _outcome(lambda: State(AtomicAlgebra(dim), weights))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_matrices(), st.sampled_from([None, 0, 1, 2, 3, 1e400, math.nan]))
 def test_fuzz_channel_and_from_dict(matrix, dim):
     _outcome(lambda: Channel(matrix))
@@ -206,7 +206,7 @@ def test_fuzz_channel_and_from_dict(matrix, dim):
     _outcome(lambda: Channel.from_dict(data))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_matrices(), st.sampled_from([1e-9, 1e-3, 0.0, -1.0, math.nan, math.inf]),
        st.sampled_from([1, 30, 200, 0]))
 def test_fuzz_capacity(matrix, tol, max_iter):
@@ -215,7 +215,7 @@ def test_fuzz_capacity(matrix, tol, max_iter):
         _outcome(lambda: capacity(channel, tol, max_iter))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_vectors(), st.lists(st.integers(-1, 25), min_size=1, max_size=3),
        st.sampled_from([1, 2, 3, 40, 0]), _FLOATS, st.one_of(st.none(), _vectors()))
 def test_fuzz_lln_sweep(weights, ns, k, eps, values):
@@ -225,7 +225,7 @@ def test_fuzz_lln_sweep(weights, ns, k, eps, values):
         _outcome(lambda: lln_sweep(omega, ns, k, eps, observable))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_vectors(), st.one_of(st.integers(-1, 30), st.sampled_from([10 ** 8, 2 ** 64])), _FLOATS)
 def test_fuzz_aep_typical_set(weights, n, eps):
     omega = _state(weights)
@@ -233,7 +233,7 @@ def test_fuzz_aep_typical_set(weights, n, eps):
         _outcome(lambda: aep_typical_set(Source(omega.algebra, omega), n, eps))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_vectors(), st.sampled_from([2, 3, 10, 1, 11]))
 def test_fuzz_huffman_code(weights, alphabet):
     omega = _state(weights)
@@ -241,7 +241,7 @@ def test_fuzz_huffman_code(weights, alphabet):
         _outcome(lambda: huffman_code(omega, alphabet))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_matrices(), _vectors(), st.one_of(_FLOATS, st.floats(0.2, 1.5)),
        st.sampled_from([[1], [2, 3], [4], [0], [40]]), st.sampled_from([1, 2, 0]))
 def test_fuzz_coding_experiment(matrix, weights, rate, ks, trials):
