@@ -76,6 +76,15 @@ def _positive(value, name):
     return value
 
 
+def _integer(value, name):
+    # a count or seed as an int: int() would truncate 2.5 and overflow on
+    # inf, and a bool is an int only by accident, so all three are refused
+    if isinstance(value, (bool, np.bool_)) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 class _Frozen:
     """Immutable value: constructors and unpickling fill the slots with
     ``object.__setattr__``, and a copy is the value itself."""
@@ -457,7 +466,8 @@ def _pack(rows):
     The inverse of ``_digits``: with base the largest digit + 1, each key
     holds the next ``per`` digits of every row, as many as base**per <=
     2**63 - 1 allows, so the keys order the rows as their digits do.  Rows
-    of width 0 have no keys.
+    of width 0 have no keys.  When base**per < 2**16 the one key is uint16,
+    which numpy's stable sort orders by radix sort instead of timsort.
     """
     width = rows.shape[1]
     base = int(rows.max(initial=0)) + 1
@@ -465,8 +475,9 @@ def _pack(rows):
     while per < width and base ** (per + 1) < 2 ** 63:
         per += 1
     powers = base ** np.arange(per - 1, -1, -1, dtype=np.int64)
-    return [rows[:, lo : lo + per] @ powers[max(0, lo + per - width) :]
-            for lo in range(0, width, per)]
+    dtype = np.uint16 if base ** per < 2 ** 16 else np.int64
+    return [(rows[:, lo : lo + per] @ powers[max(0, lo + per - width) :])
+            .astype(dtype, copy=False) for lo in range(0, width, per)]
 
 
 def _slots(slots):

@@ -63,6 +63,7 @@ from .algebra import (
     _Frozen,
     _Value,
     _guard,
+    _integer,
     _kinds,
     _positive,
     _tol,
@@ -381,7 +382,13 @@ def capacity(channel, tol=1e-9, max_iter=10000):
     W_ij log2 W_ij over the positive entries of row i.  Then p . d <= C <=
     max_i d_i; the ascent stops when that gap drops below tol and raises
     ConvergenceError (reporting the gap) otherwise.
+
+    A step is twelve numpy calls on preallocated arrays.  At the sizes of
+    a desk-scale channel (tens of inputs and outputs) their cost is call
+    overhead rather than arithmetic, so the loop calls ufuncs and bound
+    methods directly, with positional outputs and no dispatch.
     """
+    max_iter = _integer(max_iter, "max_iter")
     if not (0.0 <= tol < np.inf and max_iter >= 1):
         raise ValueError("need a finite tol >= 0 and max_iter >= 1, got %r, %r" % (tol, max_iter))
     # Output columns without mass carry nothing and leave the products.
@@ -395,26 +402,31 @@ def capacity(channel, tol=1e-9, max_iter=10000):
     p = np.full(m, 1.0 / m)
     log_q = np.empty(n)
     d = np.empty(m)
+    output_law, divergences, lower_bound = mat_t.dot, mat.dot, p.dot
+    clamp, log2, exp2 = np.maximum, np.log2, np.exp2
+    subtract, multiply, divide = np.subtract, np.multiply, np.divide
+    largest, total = np.maximum.reduce, np.add.reduce
     gap = np.inf
-    for iteration in range(1, int(max_iter) + 1):
-        np.dot(mat_t, p, out=log_q)
-        np.maximum(log_q, least, out=log_q)
-        np.log2(log_q, out=log_q)
-        np.dot(mat, log_q, out=d)
-        np.subtract(h, d, out=d)
-        lower = float(p.dot(d))
-        upper = float(d.max())
-        gap = upper - lower
+    for iteration in range(1, max_iter + 1):
+        output_law(p, log_q)
+        clamp(log_q, least, out=log_q)  # a third positional argument is deprecated
+        log2(log_q, log_q)
+        divergences(log_q, d)
+        subtract(h, d, d)
+        lower = lower_bound(d)
+        upper = largest(d)
+        gap = float(upper - lower)
         if gap <= tol:
             return CapacityResult(
-                capacity=max(lower, 0.0),
+                capacity=float(max(lower, 0.0)),
                 optimal_input=State(channel.input_algebra(), p),
                 iterations=iteration,
                 gap=gap,
             )
-        d -= upper
-        p *= np.exp2(d, out=d)
-        p /= p.sum()
+        subtract(d, upper, d)
+        exp2(d, d)
+        multiply(p, d, p)
+        divide(p, total(p), p)
     raise ConvergenceError(
         "Blahut-Arimoto gap %.3e still above tol %.3e after %d iterations"
         % (gap, tol, max_iter)
@@ -732,10 +744,10 @@ def build_code_and_decoder(channel, omega, k, rate, seed=0, guard_bits=None):
     Returns ``(codebook, lossless)`` where codebook rows are input strings
     (ints) drawn iid from the k-fold input state; repeats are possible.
     """
-    k = int(k)
+    k = _integer(k, "k")
     _check_input(channel, omega)
     r = _codebook_size(k, rate, channel.input_dim, channel.output_dim, guard_bits)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     codebook = _sample_codebook(rng, omega.weights, k, r)
     # the rows go before LosslessChannel copies the decoder
     decision, decoder, _ = _decoder_from_rows(_block_rows(channel.matrix, codebook))
@@ -768,7 +780,8 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
     """
     if classify(channel).kind == "useless":
         raise ValueError("coding experiment on a useless channel is vacuous")
-    trials = int(trials)
+    trials = _integer(trials, "trials")
+    seed = _integer(seed, "seed")
     if trials < 1:
         raise ValueError("need at least one trial")
     # the rate, the input and every block length are refused before the
@@ -776,7 +789,7 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
     rate = _positive(rate, "rate")
     _check_input(channel, omega)
     sizes = {k: _codebook_size(k, rate, channel.input_dim, channel.output_dim, guard_bits)
-             for k in sorted(set(int(k) for k in ks))}
+             for k in sorted(set(_integer(k, "k") for k in ks))}
     try:
         cap = capacity(channel, tol=1e-6, max_iter=2000).capacity
     except ConvergenceError:
@@ -793,7 +806,7 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
         devs = []
         errs = []
         for t in range(trials):
-            rng = np.random.default_rng(int(seed) + t)
+            rng = np.random.default_rng(seed + t)
             codebook = _sample_codebook(rng, omega.weights, k, r)
             deviation, error = _streamed_trial(channel.matrix, codebook)
             devs.append(deviation)
@@ -804,7 +817,7 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
                 rate=rate,
                 codebook_size=r,
                 trials=trials,
-                seed=int(seed),
+                seed=seed,
                 deviation=float(np.mean(devs)),
                 error_prob=float(np.mean(errs)),
                 trial_deviations=tuple(devs),

@@ -21,7 +21,7 @@ import re
 import sys
 import warnings
 
-from .algebra import AtomicAlgebra, Element, GuardExceeded
+from .algebra import AtomicAlgebra, Element, GuardExceeded, _integer
 from .probability import State, lln_sweep
 from .information import (
     Code,
@@ -72,10 +72,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_int(value):
-    # bool is an int, and int() truncates a float: refuse both
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError("expected an integer, got %r" % (value,))
-    return int(value)
+    # flag text is read by int(); a config-file number keeps its type, and
+    # the library's rule refuses a bool, 2.5 or inf rather than truncating
+    return _integer(int(value) if isinstance(value, str) else value, "value")
 
 
 def _parse_float(value):

@@ -562,6 +562,8 @@ def test_runs_and_kinds_match_a_tuple_sort(rows):
 @pytest.mark.parametrize("base, width, count", [
     (2, 0, 0), (1, 70, 1), (2, 62, 1), (2, 63, 2), (3, 39, 1), (3, 40, 2),
     (8, 60, 3), (8, 61, 4), (2 ** 20, 70, 24),
+    # one uint16 key while base**width and the base stay below 2**16
+    (2, 15, 1), (2, 16, 1), (255, 2, 1), (256, 2, 1), (2 ** 16 - 1, 1, 1), (2 ** 16, 1, 1),
 ])
 def test_pack_fills_each_key_below_two_to_the_63(base, width, count):
     # the largest row, the zero row, and the largest row with its last digit 0
@@ -570,7 +572,11 @@ def test_pack_fills_each_key_below_two_to_the_63(base, width, count):
     rows[2, width - 1:] = 0
     keys = algebra._pack(rows)
     assert len(keys) == count
-    assert all(key.dtype == np.int64 and key.min() >= 0 for key in keys)
+    dtype = np.uint16 if base ** width < 2 ** 16 else np.int64
+    assert all(key.dtype == dtype and key.min() >= 0 for key in keys)
+    if count == 1:
+        assert np.array_equal(np.stack(algebra._digits(keys[0], base, width), axis=1), rows)
     order, starts = algebra._runs(rows)
     assert order.tolist() == ([0, 1, 2] if base == 1 or not width else [1, 2, 0])
-    assert starts.tolist() == [True, base > 1 and width > 0, base > 1 and width > 0]
+    # the zero row equals the third row when that has a single digit
+    assert starts.tolist() == [True, base > 1 and width > 1, base > 1 and width > 0]

@@ -493,20 +493,27 @@ def _plain_channel(n, s):
 
 
 def test_capacity_iterations_on_plain_random_channels():
-    for (n, s), iterations, value in (
-        ((16, 3), 5058, 0.3418328240326317),
-        ((32, 1), 4490, 0.39503432709528863),
+    # pinned to the bit: the capacity, the gap and the SHA-256 of the
+    # optimal weights' bytes
+    for (n, s), iterations, value, gap, digest in (
+        ((16, 3), 5058, 0.341832824032632, 9.992744964826272e-10,
+         "6d6e6d38d1bf9e4e10fd690ad71abcdb41a1378e0041d360f88d49e09e019f31"),
+        ((32, 1), 4490, 0.3950343270952885, 9.989324922798914e-10,
+         "669b634ead1844c539e9c408b578c1385fa9877e57edc2fef9d374e01140cc52"),
     ):
         result = capacity(_plain_channel(n, s))
         assert result.iterations == iterations
-        assert result.capacity == pytest.approx(value, abs=1e-12)
-        assert result.gap <= 1e-9
+        assert result.capacity == value
+        assert result.gap == gap
+        assert hashlib.sha256(result.optimal_input.weights.tobytes()).hexdigest() == digest
     # Plain Blahut-Arimoto stalls near a gap of 2e-7 on these two.  A solver
     # that converges on them (ROADMAP item 1) flips both cases together with
     # the benchmark's numeric_failure checks of the same channels.
-    for n, s in ((48, 0), (64, 1)):
-        with pytest.raises(ConvergenceError, match="after 10000 iterations"):
+    for (n, s), gap in (((48, 0), "1.986e-07"), ((64, 1), "2.588e-07")):
+        with pytest.raises(ConvergenceError) as caught:
             capacity(_plain_channel(n, s))
+        assert str(caught.value) == (
+            "Blahut-Arimoto gap %s still above tol 1.000e-09 after 10000 iterations" % gap)
 
 
 def test_capacity_zero_output_column():
@@ -755,6 +762,35 @@ def test_coding_experiment_structure():
         assert r.deviation == pytest.approx(np.mean(r.trial_deviations))
         assert r.error_prob == pytest.approx(np.mean(r.trial_error_probs))
         assert r.deviation <= 2 * r.error_prob + 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.5, True, np.True_])
+def test_counts_and_seeds_refuse_non_integral_numbers(bad):
+    # int() would truncate 2.5, overflow on inf and read True as 1
+    c = bsc(0.1)
+    omega = State.uniform(AtomicAlgebra(2))
+    calls = [
+        ("max_iter", lambda: capacity(c, max_iter=bad)),
+        ("trials", lambda: coding_experiment(c, omega, 0.4, [4], trials=bad)),
+        ("k", lambda: coding_experiment(c, omega, 0.4, [4, bad], trials=1)),
+        ("seed", lambda: coding_experiment(c, omega, 0.4, [4], trials=1, seed=bad)),
+        ("k", lambda: build_code_and_decoder(c, omega, bad, 0.4)),
+        ("seed", lambda: build_code_and_decoder(c, omega, 4, 0.4, seed=bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == "%s must be an integer, got %r" % (name, bad)
+
+
+def test_integral_numbers_of_any_type_count_as_integers():
+    c = bsc(0.1)
+    omega = State.uniform(AtomicAlgebra(2))
+    assert capacity(c, max_iter=np.int64(40)) == capacity(c, max_iter=40.0)
+    want = coding_experiment(c, omega, 0.4, [4], trials=2, seed=5)
+    got = coding_experiment(c, omega, 0.4, [np.uint8(4)], trials=2.0, seed=np.int32(5))
+    assert got == want
+    assert (type(got[0].k), type(got[0].trials), type(got[0].seed)) == (int, int, int)
 
 
 def test_coding_experiment_refuses_useless():

@@ -105,6 +105,8 @@ _REQUIRED_FILE_VALUES = {
     ("lln", "guard_override", "maybe"),
     ("capacity", "output", True),
     ("code", "words", ["0", True]),
+    ("capacity", "max_iter", math.inf),
+    ("coding-experiment", "seed", -math.inf),
 ])
 def test_config_values_are_converted_as_flags_are(tmp_path, capsys, command, key, value):
     # a flag can only carry text, so a boolean or a fractional integer from

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cstar_info.algebra import (
@@ -208,7 +208,8 @@ def test_fuzz_channel_and_from_dict(matrix, dim):
 
 @settings(max_examples=150)
 @given(_matrices(), st.sampled_from([1e-9, 1e-3, 0.0, -1.0, math.nan, math.inf]),
-       st.sampled_from([1, 30, 200, 0]))
+       st.sampled_from([1, 30, 200, 0, math.inf, 2.5, True]))
+@example([[0.9, 0.1], [0.2, 0.8]], 1e-9, math.inf)
 def test_fuzz_capacity(matrix, tol, max_iter):
     channel = _outcome(lambda: Channel(matrix))
     if channel is not None:
@@ -243,7 +244,10 @@ def test_fuzz_huffman_code(weights, alphabet):
 
 @settings(max_examples=100)
 @given(_matrices(), _vectors(), st.one_of(_FLOATS, st.floats(0.2, 1.5)),
-       st.sampled_from([[1], [2, 3], [4], [0], [40]]), st.sampled_from([1, 2, 0]))
+       st.sampled_from([[1], [2, 3], [4], [0], [40], [math.inf], [2.5], [True]]),
+       st.sampled_from([1, 2, 0, math.inf, 2.5, True]))
+@example([[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5], 0.4, [4], math.inf)
+@example([[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5], 0.4, [math.inf], 1)
 def test_fuzz_coding_experiment(matrix, weights, rate, ks, trials):
     channel = _outcome(lambda: Channel(matrix))
     omega = _state(weights)
