@@ -847,8 +847,13 @@ def test_fuzz_main_channel_commands(argv):
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 _CODING = ["coding-experiment", "--channel", "bsc(0.05)"]
+# thirty weights with ties, which the Huffman queue breaks by creation order
+_STATE_30 = ("0.0017,0.0104,0.0001,0.0273,0.0629,0.0857,0.0046,0.0002,0.0083,0.0272,"
+             "0.0021,0.0351,0.0964,0.0078,0.0144,0.0593,0.0299,0.054,0.0171,0.0903,"
+             "0.0005,0.028,0.0001,0.118,0.0108,0.0002,0.0964,0.1052,0.0017,0.0043")
 # (name, exit code, argv): the README examples, a CSV form of the source
-# commands, the benchmark's widest coding grid and one refusal per exit code.
+# commands, the benchmark's widest coding grid, two artifacts with lists of
+# rows and of matrix rows, and one refusal per exit code.
 # A run leaves <name>.json or <name>.csv (the artifact, its echoed output
 # path dropped) and, when it writes to standard error, <name>.stderr.
 _GOLDEN_CASES = [
@@ -856,8 +861,10 @@ _GOLDEN_CASES = [
     ("aep", 0, ["aep", "--p", "0.9,0.1", "--eps", "0.2", "--n", "4:20"]),
     ("code-huffman", 0, ["code", "--state", "0.5,0.25,0.25", "--huffman"]),
     ("code-words", 0, ["code", "--state", "0.5,0.25,0.25", "--words", "0,10,11"]),
+    ("code-huffman-30", 0, ["code", "--state", _STATE_30, "--huffman"]),
     ("channel-info", 0, ["channel-info", "--channel", "bsc(0.11)", "--state", "0.5,0.5"]),
     ("capacity", 0, ["capacity", "--channel", "bsc(0.11)"]),
+    ("capacity-6x6", 0, ["capacity", "--channel", str(GOLDEN / "channel-6x6.json")]),
     ("coding-experiment", 0, _CODING + ["--rate", "0.4", "--ks", "4,8,12", "--seed", "21"]),
     ("lln-csv", 0, ["lln", "--p", "0.3,0.7", "--n", "1:40", "--eps", "0.2", "--format", "csv"]),
     ("aep-csv", 0, ["aep", "--p", "0.7,0.2,0.1", "--eps", "0.3", "--n", "2:9", "--format", "csv"]),

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from cstar_info.algebra import (
     AlgebraMismatch,
     AtomicAlgebra,
     Element,
+    GuardExceeded,
     embed_at,
     tensor_product,
 )
@@ -30,6 +32,7 @@ from cstar_info.probability import (
     independence_test,
     lln_moment,
     lln_moment_sweep,
+    lln_sweep,
     prob_interval,
     pure_check,
     sum_pushforward,
@@ -532,3 +535,43 @@ def test_chebyshev_tail_exact_small_case():
     assert chebyshev_tail(omega, 2, 0.4) == pytest.approx(0.5)
     # eps above the max deviation leaves no tail
     assert chebyshev_tail(omega, 2, 0.6) == 0.0
+
+
+# library golden file ---------------------------------------------------------
+
+LLN_GOLDEN = pathlib.Path(__file__).parent / "golden" / "library" / "lln_sweep.json"
+
+
+def _lln_golden_cases():
+    # Seeded lln_sweep inputs: two to four atoms, the default or a rounded
+    # real observable, every merge_tol and moment order of the grid, and
+    # last a guard limit that the sweep passes.
+    rng = np.random.default_rng(2021)
+    for case in range(48):
+        dim = int(rng.integers(2, 5))
+        omega = State(AtomicAlgebra(dim), rng.dirichlet(np.ones(dim)))
+        values = np.round(rng.normal(0.0, 2.0, dim), 1) if case % 2 else None
+        ns = sorted(set(rng.integers(1, 41, int(rng.integers(1, 9))).tolist()))
+        yield dict(omega=omega, ns=ns, k=case % 4 + 1, eps=float(rng.uniform(0.01, 0.5)),
+                   observable=None if values is None else Element(omega.algebra, values),
+                   merge_tol=(None, 1e-12, 1e-6)[case % 3])
+    yield dict(omega=State(AtomicAlgebra(3), [0.2, 0.3, 0.5]), ns=[5, 40], k=2, eps=0.1,
+               guard_bits=8)
+
+
+def lln_golden_records():
+    """Each case's ``[n, moment, variance, tail]`` rows, floats as
+    ``float.hex``, or the text of the GuardExceeded it raises."""
+    records = []
+    for case in _lln_golden_cases():
+        try:
+            table = lln_sweep(**case)
+        except GuardExceeded as exc:
+            records.append(str(exc))
+            continue
+        records.append([[n] + [float.hex(x) for x in table[n]] for n in case["ns"]])
+    return records
+
+
+def test_lln_sweep_matches_the_library_golden_file():
+    assert lln_golden_records() == json.loads(LLN_GOLDEN.read_text(encoding="utf-8"))
