@@ -14,6 +14,7 @@ JSON object on standard error.
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -534,12 +535,71 @@ def _csv_cell(value):
     return str(value)
 
 
+@functools.cache
+def _encoder(depth):
+    # the C encoder, writing a container of scalars whose items sit at
+    # depth + 1: the item separator carries their newline and indent
+    return json.JSONEncoder(sort_keys=True, allow_nan=False,
+                            separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _brackets(value):
+    # "{}" or "[]" for a non-empty container of scalars, else None
+    if isinstance(value, dict):
+        items, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        return None
+    nested = any(map(isinstance, items, itertools.repeat(_CONTAINERS)))
+    return brackets if value and not nested else None
+
+
+def _render(value, depth=0):
+    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` for
+    a value at ``depth``, with str keys, in few calls to the C encoder.
+
+    A scalar, an empty container or a container of scalars is one call; a
+    list of containers of scalars of one kind is one call at its items'
+    depth, whose joints are then indented as the list's own.  With
+    ensure_ascii a string escapes every newline, so each raw newline in the
+    encoder's output is a separator that this function chose.
+    """
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    brackets = _brackets(value)
+    if brackets or not isinstance(value, _CONTAINERS) or not value:
+        text = _encoder(depth)(value)
+        return text[0] + inner + text[1:-1] + outer + text[-1] if brackets else text
+    if isinstance(value, dict):
+        parts = [json.encoder.encode_basestring_ascii(key) + ": " + _render(item, depth + 1)
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    kinds = set(map(_brackets, value))
+    if len(kinds) == 1 and None not in kinds:
+        (left, right), deeper = kinds.pop(), "\n" + "  " * (depth + 2)
+        body = _encoder(depth + 1)(value)[2:-2].replace(
+            right + "," + deeper + left, inner + right + "," + inner + left + deeper)
+        return "[" + inner + left + deeper + body + inner + right + outer + "]"
+    return "[" + inner + ("," + inner).join(_render(v, depth + 1) for v in value) + outer + "]"
+
+
 def render_artifact(config, rows, summary):
-    """Serialize one run deterministically in the configured format."""
+    """Serialize one run deterministically in the configured format.
+
+    A JSON artifact is exactly ``json.dumps(artifact, sort_keys=True,
+    indent=2, allow_nan=False)``, written by ``_render``."""
     echo = _config_echo(config)
     if config["format"] == "json":
         artifact = {"config": echo, "results": rows, "summary": summary}
-        return json.dumps(artifact, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        try:
+            return _render(artifact) + "\n"
+        except ValueError:
+            # the pure-Python encoder names the non-finite float it refuses
+            json.dumps(artifact, sort_keys=True, indent=2, allow_nan=False)
+            raise
     compact = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
     lines = ["# config: " + json.dumps(echo, **compact)]
     columns = list(rows[0].keys())

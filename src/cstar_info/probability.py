@@ -190,7 +190,7 @@ def _gap_starts(ordered, tol):
     # above its predecessor opens a new cluster.
     starts = np.empty(len(ordered), dtype=bool)
     starts[:1] = True
-    np.greater(np.diff(ordered), tol, out=starts[1:])
+    np.greater(ordered[1:] - ordered[:-1], tol, out=starts[1:])
     return starts
 
 
@@ -483,11 +483,11 @@ class _AverageSweep:
         self.n = 0
 
     def step(self):
-        v = (self.sums[:, None] + self.values[None, :]).ravel()
-        m = (self.sum_masses[:, None] * self.masses[None, :]).ravel()
+        v = np.add.outer(self.sums, self.values).ravel()
+        m = np.multiply.outer(self.sum_masses, self.masses).ravel()
         order = np.argsort(v, kind="stable")
         v = v[order]
-        first = np.flatnonzero(_gap_starts(v, self.tol))
+        first = _gap_starts(v, self.tol).nonzero()[0]
         self.sums = v[first]
         self.sum_masses = np.add.reduceat(m[order], first)
         self.work += m.size
@@ -503,18 +503,18 @@ class _AverageSweep:
             if n > self.max_copies:
                 raise ValueError("sums of %d copies span beyond the float range" % n)
             self.step()
+        # the average's deviations at n, read by every moment and tail
+        self.deviation = np.abs(self.sums / self.n)
 
     def moment(self, k):
         if k > self.max_order:
             raise ValueError(
                 "moment %d of the deviation at n = %d is beyond the float range" % (k, self.n)
             )
-        dev = np.abs(self.sums / self.n)
-        return float(np.dot(self.sum_masses, dev ** k))
+        return float(np.dot(self.sum_masses, self.deviation ** k))
 
     def tail(self, eps):
-        dev = np.abs(self.sums / self.n)
-        return float(np.sum(self.sum_masses[dev > eps]))
+        return float(self.sum_masses[self.deviation > eps].sum())
 
 
 def _average_sweeps(omega, ns, observable=None, merge_tol=None, guard_bits=None):
@@ -548,10 +548,11 @@ def lln_sweep(omega, ns, k, eps, observable=None, merge_tol=None, guard_bits=Non
     """
     k = _check_moment_order(k)
     eps = _positive(eps, "eps")
-    return {
-        n: (sweep.moment(k), sweep.moment(2), sweep.tail(eps))
-        for n, sweep in _average_sweeps(omega, ns, observable, merge_tol, guard_bits)
-    }
+    table = {}
+    for n, sweep in _average_sweeps(omega, ns, observable, merge_tol, guard_bits):
+        moment = sweep.moment(k)
+        table[n] = (moment, moment if k == 2 else sweep.moment(2), sweep.tail(eps))
+    return table
 
 
 def lln_moment(omega, n, k, observable=None, merge_tol=None):

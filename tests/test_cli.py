@@ -272,6 +272,41 @@ def test_byte_reproducible_artifacts(tmp_path):
     assert first == path.read_bytes()
 
 
+_KEYS = st.text(st.sampled_from('ab"\\\n[]{},: \u00e9\u20ac\U0001f600'), max_size=4)
+_SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+            | st.sampled_from([-0.0, 5e-324, 1e300, 0.1])
+            | st.floats(allow_nan=False, allow_infinity=False) | _KEYS)
+
+
+def _containers(items):
+    return (st.lists(items, max_size=4) | st.lists(items, max_size=3).map(tuple)
+            | st.dictionaries(_KEYS, items, max_size=4))
+
+
+# nested values, with lists of rows and of matrix rows drawn as often as the rest
+_NESTED = st.recursive(_SCALARS, _containers, max_leaves=40) | st.lists(
+    _containers(_SCALARS), max_size=5)
+
+
+@settings(max_examples=400)
+@given(_NESTED)
+def test_renderer_writes_the_bytes_of_json_dumps(value):
+    assert cli._render(value) == json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_artifact_value_is_refused_as_json_dumps_refuses_it(
+        monkeypatch, capsys, bad):
+    rows = [{"n": 1, "moment": 0.5}, {"n": 2, "moment": bad}]
+    with pytest.raises(ValueError) as expected:
+        json.dumps(rows, allow_nan=False, indent=2)
+    monkeypatch.setitem(cli._RUNNERS, "lln", lambda config: (rows, None))
+    assert main(["lln", "--p", "0.5,0.5", "--n", "1:2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {"kind": "config", "message": str(expected.value)}
+
+
 def test_json_and_csv_artifacts_agree(tmp_path):
     base = ["lln", "--p", "0.3,0.7", "--n", "1,5,25", "--eps", "0.25"]
     code, jpath = run(tmp_path, base + ["--format", "json"], "r.json")
