@@ -65,15 +65,26 @@ def check_guard(dim, level, guard_bits=None):
            "strings to expand %d**%d densely", dim, level)
 
 
-def _tol(tol):
-    return EQ_TOL if tol is None else float(tol)
+def _tol(tol, name="tol"):
+    return EQ_TOL if tol is None else _real(tol, name)
 
 
 def _positive(value, name):
-    value = float(value)
-    if not 0.0 < value < math.inf:
+    value = _real(value, name, "positive and finite")
+    if not value > 0.0:
         raise ValueError("%s must be positive and finite, got %r" % (name, value))
     return value
+
+
+def _real(value, name, rule="a finite real number"):
+    # a tolerance or rate as a float: float() would read a bool as 0 or 1
+    # and a string as the number it spells, and a NaN passes a range check
+    # written as "refuse if below", so all three are refused, as is inf
+    if not isinstance(value, (bool, np.bool_, str, bytes)):
+        value = float(value)
+        if math.isfinite(value):
+            return value
+    raise ValueError("%s must be %s, got %r" % (name, rule, value))
 
 
 def _integer(value, name):

@@ -66,6 +66,7 @@ from .algebra import (
     _integer,
     _kinds,
     _positive,
+    _real,
     _tol,
     check_guard,
     tensor_power,
@@ -388,8 +389,8 @@ def capacity(channel, tol=1e-9, max_iter=10000):
     overhead rather than arithmetic, so the loop calls ufuncs and bound
     methods directly, with positional outputs and no dispatch.
     """
-    max_iter = _integer(max_iter, "max_iter")
-    if not (0.0 <= tol < np.inf and max_iter >= 1):
+    tol, max_iter = _real(tol, "tol"), _integer(max_iter, "max_iter")
+    if not (tol >= 0.0 and max_iter >= 1):
         raise ValueError("need a finite tol >= 0 and max_iter >= 1, got %r, %r" % (tol, max_iter))
     # Output columns without mass carry nothing and leave the products.
     mat = np.ascontiguousarray(channel.matrix[:, channel.matrix.any(axis=0)])

@@ -475,7 +475,7 @@ class _AverageSweep:
         # spread**k.  These bound n and k before any float overflows.
         self.max_copies = sys.float_info.max / (2.0 * spread) if spread else math.inf
         self.max_order = _LOG_FLOAT_MAX / math.log(spread) if spread > 1.0 else math.inf
-        self.tol = _tol(merge_tol)
+        self.tol = _tol(merge_tol, "merge_tol")
         self.guard_bits = guard_bits
         self.work = 0
         self.sums = np.zeros(1)

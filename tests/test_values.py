@@ -207,13 +207,35 @@ def test_fuzz_channel_and_from_dict(matrix, dim):
 
 
 @settings(max_examples=150)
-@given(_matrices(), st.sampled_from([1e-9, 1e-3, 0.0, -1.0, math.nan, math.inf]),
+@given(_matrices(), st.sampled_from([1e-9, 1e-3, 0.0, -1.0, math.nan, math.inf, True, "1e-9"]),
        st.sampled_from([1, 30, 200, 0, math.inf, 2.5, True]))
 @example([[0.9, 0.1], [0.2, 0.8]], 1e-9, math.inf)
 def test_fuzz_capacity(matrix, tol, max_iter):
     channel = _outcome(lambda: Channel(matrix))
     if channel is not None:
         _outcome(lambda: capacity(channel, tol, max_iter))
+
+
+_HALF = State(A2, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: capacity(bsc(0.1), tol=True),
+    lambda: capacity(bsc(0.1), tol="1e-9"),
+    lambda: capacity(bsc(0.1), tol=math.inf),
+    lambda: State(A2, [0.7, 0.7], tol=math.nan),
+    lambda: State(A2, [0.5, 0.5], tol=True),
+    lambda: _HALF.is_pure(tol=math.nan),
+    lambda: Channel([[1.0, 0.0], [0.0, 1.0]], tol="0.1"),
+    lambda: lln_sweep(_HALF, [2], 2, 0.1, merge_tol=math.nan),
+    lambda: lln_sweep(_HALF, [2], 2, True),
+    lambda: aep_typical_set(Source.from_weights([0.5, 0.5]), 4, "0.1"),
+    lambda: coding_experiment(bsc(0.1), _HALF, np.float64(np.nan), [2]),
+], ids=["capacity-bool", "capacity-str", "capacity-inf", "state-nan", "state-bool",
+        "is_pure-nan", "channel-str", "merge_tol-nan", "eps-bool", "eps-str", "rate-nan"])
+def test_real_parameters_refuse_bools_strings_nan_and_inf(call):
+    with pytest.raises(ValueError, match=" must be "):
+        call()
 
 
 @settings(max_examples=300)
