@@ -71,7 +71,7 @@ def _tol(tol, name="tol"):
 
 def _positive(value, name):
     value = _real(value, name, "positive and finite")
-    if not value > 0.0:
+    if value <= 0.0:
         raise ValueError("%s must be positive and finite, got %r" % (name, value))
     return value
 

@@ -390,7 +390,7 @@ def capacity(channel, tol=1e-9, max_iter=10000):
     methods directly, with positional outputs and no dispatch.
     """
     tol, max_iter = _real(tol, "tol"), _integer(max_iter, "max_iter")
-    if not (tol >= 0.0 and max_iter >= 1):
+    if tol < 0.0 or max_iter < 1:
         raise ValueError("need a finite tol >= 0 and max_iter >= 1, got %r, %r" % (tol, max_iter))
     # Output columns without mass carry nothing and leave the products.
     mat = np.ascontiguousarray(channel.matrix[:, channel.matrix.any(axis=0)])

@@ -544,18 +544,25 @@ def _encoder(depth):
 
 
 _CONTAINERS = (dict, list, tuple)
+# exact types; a value of any other type is rendered on its own
+_SCALARS = {str, int, float, bool, type(None)}
 
 
-def _brackets(value):
-    # "{}" or "[]" for a non-empty container of scalars, else None
-    if isinstance(value, dict):
-        items, brackets = value.values(), "{}"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = value, "[]"
+def _scalars(items):
+    return set(map(type, items)) <= _SCALARS
+
+
+def _row_brackets(value):
+    # "{}" or "[]" for a list of non-empty containers of scalars, all dicts
+    # or all lists and tuples, else None; C iterators only, no call per row
+    kinds = set(map(type, value))
+    if kinds == {dict}:
+        brackets, rows = "{}", map(dict.values, value)
+    elif kinds <= {list, tuple}:
+        brackets, rows = "[]", value
     else:
         return None
-    nested = any(map(isinstance, items, itertools.repeat(_CONTAINERS)))
-    return brackets if value and not nested else None
+    return brackets if all(value) and _scalars(itertools.chain.from_iterable(rows)) else None
 
 
 def _render(value, depth=0):
@@ -569,17 +576,18 @@ def _render(value, depth=0):
     encoder's output is a separator that this function chose.
     """
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    brackets = _brackets(value)
-    if brackets or not isinstance(value, _CONTAINERS) or not value:
+    if not (isinstance(value, _CONTAINERS) and value):
+        return _encoder(depth)(value)
+    if _scalars(value.values() if isinstance(value, dict) else value):
         text = _encoder(depth)(value)
-        return text[0] + inner + text[1:-1] + outer + text[-1] if brackets else text
+        return text[0] + inner + text[1:-1] + outer + text[-1]
     if isinstance(value, dict):
         parts = [json.encoder.encode_basestring_ascii(key) + ": " + _render(item, depth + 1)
                  for key, item in sorted(value.items())]
         return "{" + inner + ("," + inner).join(parts) + outer + "}"
-    kinds = set(map(_brackets, value))
-    if len(kinds) == 1 and None not in kinds:
-        (left, right), deeper = kinds.pop(), "\n" + "  " * (depth + 2)
+    brackets = _row_brackets(value)
+    if brackets:
+        (left, right), deeper = brackets, "\n" + "  " * (depth + 2)
         body = _encoder(depth + 1)(value)[2:-2].replace(
             right + "," + deeper + left, inner + right + "," + inner + left + deeper)
         return "[" + inner + left + deeper + body + inner + right + outer + "]"

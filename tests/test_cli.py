@@ -275,7 +275,8 @@ def test_byte_reproducible_artifacts(tmp_path):
 _KEYS = st.text(st.sampled_from('ab"\\\n[]{},: \u00e9\u20ac\U0001f600'), max_size=4)
 _SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
             | st.sampled_from([-0.0, 5e-324, 1e300, 0.1])
-            | st.floats(allow_nan=False, allow_infinity=False) | _KEYS)
+            | st.floats(allow_nan=False, allow_infinity=False) | _KEYS
+            | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
 
 
 def _containers(items):
