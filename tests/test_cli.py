@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cstar_info import cli, probability
@@ -291,6 +291,9 @@ _NESTED = st.recursive(_SCALARS, _containers, max_leaves=40) | st.lists(
 
 @settings(max_examples=400)
 @given(_NESTED)
+@example([[], {}, [[]], {"": {"": []}}, ((), [{}])])
+@example({"a\n\"[{,}]\\\u00e9": [{"k": 2 ** 70, "z": -0.0}, {"k": 5e-324, "z": 1e300}],
+          "b": [(True, None), ["x", False]]})
 def test_renderer_writes_the_bytes_of_json_dumps(value):
     assert cli._render(value) == json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
 

@@ -545,7 +545,7 @@ LLN_GOLDEN = pathlib.Path(__file__).parent / "golden" / "library" / "lln_sweep.j
 def _lln_golden_cases():
     # Seeded lln_sweep inputs: two to four atoms, the default or a rounded
     # real observable, every merge_tol and moment order of the grid, and
-    # last a guard limit that the sweep passes.
+    # last one that its guard limit refuses.
     rng = np.random.default_rng(2021)
     for case in range(48):
         dim = int(rng.integers(2, 5))
