@@ -21,9 +21,9 @@ import test_probability  # noqa: E402
 
 
 def main():
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as workdir:
         for name, code, argv in test_cli._GOLDEN_CASES:
-            run_dir = pathlib.Path(scratch) / name
+            run_dir = pathlib.Path(workdir) / name
             run_dir.mkdir()
             got, files = test_cli._golden_run(run_dir, argv)
             if got != code:
