@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import pathlib
 import time
 import tracemalloc
 import warnings
@@ -1286,3 +1287,95 @@ def test_coding_experiment_values_are_pinned():
          (1.249671977619461, 1.2407537196688463),
          (0.6439705469430229, 0.6390817119065982)),
     ]
+
+
+
+# library golden files ----------------------------------------------------------
+
+LIBRARY_GOLDEN = pathlib.Path(__file__).parent / "golden" / "library"
+CODING_GOLDEN = LIBRARY_GOLDEN / "coding_experiment.json"
+CAPACITY_GOLDEN = LIBRARY_GOLDEN / "capacity.json"
+
+
+def _coding_golden_cases():
+    # Seeded grids on a bsc, a z-channel and a channel with three inputs,
+    # each with a uniform and a skewed input (a skewed three-input state
+    # leaves one input out), k <= 10.
+    rng = np.random.default_rng(2022)
+    z = float(rng.uniform(0.1, 0.5))
+    channels = (bsc(float(rng.uniform(0.02, 0.2))),
+                Channel([[1.0, 0.0], [z, 1.0 - z]]),
+                Channel(rng.dirichlet(np.ones(4), 3)))
+    for case in range(12):
+        c = channels[case % 3]
+        m = c.input_dim
+        weights = np.full(m, 1.0 / m)
+        if case % 2:
+            weights = rng.dirichlet(np.full(m, 0.7))
+            if m == 3:
+                weights[int(rng.integers(m))] = 0.0
+        top = 10 if m == 2 else 5
+        ks = sorted(set(rng.integers(2, top + 1, 3).tolist()))
+        yield dict(channel=c, omega=State(AtomicAlgebra(m), weights / weights.sum()),
+                   rate=float(rng.uniform(0.5, 0.99)), ks=ks,
+                   trials=int(rng.integers(1, 4)), seed=int(rng.integers(1000)))
+
+
+def coding_golden_records():
+    """Each case's warnings and, per block length, ``[k, r, deviation,
+    error, trial deviations, trial errors]``, floats as ``float.hex``."""
+    records = []
+    for case in _coding_golden_cases():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = coding_experiment(**case)
+        rows = [[r.k, r.codebook_size, float.hex(r.deviation), float.hex(r.error_prob),
+                 [float.hex(x) for x in r.trial_deviations],
+                 [float.hex(x) for x in r.trial_error_probs]] for r in results]
+        records.append([sorted(set(str(w.message) for w in caught)), rows])
+    return records
+
+
+def _capacity_golden_cases():
+    # closed forms, skewed channels (sparse rows, some columns without mass)
+    # at the defaults and at the coding probe's settings, and the four plain
+    # channels of the benchmark, two of which do not converge
+    yield "bsc", bsc(0.11), {}
+    yield "bec", bec(0.3), {}
+    yield "z", Channel([[1.0, 0.0], [0.5, 0.5]]), {}
+    yield "identity", identity_channel(3), {}
+    yield "useless", useless_channel([0.4, 0.6]), {}
+    rng = np.random.default_rng(2023)
+    for case in range(6):
+        m, n = (int(x) for x in rng.integers(2, 9, 2))
+        mat = rng.dirichlet(np.full(n, 0.3), m)
+        mat[mat < 0.05] = 0.0
+        mat[:, 0] += mat.sum(axis=1) == 0.0
+        options = {} if case % 2 else dict(tol=1e-6, max_iter=2000)
+        yield "skewed%d" % case, Channel(mat / mat.sum(axis=1, keepdims=True)), options
+    for n, s in ((16, 3), (32, 1), (48, 0), (64, 1)):
+        yield "plain%d" % n, _plain_channel(n, s), {}
+
+
+def capacity_golden_records():
+    """Each case's capacity and gap as ``float.hex``, its iterations and the
+    SHA-256 of its optimal weights, or the text of its ConvergenceError."""
+    records = []
+    for name, c, options in _capacity_golden_cases():
+        try:
+            result = capacity(c, **options)
+        except ConvergenceError as exc:
+            records.append([name, str(exc)])
+            continue
+        records.append([name, float.hex(result.capacity), float.hex(result.gap),
+                        result.iterations,
+                        hashlib.sha256(result.optimal_input.weights.tobytes()).hexdigest()])
+    return records
+
+
+def test_coding_experiment_matches_the_library_golden_file():
+    assert coding_golden_records() == json.loads(CODING_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_capacity_matches_the_library_golden_file():
+    assert capacity_golden_records() == json.loads(CAPACITY_GOLDEN.read_text(encoding="utf-8"))
