@@ -518,17 +518,18 @@ def _align(first, second):
     )
 
 
-def _meet(mx, my):
-    """False when two single elementary tensors, given by their masks from
-    ``TensorElement._mask``, multiply to zero: at some shared position
-    their nonzero atoms are disjoint."""
-    if len(my) < len(mx):
-        mx, my = my, mx
-    for pos, m in mx.items():
-        other = my.get(pos)
-        if other is not None and not m & other:
-            return False
-    return True
+def _vanishes(x, y, d):
+    """True when two elementary tensors, given by their ``TensorElement._masks``
+    over d atoms, multiply to zero: at some shared position their nonzero
+    atoms are disjoint.  ``_vanishes(x, x, d)`` asks whether x is zero.
+
+    Both masks have the guard bit of every position they share, over the
+    atoms the two have in common there.  Taking one from the lowest bit of
+    each such field clears its guard exactly when the field holds no atom,
+    and never borrows from the field above.
+    """
+    shared = x[1] & y[1]
+    return (x[0] & y[0]) - (shared >> d) & shared != shared
 
 
 def _block_product(first, a, second, b):
@@ -809,15 +810,20 @@ class TensorElement(_Value):
             out.update(zip(map(_index, pairs), coeffs[keep].tolist()))
         return out
 
-    def _mask(self, support):
-        # position -> bit mask of the nonzero atoms of a single-row block
+    def _masks(self, support):
+        # A single-row block as two ints of (d + 1)-bit fields, the field of
+        # position p at bit p * (d + 1): the bits of its nonzero atoms under a
+        # guard bit d, and the guard bits alone.
         try:
             return self._cache["masks"][support]
         except KeyError:
-            vecs = self._blocks[support][0].tolist()
-            got = {pos: sum(1 << atom for atom, v in enumerate(vec) if v)
-                   for pos, vec in zip(support, vecs)}
-            self._cache.setdefault("masks", {})[support] = got
+            d = self.factor_algebra.dim
+            atoms = guards = 0
+            for pos, vec in zip(support, self._blocks[support][0].tolist()):
+                guard = 1 << (pos * (d + 1) + d)
+                atoms |= sum(guard >> (d - atom) for atom, v in enumerate(vec) if v) | guard
+                guards |= guard
+            got = self._cache.setdefault("masks", {})[support] = atoms, guards
             return got
 
     def _top_position(self, guard_bits):
@@ -826,11 +832,13 @@ class TensorElement(_Value):
         # position; a sum of them can cancel, so it is expanded, behind the
         # dense guard, as dense() expands it.
         top = 0
+        d = self.factor_algebra.dim
         for support, rows in self._blocks.items():
             if support[-1] <= top:
                 continue
             if len(rows) == 1:
-                nonzero = rows[0].any(axis=1).all()
+                masks = self._masks(support)
+                nonzero = not _vanishes(masks, masks, d)
             else:
                 _guard(_string_bits(rows), GUARD_BITS, guard_bits, "basis strings in a sum block")
                 nonzero = _block_strings(rows)[1].any()
@@ -878,9 +886,10 @@ class TensorElement(_Value):
         # (s + sum A)(t + sum B) = st + t A + s B + sum A B, block by block
         blocks = {}
         s, t = self._scalar, other._scalar
+        d = self.factor_algebra.dim
         for first, a in self._blocks.items():
             for second, b in other._blocks.items():
-                if len(a) == 1 == len(b) and not _meet(self._mask(first), other._mask(second)):
+                if len(a) == 1 == len(b) and _vanishes(self._masks(first), other._masks(second), d):
                     continue
                 union, rows = _block_product(first, a, second, b)
                 if len(rows):

@@ -80,6 +80,9 @@ EXPERIMENT_GUARD_BITS = 24
 # Coding trials work in pieces of at most this many entries (one output
 # string when the codewords, or their distinct heads, alone are more).
 STREAM_BLOCK_ENTRIES = 2 ** 18
+# Codebooks over at most this many inputs, and with at least as many draws
+# per input, are drawn by counting thresholds rather than by binary search.
+COUNT_DRAW_INPUTS = 64
 # Shared by the dense decoder and the streamed trial.
 _ZERO_MASS = "decision block with zero mass; decoder row set to uniform"
 
@@ -406,7 +409,7 @@ def capacity(channel, tol=1e-9, max_iter=10000):
     output_law, divergences, lower_bound = mat_t.dot, mat.dot, p.dot
     clamp, log2, exp2 = np.maximum, np.log2, np.exp2
     subtract, multiply, divide = np.subtract, np.multiply, np.divide
-    largest, total = np.maximum.reduce, np.add.reduce
+    top, total = d.argmax, np.add.reduce
     gap = np.inf
     for iteration in range(1, max_iter + 1):
         output_law(p, log_q)
@@ -415,7 +418,7 @@ def capacity(channel, tol=1e-9, max_iter=10000):
         divergences(log_q, d)
         subtract(h, d, d)
         lower = lower_bound(d)
-        upper = largest(d)
+        upper = d[top()]  # the maximum, read where argmax finds it
         gap = float(upper - lower)
         if gap <= tol:
             return CapacityResult(
@@ -503,11 +506,28 @@ def _codebook_size(k, rate, m, n, guard_bits):
 
 
 def _sample_codebook(rng, weights, k, r):
-    # Plain iid draws; repeated codewords are allowed, as in the classical
-    # random-coding argument.  A repeated row loses every argmax tie, so its
-    # decision block is empty and the decoder falls back to a uniform row.
-    m = weights.size
-    return rng.choice(m, size=(r, k), p=weights / weights.sum()).astype(np.int64)
+    """Plain iid draws, bit for bit ``rng.choice(m, (r, k), p=weights /
+    weights.sum())`` as int64.
+
+    Repeated codewords are allowed, as in the classical random-coding
+    argument.  A repeated row loses every argmax tie, so its decision block
+    is empty and the decoder falls back to a uniform row.
+
+    Like ``choice``, draws u = ``rng.random((r, k))`` and takes the number
+    of entries of the normalised cumulative weights at or below each u (its
+    last entry is 1 > u).  ``choice`` finds that number by binary search;
+    with few inputs and enough draws, one comparison pass per threshold
+    finds it faster.
+    """
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random((r, k))
+    if cdf.size > COUNT_DRAW_INPUTS or u.size < COUNT_DRAW_INPUTS * cdf.size:
+        return cdf.searchsorted(u, side="right").astype(np.int64, copy=False)
+    count = np.zeros(u.shape, dtype=np.uint8)
+    for threshold in cdf[:-1].tolist():
+        count += u >= threshold
+    return count.astype(np.int64)
 
 
 def _extend_columns(columns, factors):

@@ -751,6 +751,37 @@ def test_perfect_channel_decodes_exactly():
     assert error == pytest.approx(0.0, abs=1e-12)
 
 
+@settings(max_examples=200)
+@given(st.integers(1, 256), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.9),
+       st.integers(1, 12), st.integers(1, 400))
+@example(2, 1, 0.0, 12, 400)  # counted
+@example(2, 1, 0.0, 2, 2)  # searched: too few draws per input
+@example(64, 2, 0.3, 12, 400)  # counted, at the widest
+@example(65, 3, 0.3, 12, 400)  # searched: one input wider
+@example(256, 4, 0.5, 12, 400)
+def test_codebook_draws_are_generator_choice_bit_for_bit(m, seed, zeros, k, r):
+    rng = np.random.default_rng(seed)
+    weights = rng.random(m) * (rng.random(m) >= zeros)
+    weights[rng.integers(m)] += 0.5  # some weight, wherever the zeros fell
+    want = np.random.default_rng(seed).choice(m, (r, k), p=weights / weights.sum())
+    got = _sample_codebook(np.random.default_rng(seed), weights, k, r)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want.astype(np.int64))
+
+
+@pytest.mark.parametrize("k, r", [(1, 1), (12, 400)])  # searched, counted
+def test_a_draw_on_a_threshold_takes_the_next_input(k, r):
+    # The first draw u of the seed is in [1/2, 1), so 1 - u and u + (1 - u)
+    # are exact and the first normalised cumulative weight is u itself.
+    seed = next(s for s in range(100) if np.random.default_rng(s).random() >= 0.5)
+    u = np.random.default_rng(seed).random()
+    weights = np.array([u, 1.0 - u])
+    want = np.random.default_rng(seed).choice(2, (r, k), p=weights / weights.sum())
+    got = _sample_codebook(np.random.default_rng(seed), weights, k, r)
+    assert got[0, 0] == want[0, 0] == 1
+    assert np.array_equal(got, want)
+
+
 def test_coding_experiment_structure():
     c = bsc(0.05)
     omega = State.uniform(AtomicAlgebra(2))

@@ -243,6 +243,40 @@ def test_products_of_elementary_tensors_vanish_as_the_oracle_says(pair):
     assert np.array_equal(got.dense(want.level), want.dense(want.level))
 
 
+def _single_row(d, factors):
+    # one elementary tensor as one block row, zero vectors kept
+    support = tuple(pos for pos, _ in factors)
+    rows = np.array([[vec for _, vec in factors]], dtype=complex)
+    return algebra._tensor_element(AtomicAlgebra(d), 0j, {support: rows})
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 4), st.data())
+def test_vanishing_masks_agree_with_dense_products_past_one_machine_word(d, data):
+    # Positions up to 200 put the masks' fields far past bit 64; the dense
+    # oracle sees the same factors on the ranks of the positions used.
+    used = sorted(data.draw(st.sets(st.integers(1, 200), min_size=1, max_size=5)))
+    rank = {pos: k for k, pos in enumerate(used, 1)}
+    vec = st.one_of(st.lists(GRID, min_size=d, max_size=d), st.just([0] * d))
+
+    def factors():
+        positions = sorted(data.draw(st.sets(st.sampled_from(used), min_size=1)))
+        return [(pos, data.draw(vec)) for pos in positions]
+
+    xs, ys = factors(), factors()
+    (x, ox), (y, oy) = [(_single_row(d, f), _single_row(d, [(rank[p], v) for p, v in f]))
+                        for f in (xs, ys)]
+    mx, my = x._masks(tuple(p for p, _ in xs)), y._masks(tuple(p for p, _ in ys))
+    dx, dy = ox.dense(len(used)), oy.dense(len(used))
+    # a zero factor anywhere makes the tensor itself zero
+    assert algebra._vanishes(mx, mx, d) == (not dx.any())
+    assert x.level == (xs[-1][0] if dx.any() else 0)
+    if dx.any() and dy.any():
+        vanishes = not (dx * dy).any()
+        assert algebra._vanishes(mx, my, d) == algebra._vanishes(my, mx, d) == vanishes
+        assert not (x * y)._blocks == vanishes
+
+
 def _prefix_tree_words(rng, leaves, inner):
     """Leaves of a random binary tree, a prefix code, plus some inner nodes."""
     frontier, nodes = [""], []
