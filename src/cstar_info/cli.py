@@ -27,8 +27,8 @@ from .probability import State, lln_sweep
 from .information import (
     Code,
     Source,
+    _expected_length,
     aep_typical_set,
-    code_metrics,
     entropy,
     huffman_code,
     kraft_check,
@@ -45,8 +45,6 @@ from .channel import (
     info_metrics,
     useless_channel,
 )
-
-THREADS_ENV = "CSTAR_INFO_THREADS"
 
 # guard_bits passed to library calls when --guard-override is set; large
 # enough to disable every size guard, leaving memory to the caller
@@ -294,19 +292,6 @@ def _load_config_file(path):
     return data
 
 
-def _threads_from_env():
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError("%s must be a positive integer, got %r" % (THREADS_ENV, raw))
-    if threads < 1:
-        raise ConfigError("%s must be a positive integer, got %r" % (THREADS_ENV, raw))
-    return threads
-
-
 def resolve_config(argv=None):
     """Parse flags plus optional config file into one validated mapping.
 
@@ -332,7 +317,7 @@ def resolve_config(argv=None):
                 % (file_cfg["command"], command)
             )
 
-    config = {"command": command, "threads": _threads_from_env()}
+    config = {"command": command}
     for key, (convert, default, _) in params.items():
         raw, source = getattr(namespace, key), _flag(key)
         if raw is None:
@@ -413,18 +398,16 @@ def _run_code(config):
     ]
     prefix_free = code.is_prefix_free()
     entropy_base_n = entropy(state, alphabet)
+    # code_metrics' values, without its second prefix test
+    expected = _expected_length(code, state) if prefix_free else None
     summary = {
         "alphabet_size": alphabet,
         "prefix_free": prefix_free,
         "kraft_ok": kraft_check(code.lengths, alphabet),
         "entropy_base_n": entropy_base_n,
-        "expected_length": None,
-        "bound_value": None,
+        "expected_length": expected,
+        "bound_value": None if expected is None else expected - entropy_base_n,
     }
-    if prefix_free:
-        metrics = code_metrics(code, state)
-        summary["expected_length"] = metrics.expected_length
-        summary["bound_value"] = metrics.bound_value
     return rows, summary
 
 

@@ -292,6 +292,8 @@ def aep_projection(source, n, eps, guard_bits=None):
 
 # ASCII digits only: str.isdigit and int() also take other scripts' digits
 _DIGIT_VALUES = {ch: d for d, ch in enumerate("0123456789")}
+# _DIGITS[base]: the characters of the digits 0..base-1
+_DIGITS = [frozenset("0123456789"[:base]) for base in range(11)]
 
 
 def _word_digits(word, base):
@@ -319,10 +321,12 @@ class Code(_Value):
         words = tuple(str(w) for w in words)
         if not words:
             raise ValueError("a code needs at least one word")
-        for w in words:
-            if not w:
-                raise ValueError("codewords must be nonempty")
-            _word_digits(w, alphabet_size)
+        if not all(words) or not _DIGITS[alphabet_size].issuperset("".join(words)):
+            # name the first word at fault
+            for w in words:
+                if not w:
+                    raise ValueError("codewords must be nonempty")
+                _word_digits(w, alphabet_size)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "alphabet_size", alphabet_size)
 
@@ -432,9 +436,13 @@ def code_metrics(code, state):
         )
     if not is_prefix_free(code):
         raise ValueError("expected-length bounds require a prefix-free code")
-    expected = float(np.dot(state.weights, np.array(code.lengths, dtype=float)))
+    expected = _expected_length(code, state)
     return CodeMetrics(expected_length=expected,
                        bound_value=expected - entropy(state, code.alphabet_size))
+
+
+def _expected_length(code, state):
+    return float(np.dot(state.weights, np.array(code.lengths, dtype=float)))
 
 
 def huffman_code(state, alphabet_size=2):
