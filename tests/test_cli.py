@@ -230,15 +230,6 @@ def test_toml_config_depends_on_interpreter(tmp_path):
         assert config["p"] == [0.5, 0.5] and config["n"] == [2, 3]
 
 
-def test_threads_env_echoed(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "4")
-    config = resolve_config(["capacity", "--channel", "bsc(0.2)"])
-    assert config["threads"] == 4
-    monkeypatch.setenv(cli.THREADS_ENV, "zero")
-    with pytest.raises(ConfigError):
-        resolve_config(["capacity", "--channel", "bsc(0.2)"])
-
-
 def test_channel_literals_and_file(tmp_path):
     config = resolve_config(["capacity", "--channel", "identity(3)"])
     assert config["channel"].input_dim == 3
