@@ -319,6 +319,12 @@ def test_code_validation():
     for words in (("1", "\u0661"), ("0", "\uff11"), ("0", "\u00b2")):
         with pytest.raises(ValueError, match="outside 0..1"):
             Code(words, 2)
+    # the message names the first word at fault, in the order given
+    for words, message in ((("0", "12", "", "3"), "word '12' uses digits outside 0..1"),
+                           (("0", "", "12"), "codewords must be nonempty")):
+        with pytest.raises(ValueError) as caught:
+            Code(words, 2)
+        assert str(caught.value) == message
     c = Code(("0", "10", "11"), 2)
     assert c.lengths == (1, 2, 2)
     assert c.source_dim == 3
