@@ -1,8 +1,11 @@
 """The factored tensor layer against the basis-string oracle in tensor_oracle."""
 
 import functools
+import hashlib
+import json
 import math
 import operator
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -26,7 +29,8 @@ from tensor_oracle import DictTensor
 
 MAX_LEVEL = 6
 # dyadic values keep products exact, so both sides see the same zeros
-COEFFS = st.sampled_from([0, 0, 1, -1, 0.5, -2, 1.5, 1j, 0.5 - 1j, -0.25j])
+COEFF_VALUES = [0, 0, 1, -1, 0.5, -2, 1.5, 1j, 0.5 - 1j, -0.25j]
+COEFFS = st.sampled_from(COEFF_VALUES)
 WEIGHTS = st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any)
 
 
@@ -308,3 +312,59 @@ def test_terms_keys_come_scalar_first_then_big_endian():
     keys = [idx.pairs for idx in x.terms]
     assert keys[0] == () and len(keys) == 1 + 2 ** 3
     assert keys[1:] == sorted(keys[1:])
+
+
+TENSOR_GOLDEN = pathlib.Path(__file__).parent / "golden" / "library" / "tensor_programs.json"
+
+
+def _seeded_program(rng, d, leaves):
+    """A tree of the node kinds of ``programs`` with at most ``leaves``
+    leaves, drawn from a numpy generator, so that the golden corpus does
+    not depend on how a hypothesis version draws."""
+
+    def vec():
+        return [COEFF_VALUES[i] for i in rng.integers(len(COEFF_VALUES), size=d)]
+
+    if leaves == 1:
+        kind = ("embed", "power", "scalar")[int(rng.integers(3))]
+        if kind == "embed":
+            return kind, vec(), int(rng.integers(1, MAX_LEVEL + 1))
+        if kind == "power":
+            return kind, vec(), int(rng.integers(1, 3))
+        return kind, COEFF_VALUES[int(rng.integers(len(COEFF_VALUES)))]
+    op = ("mul", "add", "tensor", "star", "scale")[int(rng.integers(5))]
+    if op == "star":
+        return op, _seeded_program(rng, d, leaves)
+    if op == "scale":
+        return op, COEFF_VALUES[int(rng.integers(len(COEFF_VALUES)))], _seeded_program(rng, d, leaves)
+    left = int(rng.integers(1, leaves))
+    return op, _seeded_program(rng, d, left), _seeded_program(rng, d, leaves - left)
+
+
+def _golden_record(x):
+    # .terms in key order, coefficients as float.hex, the level, and the
+    # SHA-256 of dense(), whose bytes also pin the sign of every zero
+    terms = [[[list(p) for p in idx.pairs], float.hex(c.real), float.hex(c.imag)]
+             for idx, c in x.terms.items()]
+    return [terms, x.level, hashlib.sha256(x.dense().tobytes()).hexdigest()]
+
+
+def tensor_golden_records():
+    """Seeded tensor programs, then the pairwise products and the tensor
+    concatenations of the embedded words of a seeded prefix tree with inner
+    nodes, one ``[terms, level, dense digest]`` record each."""
+    rng = np.random.default_rng(2023)
+    records = []
+    for _ in range(150):
+        d = int(rng.integers(2, 5))
+        records.append(_golden_record(evaluate(d, _seeded_program(rng, d, int(rng.integers(1, 6))))[0]))
+    alg = AtomicAlgebra(2)
+    embedded = [embed_word(w, alg) for w in _prefix_tree_words(rng, 12, 4)]
+    for i, x in enumerate(embedded):
+        records.extend(_golden_record(x * y) for y in embedded[i + 1:])
+        records.extend(_golden_record(x.tensor(y)) for y in embedded if y is not x)
+    return records
+
+
+def test_tensor_programs_match_the_library_golden_file():
+    assert tensor_golden_records() == json.loads(TENSOR_GOLDEN.read_text(encoding="utf-8"))
