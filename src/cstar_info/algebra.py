@@ -66,7 +66,7 @@ def check_guard(dim, level, guard_bits=None):
 
 
 def _tol(tol, name="tol"):
-    return EQ_TOL if tol is None else _real(tol, name)
+    return EQ_TOL if tol is None else _real(tol, name, "a finite real number >= 0", 0.0)
 
 
 def _positive(value, name):
@@ -76,13 +76,14 @@ def _positive(value, name):
     return value
 
 
-def _real(value, name, rule="a finite real number"):
-    # a tolerance or rate as a float: float() would read a bool as 0 or 1
-    # and a string as the number it spells, and a NaN passes a range check
-    # written as "refuse if below", so all three are refused, as is inf
+def _real(value, name, rule="a finite real number", low=-math.inf, high=math.inf):
+    # a tolerance, rate or probability as a float in [low, high]: float()
+    # would read a bool as 0 or 1 and a string as the number it spells, and
+    # a NaN passes a range check written as "refuse if below", so all three
+    # are refused, as is inf
     if not isinstance(value, (bool, np.bool_, str, bytes)):
         value = float(value)
-        if math.isfinite(value):
+        if math.isfinite(value) and low <= value <= high:
             return value
     raise ValueError("%s must be %s, got %r" % (name, rule, value))
 
@@ -677,6 +678,32 @@ def _sums(labels, values, size):
     return np.bincount(labels, values.real, size) + 1j * np.bincount(labels, values.imag, size)
 
 
+def _factor_algebra(algebra):
+    if not isinstance(algebra, AtomicAlgebra):
+        raise TypeError("factor_algebra must be an AtomicAlgebra")
+    return algebra
+
+
+def _one_string(support, row):
+    """The terms of one row with at most one nonzero atom per position, as
+    ``_block_strings`` and ``_expand`` give them, or None for a row with more.
+
+    A row with a zero position has no string.  The coefficient is formed
+    as numpy forms ``rows.sum(axis=2).prod(axis=1)``: each position's
+    entries summed from 0, which turns a -0.0 part into 0.0, then the sums
+    multiplied in position order.
+    """
+    pairs, values = [], []
+    for pos, vec in zip(support, row.tolist()):
+        atoms = [a for a, v in enumerate(vec) if v]
+        if len(atoms) != 1:
+            return None if atoms else {}
+        pairs.append((pos, atoms[0]))
+        values.append(sum(vec))
+    c = math.prod(values)
+    return {_index(tuple(pairs)): c} if abs(c) >= ZERO_TOL else {}
+
+
 def _tensor_element(factor_algebra, scalar, blocks):
     t = _new(TensorElement)
     _set_algebra(t, factor_algebra)
@@ -710,6 +737,15 @@ class TensorElement(_Value):
     maps may describe the same element; semantic questions (norm,
     spectrum, ``equals``) go through the dense expansion.
 
+    An element that is one elementary tensor, one block of one row and no
+    scalar part, is the common case of a word embedding and of a product of
+    two words.  It caches its position masks once, so a product of two of
+    them that vanishes is one test and a fresh zero.  When the row has one
+    nonzero atom at every position, ``terms`` is its one basis string, read
+    from the row's Python list with the key and the coefficient bits the
+    numpy expansion gives; a row with more atoms at a position, and a sum
+    of rows, are expanded in numpy.
+
     ``level`` is the largest position of a block that is not zero.  It is
     the largest position in ``terms`` unless every string coefficient of
     that block is below ``ZERO_TOL``, as in a high tensor power of a small
@@ -723,9 +759,7 @@ class TensorElement(_Value):
     __slots__ = ("factor_algebra", "_scalar", "_blocks", "_cache")
 
     def __init__(self, factor_algebra, terms=()):
-        if not isinstance(factor_algebra, AtomicAlgebra):
-            raise TypeError("factor_algebra must be an AtomicAlgebra")
-        d = factor_algebra.dim
+        d = _factor_algebra(factor_algebra).dim
         items = terms.items() if isinstance(terms, dict) else terms
         acc = {}
         for idx, c in items:
@@ -794,6 +828,11 @@ class TensorElement(_Value):
         return lvl
 
     def _expand(self):
+        one = self._one_row()
+        if one is not None:
+            got = _one_string(*one)
+            if got is not None:
+                return got
         bits = np.logaddexp2.reduce([_string_bits(rows) for rows in self._blocks.values()],
                                     initial=0.0 if self._scalar else -math.inf)
         _guard(bits, TERMS_GUARD_BITS, None, "basis strings in .terms")
@@ -809,6 +848,24 @@ class TensorElement(_Value):
             pairs = map(tuple, map(map, pick, table, atoms[keep].tolist()))
             out.update(zip(map(_index, pairs), coeffs[keep].tolist()))
         return out
+
+    def _one_row(self):
+        # (support, vectors) of an element that is one elementary tensor,
+        # one block of one row with no scalar part, else None
+        if not self._scalar and len(self._blocks) == 1:
+            (support, rows), = self._blocks.items()
+            if len(rows) == 1:
+                return support, rows[0]
+        return None
+
+    def _mask(self):
+        # the _masks pair of an element that is one elementary tensor, cached
+        # once; () for any other element, which is as cheap to find again
+        one = self._one_row()
+        if one is None:
+            return ()
+        got = self._cache["mask"] = self._masks(one[0])
+        return got
 
     def _masks(self, support):
         # A single-row block as two ints of (d + 1)-bit fields, the field of
@@ -884,9 +941,14 @@ class TensorElement(_Value):
 
     def _times(self, other):
         # (s + sum A)(t + sum B) = st + t A + s B + sum A B, block by block
-        blocks = {}
         s, t = self._scalar, other._scalar
         d = self.factor_algebra.dim
+        # two elementary tensors: a zero product needs no block loops
+        x = self._cache.get("mask") or self._mask()
+        y = other._cache.get("mask") or other._mask()
+        if x and y and _vanishes(x, y, d):
+            return _tensor_element(self.factor_algebra, s * t, {})
+        blocks = {}
         for first, a in self._blocks.items():
             for second, b in other._blocks.items():
                 if len(a) == 1 == len(b) and _vanishes(self._masks(first), other._masks(second), d):

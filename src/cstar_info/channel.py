@@ -154,17 +154,13 @@ class Channel(_Value):
 
 def bsc(p):
     """Binary symmetric channel with crossover probability p."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("crossover probability must be in [0, 1]")
+    p = _real(p, "crossover probability", "in [0, 1]", 0.0, 1.0)
     return Channel([[1.0 - p, p], [p, 1.0 - p]])
 
 
 def bec(p):
     """Binary erasure channel: outputs are (0, erasure, 1)."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("erasure probability must be in [0, 1]")
+    p = _real(p, "erasure probability", "in [0, 1]", 0.0, 1.0)
     return Channel([[1.0 - p, p, 0.0], [0.0, p, 1.0 - p]])
 
 

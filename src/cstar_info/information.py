@@ -31,15 +31,16 @@ from .algebra import (
     AtomicAlgebra,
     Element,
     GuardExceeded,
-    MultiIndex,
     TERMS_GUARD_BITS,
-    TensorElement,
     _Frozen,
     _Value,
     _digits,
+    _factor_algebra,
     _from_dense,
     _guard,
+    _one_hot_rows,
     _positive,
+    _tensor_element,
     check_guard,
 )
 from .probability import State
@@ -360,11 +361,12 @@ def embed_word(word, algebra):
 
     Characters are ASCII digits below ``algebra.dim``; any other is refused.
     """
+    _factor_algebra(algebra)
     word = str(word)
     if not word:
         raise ValueError("cannot embed the empty word")
-    terms = {MultiIndex(dict(enumerate(_word_digits(word, algebra.dim), 1))): 1.0}
-    return TensorElement(algebra, terms)
+    rows = _one_hot_rows(np.array([_word_digits(word, algebra.dim)]), 1.0, algebra.dim)
+    return _tensor_element(algebra, 0j, {tuple(range(1, len(word) + 1)): rows})
 
 
 def is_prefix_free(code):

@@ -15,6 +15,7 @@ from cstar_info.algebra import (
     Element,
     GuardExceeded,
     MultiIndex,
+    TensorElement,
     tensor_power,
     trace,
 )
@@ -345,6 +346,12 @@ def test_embed_word_refuses_digits_beyond_the_algebra():
             embed_word(word, AtomicAlgebra(dim))
     word = embed_word("21", AtomicAlgebra(3))
     assert word.terms == {MultiIndex({1: 2, 2: 1}): 1.0}
+
+
+def test_embed_word_refuses_a_non_algebra_as_tensor_element_does():
+    for make in (lambda dim: embed_word("01", dim), TensorElement):
+        with pytest.raises(TypeError, match="^factor_algebra must be an AtomicAlgebra$"):
+            make(2)
 
 
 def test_prefix_free_detection():

@@ -306,6 +306,90 @@ def test_word_products_form_rows_only_for_prefix_related_words():
                 assert spy.call_count == (1 if related else 0)
 
 
+def _term_bits(x):
+    # .terms in key order with the exact bits of each coefficient
+    return [(idx.pairs, float.hex(c.real), float.hex(c.imag)) for idx, c in x.terms.items()]
+
+
+def _word_oracle(d, word):
+    return DictTensor(d, {tuple((k, int(ch)) for k, ch in enumerate(word, 1)): 1.0})
+
+
+# scalars that give the word products zeros of either sign, and a zero row
+WORD_SCALES = st.sampled_from([1, -1, 0.5, 1j, -0.25j, 0.5 - 1j, complex(-0.0, 1), 0.0])
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 4), st.data())
+def test_word_products_and_concatenations_agree_with_the_oracle(d, data):
+    # Products and tensor concatenations of scaled (and starred) embedded
+    # words against the string oracle, and .terms read from one row bit for
+    # bit as the numpy expansion of the same blocks reads it.
+    word = st.text(alphabet="0123456789"[:d], min_size=1, max_size=5)
+    alg = AtomicAlgebra(d)
+
+    def operand():
+        w, c, starred = data.draw(word), data.draw(WORD_SCALES), data.draw(st.booleans())
+        x, ox = c * embed_word(w, alg), _word_oracle(d, w).scale(c)
+        return (x.star(), ox.star()) if starred else (x, ox)
+
+    (x, ox), (y, oy) = operand(), operand()
+    # the same operands with empty caches, multiplied by the block loops
+    fresh = [algebra._tensor_element(alg, z._scalar, z._blocks) for z in (x, y)]
+    with mock.patch.object(TensorElement, "_mask", return_value=()):
+        looped = [fresh[0] * fresh[1], fresh[1] * fresh[0], fresh[0].tensor(fresh[1])]
+    for got, want, slow in zip((x * y, y * x, x.tensor(y)), (ox * oy, ox * oy, ox.tensor(oy)),
+                               looped):
+        assert {idx.pairs: c for idx, c in got.terms.items()} == want.terms
+        assert got.level == want.level
+        assert np.array_equal(got.dense(want.level), want.dense(want.level))
+        assert got.dense(want.level).tobytes() == slow.dense(want.level).tobytes()
+        again = algebra._tensor_element(alg, got._scalar, got._blocks)
+        with mock.patch.object(algebra, "_one_string", return_value=None):
+            assert _term_bits(again) == _term_bits(got)
+
+
+def test_word_product_edge_cases_agree_with_the_oracle():
+    alg = AtomicAlgebra(2)
+    e01, e1, one = embed_word("01", alg), embed_word("1", alg), TensorElement.identity(alg)
+    o01, o1, o_one = _word_oracle(2, "01"), _word_oracle(2, "1"), DictTensor.scalar(2, 1)
+    zero_row = _single_row(2, [(1, [0, 1]), (3, [0, 0])])
+    o_zero = DictTensor(2, {})
+    cases = [
+        ((one + e01) * e1, (o_one + o01) * o1),
+        (e01 * TensorElement(alg), o_zero),
+        (TensorElement(alg) * e01, o_zero),
+        ((3 * e01) * embed_word("011", alg), o01.scale(3) * _word_oracle(2, "011")),
+        (e01 * (0.5j * e01), o01 * o01.scale(0.5j)),
+        (zero_row, o_zero),
+        (zero_row * e01, o_zero),
+        (zero_row * embed_word("10", alg), o_zero),
+    ]
+    for got, want in cases:
+        assert {idx.pairs: c for idx, c in got.terms.items()} == want.terms
+        assert got.level == want.level
+        assert np.array_equal(got.dense(3), want.dense(3))
+
+
+def test_embed_word_equals_the_element_built_from_its_term():
+    for d in (2, 3, 10):
+        alg = AtomicAlgebra(d)
+        for word in ("0", "1", "10", "%d0%d" % (d - 1, d - 1), "0110" * 3):
+            built = TensorElement(alg, {MultiIndex(dict(enumerate(map(int, word), 1))): 1.0})
+            x = embed_word(word, alg)
+            assert x == built and hash(x) == hash(built)
+            assert _term_bits(x) == _term_bits(built)
+            assert x.level == built.level == len(word)
+
+
+def test_vanishing_products_are_distinct_zeros():
+    alg = AtomicAlgebra(2)
+    x, y = embed_word("01", alg), embed_word("1", alg)
+    a, b = x * y, x * y
+    assert a is not b and a.terms is not b.terms and a._cache is not b._cache
+    assert a == b == TensorElement(alg) and not a.terms
+
+
 def test_terms_keys_come_scalar_first_then_big_endian():
     alg = AtomicAlgebra(3)
     x = TensorElement.scalar(alg, 5.0) + tensor_power(Element(alg, [1.0, 2.0, 0.0]), 3)

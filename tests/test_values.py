@@ -5,6 +5,7 @@ warning."""
 import copy
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from cstar_info.channel import (
     ConvergenceError,
     JointState,
     LosslessChannel,
+    bec,
     bsc,
     capacity,
     coding_experiment,
@@ -235,6 +237,24 @@ _HALF = State(A2, [0.5, 0.5])
         "is_pure-nan", "channel-str", "merge_tol-nan", "eps-bool", "eps-str", "rate-nan"])
 def test_real_parameters_refuse_bools_strings_nan_and_inf(call):
     with pytest.raises(ValueError, match=" must be "):
+        call()
+
+
+_TOL_RULE = "must be a finite real number >= 0, got "
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bsc(True), "crossover probability must be in [0, 1], got True"),
+    (lambda: bec(True), "erasure probability must be in [0, 1], got True"),
+    (lambda: bsc(-0.25), "crossover probability must be in [0, 1], got -0.25"),
+    (lambda: bec(math.nan), "erasure probability must be in [0, 1], got nan"),
+    (lambda: Element(A2, [1, 2]).equals(Element(A2, [1, 2]), tol=-1), "tol " + _TOL_RULE + "-1.0"),
+    (lambda: State(A2, [0.5, 0.5], tol=-0.5), "tol " + _TOL_RULE + "-0.5"),
+    (lambda: lln_sweep(_HALF, [2], 2, 0.1, merge_tol=-1e-12), "merge_tol " + _TOL_RULE + "-1e-12"),
+], ids=["bsc-bool", "bec-bool", "bsc-negative", "bec-nan", "equals-negative", "state-negative",
+        "merge_tol-negative"])
+def test_real_parameters_refuse_values_outside_their_range(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
 
