@@ -70,10 +70,8 @@ def _tol(tol, name="tol"):
 
 
 def _positive(value, name):
-    value = _real(value, name, "positive and finite")
-    if value <= 0.0:
-        raise ValueError("%s must be positive and finite, got %r" % (name, value))
-    return value
+    # at least the least positive float: above 0, with -0.0 refused
+    return _real(value, name, "positive and finite", math.ulp(0.0))
 
 
 def _real(value, name, rule="a finite real number", low=-math.inf, high=math.inf):
@@ -88,12 +86,15 @@ def _real(value, name, rule="a finite real number", low=-math.inf, high=math.inf
     raise ValueError("%s must be %s, got %r" % (name, rule, value))
 
 
-def _integer(value, name):
-    # a count or seed as an int: int() would truncate 2.5 and overflow on
-    # inf, and a bool is an int only by accident, so all three are refused
+def _integer(value, name, low=-math.inf):
+    # a count or seed as an int of at least low: int() would truncate 2.5
+    # and overflow on inf, and a bool is an int only by accident, so all
+    # three are refused
     if isinstance(value, (bool, np.bool_)) or not (
             isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < low:
+        raise ValueError("%s must be an integer >= %d, got %d" % (name, low, value))
     return int(value)
 
 
@@ -785,10 +786,15 @@ class TensorElement(_Value):
             for support, entries in grouped.items()
         }
         level = max((idx.level for idx in clean), default=0)
+        # the key order _expand gives: the scalar, then each support's strings
+        # big-endian, supports in first-seen order
+        terms = {idx: c for idx, c in clean.items() if not idx.pairs}
+        for entries in grouped.values():
+            terms.update(sorted(entries, key=lambda entry: [atom for _, atom in entry[0].pairs]))
         _set_algebra(self, factor_algebra)
         _set_scalar(self, clean.get(MultiIndex(), 0j))
         _set_blocks(self, blocks)
-        _set_cache(self, {"terms": clean, "level": level})
+        _set_cache(self, {"terms": terms, "level": level})
 
     @classmethod
     def scalar(cls, factor_algebra, value):

@@ -25,19 +25,17 @@ over the first ceil(k/2) and the last floor(k/2) output symbols.  A trial
 decodes by an exact max-product over the half tables of the H distinct
 heads and the distinct tails: the words of a head share its A, and
 rounding is monotone, so per head and tail string it keeps the greatest B,
-the lowest word attaining it and the next lower B (u * n**floor(k/2)
-entries), then takes each string's greatest product over the heads
-(H * n**k entries).  Only a string where a head's next lower B rounds to
-the same product forms its column over all u words.  That is
-u * n**floor(k/2) + H * n**k entries plus u per such string, against the
-u * n**k of the full table, with decisions, likelihoods and masses the
-same bit for bit.  Every step runs in pieces of at most
-``STREAM_BLOCK_ENTRIES`` entries (one output string when u or H alone is
-more), and a trial keeps only per-codeword sums, so its memory is the two
-half tables and those pieces, never u * n**k.  The uniform-row gap of a
-codeword that owns no output string depends only on its type (its sorted
-symbols), so a second pass builds the two half tables of one word per type
-and sums the gap over their products, in the same pieces.
+the lowest word attaining it and the next lower B, then takes each
+string's greatest product over the heads.  Only a string where a head's
+next lower B rounds to the same product forms its column over all u
+words.  Decisions and likelihoods are those of the full u x n**k table bit
+for bit, and each codeword's mass adds the likelihoods it wins in string
+order.  The uniform-row gap of a codeword that owns no output string
+depends only on its type, its count t_a of each symbol a, and is a sum
+over conditional types, with prod_a C(t_a + n - 1, n - 1) terms per type
+instead of n**k.  ``STREAM_BLOCK_ENTRIES`` only bounds the size of a piece
+of either pass, so a trial's memory is the two half tables and one piece,
+never u * n**k; no result depends on it.
 
 The dense decoder (``build_code_and_decoder``) forms the r x n**k rows as
 one product of the half tables, fills and divides one decoder table in
@@ -48,6 +46,8 @@ it peaks at about twice the table.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -388,9 +388,8 @@ def capacity(channel, tol=1e-9, max_iter=10000):
     overhead rather than arithmetic, so the loop calls ufuncs and bound
     methods directly, with positional outputs and no dispatch.
     """
-    tol, max_iter = _real(tol, "tol"), _integer(max_iter, "max_iter")
-    if tol < 0.0 or max_iter < 1:
-        raise ValueError("need a finite tol >= 0 and max_iter >= 1, got %r, %r" % (tol, max_iter))
+    tol = _real(tol, "tol", "a finite real number >= 0", 0.0)
+    max_iter = _integer(max_iter, "max_iter", 1)
     # Output columns without mass carry nothing and leave the products.
     mat = np.ascontiguousarray(channel.matrix[:, channel.matrix.any(axis=0)])
     mat_t = np.ascontiguousarray(mat.T)
@@ -480,8 +479,6 @@ def _codebook_size(k, rate, m, n, guard_bits):
     """The floor(2**(k rate)) codewords of a trial, refused by the work
     guard before they are counted, and when they outnumber the m**k input
     strings."""
-    if k < 1:
-        raise ValueError("block lengths must be >= 1")
     rate = _positive(rate, "rate")
     span = float(min(k, 2 ** 1000))  # any longer block is refused all the same
     bits = span * rate
@@ -526,56 +523,26 @@ def _sample_codebook(rng, weights, k, r):
     return count.astype(np.int64)
 
 
-def _extend_columns(columns, factors):
-    # Likelihood columns (one per output prefix, one entry per codeword) grown
-    # by one output symbol per factor, big-endian, multiplied left to right.
-    for factor in factors:
-        columns = (columns[:, None, :] * factor[None, :, :]).reshape(-1, columns.shape[1])
-    return columns
-
-
 def _half_table(matrix, parts):
     # Row i is part i's likelihood (a run of codeword symbols) for every
     # output string of its length, each a product over the symbols left to
-    # right.  The block channel is the k-fold tensor power of the channel,
-    # so a word's likelihood is L(y) = A(y_head) B(y_tail), the product of
-    # the tables over its first ceil(k/2) and last floor(k/2) symbols: every
-    # likelihood of a trial is formed from these two tables.
-    factors = [np.ascontiguousarray(matrix[symbols].T) for symbols in parts.T]
-    return _extend_columns(np.ones((1, len(parts))), factors).T
-
-
-def _block_shape(n, half, tail_rows, width):
-    # The (head rows, tail rows) of a block of a table `width` columns wide:
-    # runs of n**t head rows times all `tail_rows` tail rows, the longest
-    # that fit STREAM_BLOCK_ENTRIES entries, or at t = 0 one head row times
-    # runs of as many tail rows as fit (at least one).
-    t = 0
-    while t < half and n ** (t + 1) * tail_rows * width <= STREAM_BLOCK_ENTRIES:
-        t += 1
-    return n ** t, min(tail_rows, max(1, STREAM_BLOCK_ENTRIES // width))
-
-
-def _likelihood_blocks(matrix, words):
-    # The likelihood table of `words`, transposed (one row per output string,
-    # one column per word), in consecutive blocks cut by _block_shape from
-    # the two half tables.  Every entry is fl(A B), so it is bit-identical
-    # however the table is cut.
-    r, k = words.shape
-    half = (k + 1) // 2
-    heads = _half_table(matrix, words[:, :half]).T
-    tails = _half_table(matrix, words[:, half:]).T
-    rows, cols = _block_shape(matrix.shape[1], half, tails.shape[0], r)
-    for a in range(0, heads.shape[0], rows):
-        for b in range(0, tails.shape[0], cols):
-            yield (heads[a : a + rows, None, :] * tails[None, b : b + cols, :]).reshape(-1, r)
+    # right: columns, one per output prefix, grow by one output symbol per
+    # symbol, big-endian.  The block channel is the k-fold tensor power of
+    # the channel, so a word's likelihood is L(y) = A(y_head) B(y_tail), the
+    # product of the tables over its first ceil(k/2) and last floor(k/2)
+    # symbols: every likelihood of a trial is formed from these two tables.
+    columns = np.ones((1, len(parts)))
+    for symbols in parts.T:
+        factor = np.ascontiguousarray(matrix[symbols].T)
+        columns = (columns[:, None, :] * factor[None, :, :]).reshape(-1, len(parts))
+    return columns.T
 
 
 def _block_rows(matrix, codebook):
     # Row j is the block channel C^k conditioned on codeword j; output strings
     # are packed big-endian, matching the dense() ordering of tensor elements.
-    # The rows are one product of the half tables, as the streamed blocks are;
-    # it is laid out codeword-fastest like both tables, so the reshape is a view.
+    # The rows are one product of the half tables, laid out codeword-fastest
+    # like both tables, so the reshape is a view.
     half = (codebook.shape[1] + 1) // 2
     heads = _half_table(matrix, codebook[:, :half])
     tails = _half_table(matrix, codebook[:, half:])
@@ -648,11 +615,10 @@ def _run_winners(heads, top, top_word, second, u):
 def _decisions(matrix, words):
     """Maximum-likelihood decisions over distinct codewords, streamed.
 
-    Yields ``(block, winner, likelihood, redone)`` per run of output
-    strings, in string order: for each string, the block of
-    ``_likelihood_blocks(matrix, words)`` that holds it, counted from the
-    run's first, its winning word (the lowest index of greatest
-    likelihood), that likelihood, and whether its whole column was formed.
+    Yields ``(winner, likelihood, redone)`` per run of output strings, in
+    string order: for each string, its winning word (the lowest index of
+    greatest likelihood), that likelihood, and whether its whole column was
+    formed.
 
     With a string split as y = (a, b) at ceil(k/2), word j's likelihood is
     fl(A[h_j, a] B[t_j, b]), where A and B are the half tables over the
@@ -670,13 +636,12 @@ def _decisions(matrix, words):
     tails = _half_table(matrix, words[tail_first, half:])
     h, nb = heads.shape[0], tails.shape[1]
     top, top_word, second = _head_tops(tails, tail, head, h)
-    # Runs of whole blocks of _likelihood_blocks over the u words, each run
-    # with at most STREAM_BLOCK_ENTRIES products over the h heads and block
-    # sums over the u words: `count` blocks of whole heads, or of tail strings.
-    rows, cols = _block_shape(matrix.shape[1], half, nb, u)
-    size = rows * cols  # strings per block
-    count = max(1, min(STREAM_BLOCK_ENTRIES // (h * size), STREAM_BLOCK_ENTRIES // u))
-    rows, cols = (rows * count, nb) if cols == nb else (1, cols * count)
+    # A run has at most STREAM_BLOCK_ENTRIES products over the h heads: whole
+    # rows of tail strings under as many head strings as fit, or one head
+    # string and as many tail strings as fit (at least one; then h * cols
+    # is above half the bound, so rows is 1).
+    cols = min(nb, max(1, STREAM_BLOCK_ENTRIES // h))
+    rows = max(1, STREAM_BLOCK_ENTRIES // (h * cols))
     per_column = max(1, STREAM_BLOCK_ENTRIES // u)
     for a0 in range(0, heads.shape[1], rows):
         for b0 in range(0, nb, cols):
@@ -689,7 +654,59 @@ def _decisions(matrix, words):
                 y = redo[i : i + per_column]
                 column = heads[head[:, None], a0 + y // width] * tails[tail[:, None], b0 + y % width]
                 winner.flat[y] = np.argmax(column, axis=0)
-            yield np.arange(best.size) // size, winner.ravel(), best.ravel(), redone.ravel()
+            yield winner.ravel(), best.ravel(), redone.ravel()
+
+
+@functools.lru_cache(maxsize=64)
+def _compositions(total, n):
+    # Every way to split each count 0..total into n ordered parts, grouped by
+    # count: the parts, the number of orderings of each (a multinomial), and
+    # where each count's group starts (start[c + 1] - start[c] of them).
+    parts = [[c.count(b) for b in range(n)] for t in range(total + 1)
+             for c in itertools.combinations_with_replacement(range(n), t)]
+    orderings = [math.factorial(sum(p)) // math.prod(map(math.factorial, p)) for p in parts]
+    start = np.cumsum([0] + [math.comb(t + n - 1, n - 1) for t in range(total + 1)])
+    return np.array(parts), np.array(orderings, dtype=float), start
+
+
+def _conditional_types(matrix, counts):
+    """The conditional types of words with ``counts[j, a]`` symbols a.
+
+    A conditional type c gives each input symbol a the counts c_ab of the
+    output symbols b at its t_a positions.  The output strings of one type
+    number prod_a t_a! / prod_b c_ab! and share the likelihood
+    prod_ab matrix[a, b]**c_ab (the method of types, Csiszar & Korner 1981).
+    Yields ``(strings, likelihood)`` per word, in order, one entry per
+    conditional type.  The words are walked in pieces of at most
+    STREAM_BLOCK_ENTRIES types (one word when its own are more).
+    """
+    parts, orderings, start = _compositions(int(counts.max()), matrix.shape[1])
+    size = np.diff(start)
+    # each input symbol's likelihood over every split of each of its counts
+    factors = np.prod(matrix[:, None, :] ** parts, axis=2)
+    types = np.prod(size[counts], axis=1)
+    step = max(1, STREAM_BLOCK_ENTRIES // int(types.max()))
+    for lo in range(0, len(counts), step):
+        word = np.arange(lo, min(lo + step, len(counts)))
+        ends = [0, *np.cumsum(types[word]).tolist()]
+        strings = likelihood = np.ones(word.size)
+        for a, factor in enumerate(factors):
+            # each partial type grows by every split of its word's count of a
+            t = counts[word, a]
+            grow = size[t]
+            split = np.repeat(start[t] + grow - np.cumsum(grow), grow) + np.arange(grow.sum())
+            word = np.repeat(word, grow)
+            strings = np.repeat(strings, grow) * orderings[split]
+            likelihood = np.repeat(likelihood, grow) * factor[split]
+        yield from ((strings[i:j], likelihood[i:j]) for i, j in itertools.pairwise(ends))
+
+
+def _uniform_gaps(matrix, counts, k):
+    # sum_y |L(y) - n**-k| for words of length k with counts[j, a] symbols a:
+    # one term per conditional type, each word's terms taken with math.fsum
+    uniform = 1.0 / matrix.shape[1] ** k
+    return np.array([math.fsum((strings * np.abs(likelihood - uniform)).tolist())
+                     for strings, likelihood in _conditional_types(matrix, counts)])
 
 
 def _row_sums(matrix, codebook):
@@ -698,9 +715,9 @@ def _row_sums(matrix, codebook):
     row that owns nothing (and for the first of a repeated word).
 
     Each output string goes to its most likely codeword, ties to the lowest
-    index, by the streamed max-product of ``_decisions``.
+    index, by the streamed max-product of ``_decisions``; a codeword's mass
+    adds the likelihoods it wins in string order, however the runs are cut.
     """
-    uniform = 1.0 / matrix.shape[1] ** codebook.shape[1]
     # A repeated codeword has the same row as its first occurrence and loses
     # every tie to it, so it owns nothing: the pass runs over the u distinct
     # words in index order.
@@ -709,27 +726,19 @@ def _row_sums(matrix, codebook):
     u = words.shape[0]
     mass = np.zeros(u)
     owned = np.zeros(u, dtype=np.int64)
-    for block, winner, likelihood, _ in _decisions(matrix, words):
+    for winner, likelihood, _ in _decisions(matrix, words):
         owned += np.bincount(winner, minlength=u)
-        # masses summed as over the blocks of _likelihood_blocks: in string
-        # order within a block, then block by block
-        sums = np.bincount(block * u + winner, weights=likelihood,
-                           minlength=u * (block[-1] + 1))
-        for row in sums.reshape(-1, u):
-            mass += row
+        np.add.at(mass, winner, likelihood)  # one term at a time, in order
     # The gap is needed for the words that own nothing and for the repeated
-    # ones, whose repeats own nothing.  Permuting a word's symbols permutes
-    # the output strings of its row, so the gap depends only on the word's
-    # type, its sorted symbols: the second pass runs over one word per type.
+    # ones, whose repeats own nothing.  It depends only on the word's type,
+    # its count of each symbol, so it is summed once per type.
     need = (owned == 0) | (np.bincount(column, minlength=u) > 1)
-    types = np.sort(words[need], axis=1)
-    distinct, kind = _kinds(types)
-    type_gap = np.zeros(np.count_nonzero(distinct))
-    if type_gap.size:
-        for block in _likelihood_blocks(matrix, types[distinct]):
-            type_gap += np.abs(block - uniform).sum(axis=0)
     gap = np.zeros(u)
-    gap[need] = type_gap[kind]
+    if need.any():
+        types = np.sort(words[need], axis=1)
+        distinct, kind = _kinds(types)
+        counts = (types[distinct][:, :, None] == np.arange(matrix.shape[0])).sum(axis=1)
+        gap[need] = _uniform_gaps(matrix, counts, codebook.shape[1])[kind]
     return np.where(first, mass[column], 0.0), np.where(first, owned[column], 0), gap[column]
 
 
@@ -761,7 +770,7 @@ def build_code_and_decoder(channel, omega, k, rate, seed=0, guard_bits=None):
     Returns ``(codebook, lossless)`` where codebook rows are input strings
     (ints) drawn iid from the k-fold input state; repeats are possible.
     """
-    k = _integer(k, "k")
+    k = _integer(k, "k", 1)
     _check_input(channel, omega)
     r = _codebook_size(k, rate, channel.input_dim, channel.output_dim, guard_bits)
     rng = np.random.default_rng(_integer(seed, "seed"))
@@ -797,16 +806,14 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
     """
     if classify(channel).kind == "useless":
         raise ValueError("coding experiment on a useless channel is vacuous")
-    trials = _integer(trials, "trials")
+    trials = _integer(trials, "trials", 1)
     seed = _integer(seed, "seed")
-    if trials < 1:
-        raise ValueError("need at least one trial")
     # the rate, the input and every block length are refused before the
     # capacity probe, which would warn first, and before any trial
     rate = _positive(rate, "rate")
     _check_input(channel, omega)
     sizes = {k: _codebook_size(k, rate, channel.input_dim, channel.output_dim, guard_bits)
-             for k in sorted(set(_integer(k, "k") for k in ks))}
+             for k in sorted(set(_integer(k, "k", 1) for k in ks))}
     try:
         cap = capacity(channel, tol=1e-6, max_iter=2000).capacity
     except ConvergenceError:

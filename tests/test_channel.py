@@ -25,12 +25,13 @@ from cstar_info.channel import (
     JointState,
     LosslessChannel,
     _block_rows,
+    _conditional_types,
     _decisions,
     _decoder_from_rows,
-    _likelihood_blocks,
     _row_sums,
     _sample_codebook,
     _streamed_trial,
+    _uniform_gaps,
     apply_channel,
     bec,
     bsc,
@@ -926,19 +927,22 @@ def _warned(fn, *args):
 
 
 def _check_every_split(matrix, codebook):
+    # every cut of the streamed pieces, from one output string to the whole
+    # table, gives the dense rows' decisions and likelihoods and the same
+    # values bit for bit, near the dense oracle's
     (want_dev, want_err), want_warned = _warned(_dense_trial, matrix, codebook)
     r, k = codebook.shape
     n = matrix.shape[1]
-    dense = _block_rows(matrix, codebook)
+    got = set()
     for tail in range(k + 1):
         with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", r * n ** tail):
-            blocks = list(_likelihood_blocks(matrix, codebook))
+            _check_decisions(matrix, codebook)
             (dev, err), warned = _warned(_streamed_trial, matrix, codebook)
-        assert len(blocks) == n ** (k - tail)
-        assert np.array_equal(np.vstack(blocks), dense.T)  # bit-identical likelihoods
+        got.add((dev, err))
         assert dev == pytest.approx(want_dev, abs=1e-12)
         assert err == pytest.approx(want_err, abs=1e-12)
         assert warned == want_warned
+    assert len(got) == 1
 
 
 @st.composite
@@ -1012,24 +1016,22 @@ def test_streamed_trial_with_two_keys_per_codeword():
 @settings(max_examples=30)
 @given(_coding_cases())
 def test_streamed_blocks_when_one_string_exceeds_the_block(case):
-    # r > STREAM_BLOCK_ENTRIES: each block is one head row times one tail
-    # row, one output string
+    # r > STREAM_BLOCK_ENTRIES: each run of the ML pass is one output string
+    # and each piece of the gap pass one word
     matrix, codebook = case
     (want_dev, want_err), want_warned = _warned(_dense_trial, matrix, codebook)
     with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", 1):
-        blocks = list(_likelihood_blocks(matrix, codebook))
+        runs = list(_decisions(matrix, codebook))
         (dev, err), warned = _warned(_streamed_trial, matrix, codebook)
-    assert np.array_equal(np.vstack(blocks), _block_rows(matrix, codebook).T)
-    assert all(block.shape == (1, len(codebook)) for block in blocks)
+    assert [run[0].size for run in runs] == [1] * matrix.shape[1] ** codebook.shape[1]
     assert dev == pytest.approx(want_dev, abs=1e-12)
     assert err == pytest.approx(want_err, abs=1e-12)
     assert warned == want_warned
 
 
 def test_coding_trial_memory_stays_below_the_table():
-    # r = 172,950 codewords over 2**6 output strings: r * n > 2**18, so every
-    # block is one string; the half tables hold 8 strings each, and the
-    # whole table would be 11 M likelihoods.
+    # r = 172,950 codewords over 2**6 output strings: the half tables hold 8
+    # strings each, and the whole table would be 11 M likelihoods.
     mat = np.random.default_rng(7).random((16, 2))
     c = Channel(mat / mat.sum(axis=1, keepdims=True))
     omega = State.uniform(AtomicAlgebra(16))
@@ -1085,19 +1087,19 @@ def test_block_rows_are_one_product_of_the_half_tables():
 
 def _pass_widths(matrix, codebook):
     # the words each pass of _streamed_trial runs over: the ML pass's
-    # distinct words, then the gap pass's likelihood blocks, one per type
+    # distinct words, then the gap pass's words, one per type
     widths = []
 
     def decisions(matrix, words):
         widths.append(("ml", words.shape[0]))
         return _decisions(matrix, words)
 
-    def blocks(matrix, words):
-        widths.append(("gap", words.shape[0]))
-        return _likelihood_blocks(matrix, words)
+    def gaps(matrix, counts, k):
+        widths.append(("gap", counts.shape[0]))
+        return _uniform_gaps(matrix, counts, k)
 
     with mock.patch.object(channel_module, "_decisions", decisions), \
-            mock.patch.object(channel_module, "_likelihood_blocks", blocks):
+            mock.patch.object(channel_module, "_uniform_gaps", gaps):
         result = _streamed_trial(matrix, codebook)
     return result, widths
 
@@ -1147,6 +1149,48 @@ def test_uniform_row_gap_is_the_dense_row_gap(case):
 
 
 
+@settings(max_examples=100)
+@given(_coding_cases(max_k=8))
+# a uniform row: every likelihood is 3**-7 up to its rounding
+@example((np.full((2, 3), 1.0 / 3.0), np.array([[0, 0, 1, 1, 1, 0, 1], [0, 1, 1, 0, 0, 1, 0]])))
+def test_closed_form_gap_is_the_dense_row_gap(case):
+    # the sum over conditional types against the sum over every output
+    # string of each word's dense row, both taken with math.fsum.  Beyond
+    # the relative bound, the likelihoods themselves differ by their own
+    # rounding: k - 1 products per string in a row, and m * n powers and
+    # products per type, each within half an ulp, over a row of total mass
+    # 1.  That is all a gap is when the row is uniform: its exact value is 0.
+    matrix, codebook = case
+    (m, n), k = matrix.shape, codebook.shape[1]
+    rows = _block_rows(matrix, codebook)
+    counts = np.array([np.bincount(word, minlength=m) for word in codebook])
+    got = _uniform_gaps(matrix, counts, k)
+    want = np.array([math.fsum(np.abs(row - 1.0 / rows.shape[1]).tolist()) for row in rows])
+    assert np.all(np.abs(got - want) <= 1e-14 * want + (k + 2 * m * n) * 2.0 ** -53)
+    # the conditional types of a word count each of its n**k output strings
+    # once, in pieces of any size
+    with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", 1):
+        types = list(_conditional_types(matrix, counts))
+    assert [math.fsum(strings) for strings, _ in types] == [n ** k] * len(codebook)
+    assert [len(strings) for strings, _ in types] == [
+        math.prod(math.comb(t + n - 1, n - 1) for t in row) for row in counts.tolist()]
+
+
+@settings(max_examples=60)
+@given(_coding_cases(max_k=6))
+def test_masses_are_the_owned_sums_of_the_dense_rows(case):
+    matrix, codebook = case
+    rows = _block_rows(matrix, codebook)
+    decision = np.argmax(rows, axis=0)
+    want = np.array([math.fsum(rows[j, decision == j].tolist()) for j in range(len(rows))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mass = _row_sums(matrix, codebook)[0]
+    # a sum of `size` nonnegative terms in any order, as in the decoder test
+    size = rows.shape[1]
+    assert np.all(np.abs(mass - want) <= size * 2.0 ** -53 * want)
+
+
 def _normalized(rows):
     mat = np.array(rows)
     return Channel(mat / mat.sum(axis=1, keepdims=True)).matrix
@@ -1179,40 +1223,39 @@ def _decoder_by_strings(rows):
     return decision, decoder, masses
 
 
-def _masses_by_blocks(matrix, words):
-    # the reference the ML pass must reproduce: every block of the likelihood
-    # table, its argmax per string, and the winners' sums block by block
-    u = words.shape[0]
-    mass = np.zeros(u)
-    for block in _likelihood_blocks(matrix, words):
-        winner = np.argmax(block, axis=1)
-        mass += np.bincount(winner, weights=block[np.arange(block.shape[0]), winner], minlength=u)
-    return mass
+def _masses_in_string_order(rows):
+    # the reference the ML pass must reproduce: per output string, its
+    # winner's likelihood added to the winner's mass, one string at a time
+    mass = [0.0] * rows.shape[0]
+    for y, j in enumerate(np.argmax(rows, axis=0).tolist()):
+        mass[j] += float(rows[j, y])
+    return np.array(mass)
 
 
 def _check_decisions(matrix, codebook):
     # winners, winning likelihoods and masses bit for bit against the dense
-    # rows; returns which strings the pass decided from their whole column
+    # rows, masses summed in string order; returns which strings the pass
+    # decided from their whole column
     rows = _block_rows(matrix, codebook)
     runs = list(_decisions(matrix, codebook))
     want = np.argmax(rows, axis=0)
-    assert np.array_equal(np.concatenate([run[1] for run in runs]), want)
-    likelihood = np.concatenate([run[2] for run in runs])
+    assert np.array_equal(np.concatenate([run[0] for run in runs]), want)
+    likelihood = np.concatenate([run[1] for run in runs])
     assert likelihood.tobytes() == rows[want, np.arange(rows.shape[1])].tobytes()
     words = codebook[np.sort(np.unique(codebook, axis=0, return_index=True)[1])]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mass = _row_sums(matrix, words)[0]
-    assert mass.tobytes() == _masses_by_blocks(matrix, words).tobytes()
-    return np.concatenate([run[3] for run in runs]), likelihood
+    assert mass.tobytes() == _masses_in_string_order(_block_rows(matrix, words)).tobytes()
+    return np.concatenate([run[2] for run in runs]), likelihood
 
 
 # two words of one head whose tail likelihoods differ in the last bit give
 # the same product with the head's likelihood
 _COLLAPSE = (_normalized([[3.0, 0.25, 0.05], [1.0, 0.05, 0.05]]),
              np.array([[1, 1], [0, 1], [0, 0], [0, 1], [0, 0]]))
-# with blocks of 30 entries, codewords win strings in several blocks and
-# their block-by-block masses differ from one sum in string order
+# with runs of 30 entries, codewords win strings in several runs, and a sum
+# of per-run sums would differ from the sum in string order
 _GROUPED = (np.array([[1.0, 0.0, 0.0], [0.4, 0.2, 0.4]]),
             np.array([[0, 1, 0, 0, 1], [0, 0, 0, 0, 0], [1, 1, 0, 0, 1], [1, 0, 0, 0, 0],
                       [1, 1, 1, 0, 1], [1, 0, 1, 0, 0], [1, 1, 0, 1, 1], [0, 0, 1, 1, 1]]))
@@ -1294,7 +1337,7 @@ def test_trial_error_is_the_hamming_oracle(weights):
 
 def test_coding_experiment_values_are_pinned():
     # every value of the benchmark's coding shapes, bit for bit as the
-    # half-table products and per-type gaps give them
+    # half-table products, masses in string order and per-type gaps give them
     c = bsc(0.05)
     with pytest.warns(UserWarning, match="not below capacity"), \
             pytest.warns(UserWarning, match="zero mass"):
@@ -1305,17 +1348,17 @@ def test_coding_experiment_values_are_pinned():
     got = [(r.codebook_size, r.deviation, r.error_prob, r.trial_deviations, r.trial_error_probs)
            for r in (*uniform, skewed)]
     assert got == [
-        (242, 1.0279978139162556, 0.5449264810165936,
-         (1.0412896155578488, 1.0324284144634535, 1.0102754117274642),
+        (242, 1.027997813916258, 0.5449264810165936,
+         (1.0412896155578513, 1.032428414463456, 1.0102754117274666),
          (0.5527178475432594, 0.5475236031921489, 0.5345379923143727)),
-        (481, 1.0798004796488307, 0.570776635723168,
-         (1.0931343384115915, 1.084712953929848, 1.0615541466050529),
+        (481, 1.079800479648833, 0.570776635723168,
+         (1.093134338411594, 1.08471295392985, 1.0615541466050546),
          (0.5786383747218118, 0.5736730658805631, 0.5600184665671292)),
-        (955, 1.1480837923041007, 0.5971683353969619,
-         (1.1547292616347005, 1.131644999749459, 1.1578771155281427),
+        (955, 1.1480837923040974, 0.5971683353969619,
+         (1.1547292616346971, 1.1316449997494558, 1.157877115528139),
          (0.600930033444533, 0.5878630823319179, 0.6027118904144348)),
-        (1897, 1.2452128486441536, 0.6415261294248106,
-         (1.249671977619461, 1.2407537196688463),
+        (1897, 1.2452128486441487, 0.6415261294248106,
+         (1.249671977619456, 1.2407537196688416),
          (0.6439705469430229, 0.6390817119065982)),
     ]
 

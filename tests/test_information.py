@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -519,3 +520,48 @@ def test_code_serialization():
     data = json.loads(json.dumps(code.to_dict()))
     assert data == {"n": 2, "words": ["0", "10", "11"]}
     assert Code.from_dict(data) == code
+
+
+# library golden file ---------------------------------------------------------
+
+AEP_GOLDEN = pathlib.Path(__file__).parent / "golden" / "library" / "aep_typical_set.json"
+
+
+def _aep_golden_cases():
+    # Seeded sources of two to four atoms, one atom left out of every third,
+    # at block lengths up to 60.  Every other eps is the distance of a drawn
+    # type's rate from the entropy, moved by one ulp up or down, so that
+    # type sits on or next to the boundary of the typical set.
+    rng = np.random.default_rng(2024)
+    for case in range(60):
+        d = int(rng.integers(2, 5))
+        weights = rng.dirichlet(np.ones(d))
+        if case % 3 == 0:
+            weights[int(rng.integers(d))] = 0.0
+        source = make_source(weights / weights.sum())
+        n = int(rng.integers(1, 61))
+        eps = float(rng.uniform(0.01, 0.5))
+        if case % 2:
+            w = source.state.weights
+            counts = rng.multinomial(n, w)
+            rate = -float(np.dot(counts[w > 0], np.log2(w[w > 0]))) / n
+            eps = abs(rate - entropy(source.state)) or eps
+            eps = float(np.nextafter(eps, (0.0, math.inf)[case % 4 == 1]))
+        yield source, n, eps
+
+
+def aep_golden_records():
+    """Each case's ``[count, mass, lower bound, upper bound, mass_ok,
+    count_ok]``, the count as a decimal string and the floats as
+    ``float.hex``."""
+    records = []
+    for source, n, eps in _aep_golden_cases():
+        report = aep_typical_set(source, n, eps)
+        records.append([str(report.count), float.hex(report.prob_mass),
+                        float.hex(report.lower_bound), float.hex(report.upper_bound),
+                        report.mass_ok, report.count_ok])
+    return records
+
+
+def test_aep_typical_set_matches_the_library_golden_file():
+    assert aep_golden_records() == json.loads(AEP_GOLDEN.read_text(encoding="utf-8"))

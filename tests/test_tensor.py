@@ -396,6 +396,27 @@ def test_terms_keys_come_scalar_first_then_big_endian():
     keys = [idx.pairs for idx in x.terms]
     assert keys[0] == () and len(keys) == 1 + 2 ** 3
     assert keys[1:] == sorted(keys[1:])
+    # a constructed element orders its keys the same way, whatever the order
+    # of the term map it is given
+    y = TensorElement(AtomicAlgebra(2), {MultiIndex({1: 1}): 1.0, MultiIndex({1: 0}): 3.0,
+                                         MultiIndex(): 2.0})
+    assert [idx.pairs for idx in y.terms] == [(), ((1, 0),), ((1, 1),)]
+
+
+@st.composite
+def _term_maps(draw):
+    # a dimension and (string, coefficient) pairs, repeats and zeros allowed
+    d = draw(st.integers(2, 4))
+    strings = st.dictionaries(st.integers(1, MAX_LEVEL), st.integers(0, d - 1), max_size=3)
+    return d, draw(st.lists(st.tuples(strings, COEFFS), max_size=8))
+
+
+@settings(max_examples=200)
+@given(_term_maps())
+def test_constructed_terms_are_in_the_order_of_a_product(case):
+    d, items = case
+    x = TensorElement(AtomicAlgebra(d), [(MultiIndex(idx), c) for idx, c in items])
+    assert list(x.terms) == list((x * 1.0).terms)
 
 
 TENSOR_GOLDEN = pathlib.Path(__file__).parent / "golden" / "library" / "tensor_programs.json"

@@ -251,8 +251,14 @@ _TOL_RULE = "must be a finite real number >= 0, got "
     (lambda: Element(A2, [1, 2]).equals(Element(A2, [1, 2]), tol=-1), "tol " + _TOL_RULE + "-1.0"),
     (lambda: State(A2, [0.5, 0.5], tol=-0.5), "tol " + _TOL_RULE + "-0.5"),
     (lambda: lln_sweep(_HALF, [2], 2, 0.1, merge_tol=-1e-12), "merge_tol " + _TOL_RULE + "-1e-12"),
+    (lambda: capacity(bsc(0.1), tol=-1.0), "tol " + _TOL_RULE + "-1.0"),
+    (lambda: capacity(bsc(0.1), tol=math.nan), "tol " + _TOL_RULE + "nan"),
+    (lambda: capacity(bsc(0.1), max_iter=0), "max_iter must be an integer >= 1, got 0"),
+    (lambda: capacity(bsc(0.1), max_iter=np.int64(-3)), "max_iter must be an integer >= 1, got -3"),
+    (lambda: lln_sweep(_HALF, [2], 2, -0.0), "eps must be positive and finite, got -0.0"),
 ], ids=["bsc-bool", "bec-bool", "bsc-negative", "bec-nan", "equals-negative", "state-negative",
-        "merge_tol-negative"])
+        "merge_tol-negative", "capacity-tol-negative", "capacity-tol-nan", "capacity-max_iter-0",
+        "capacity-max_iter-negative", "eps-negative-zero"])
 def test_real_parameters_refuse_values_outside_their_range(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
