@@ -93,9 +93,10 @@ def _integer(value, name, low=-math.inf):
     if isinstance(value, (bool, np.bool_)) or not (
             isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise ValueError("%s must be an integer, got %r" % (name, value))
+    value = int(value)
     if value < low:
         raise ValueError("%s must be an integer >= %d, got %d" % (name, low, value))
-    return int(value)
+    return value
 
 
 class _Frozen:

@@ -33,9 +33,11 @@ for bit, and each codeword's mass adds the likelihoods it wins in string
 order.  The uniform-row gap of a codeword that owns no output string
 depends only on its type, its count t_a of each symbol a, and is a sum
 over conditional types, with prod_a C(t_a + n - 1, n - 1) terms per type
-instead of n**k.  ``STREAM_BLOCK_ENTRIES`` only bounds the size of a piece
-of either pass, so a trial's memory is the two half tables and one piece,
-never u * n**k; no result depends on it.
+instead of n**k; the terms pair the types of the word's two halves, a run
+across the middle counting as two.  ``STREAM_BLOCK_ENTRIES`` only bounds
+the size of a piece of either pass, so a trial's memory is the two half
+tables, the conditional types of the halves that need a gap and one
+piece, never u * n**k; no result depends on it.
 
 The dense decoder (``build_code_and_decoder``) forms the r x n**k rows as
 one product of the half tables, fills and divides one decoder table in
@@ -46,7 +48,6 @@ it peaks at about twice the table.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import warnings
@@ -165,7 +166,7 @@ def bec(p):
 
 
 def identity_channel(d):
-    return Channel(np.eye(int(d)))
+    return Channel(np.eye(_integer(d, "d", 1)))
 
 
 def useless_channel(row):
@@ -213,9 +214,7 @@ class JointState(_Frozen):
     __slots__ = ("pair_algebra", "input_state", "level", "pair_state")
 
     def __init__(self, channel, input_state, level=1):
-        level = int(level)
-        if level < 1:
-            raise ValueError("block length must be >= 1")
+        level = _integer(level, "block length", 1)
         _check_input(channel, input_state)
         level_one = input_state.weights[:, None] * channel.matrix  # (m, n)
         pair_algebra = AtomicAlgebra(channel.output_dim * channel.input_dim)
@@ -657,56 +656,67 @@ def _decisions(matrix, words):
             yield winner.ravel(), best.ravel(), redone.ravel()
 
 
-@functools.lru_cache(maxsize=64)
-def _compositions(total, n):
-    # Every way to split each count 0..total into n ordered parts, grouped by
-    # count: the parts, the number of orderings of each (a multinomial), and
-    # where each count's group starts (start[c + 1] - start[c] of them).
-    parts = [[c.count(b) for b in range(n)] for t in range(total + 1)
-             for c in itertools.combinations_with_replacement(range(n), t)]
-    orderings = [math.factorial(sum(p)) // math.prod(map(math.factorial, p)) for p in parts]
-    start = np.cumsum([0] + [math.comb(t + n - 1, n - 1) for t in range(total + 1)])
-    return np.array(parts), np.array(orderings, dtype=float), start
-
-
-def _conditional_types(matrix, counts):
-    """The conditional types of words with ``counts[j, a]`` symbols a.
-
-    A conditional type c gives each input symbol a the counts c_ab of the
-    output symbols b at its t_a positions.  The output strings of one type
-    number prod_a t_a! / prod_b c_ab! and share the likelihood
-    prod_ab matrix[a, b]**c_ab (the method of types, Csiszar & Korner 1981).
-    Yields ``(strings, likelihood)`` per word, in order, one entry per
-    conditional type.  The words are walked in pieces of at most
-    STREAM_BLOCK_ENTRIES types (one word when its own are more).
-    """
-    parts, orderings, start = _compositions(int(counts.max()), matrix.shape[1])
-    size = np.diff(start)
-    # each input symbol's likelihood over every split of each of its counts
-    factors = np.prod(matrix[:, None, :] ** parts, axis=2)
-    types = np.prod(size[counts], axis=1)
-    step = max(1, STREAM_BLOCK_ENTRIES // int(types.max()))
-    for lo in range(0, len(counts), step):
-        word = np.arange(lo, min(lo + step, len(counts)))
-        ends = [0, *np.cumsum(types[word]).tolist()]
-        strings = likelihood = np.ones(word.size)
-        for a, factor in enumerate(factors):
-            # each partial type grows by every split of its word's count of a
-            t = counts[word, a]
-            grow = size[t]
-            split = np.repeat(start[t] + grow - np.cumsum(grow), grow) + np.arange(grow.sum())
-            word = np.repeat(word, grow)
-            strings = np.repeat(strings, grow) * orderings[split]
-            likelihood = np.repeat(likelihood, grow) * factor[split]
-        yield from ((strings[i:j], likelihood[i:j]) for i, j in itertools.pairwise(ends))
-
-
-def _uniform_gaps(matrix, counts, k):
-    # sum_y |L(y) - n**-k| for words of length k with counts[j, a] symbols a:
-    # one term per conditional type, each word's terms taken with math.fsum
-    uniform = 1.0 / matrix.shape[1] ** k
-    return np.array([math.fsum((strings * np.abs(likelihood - uniform)).tolist())
-                     for strings, likelihood in _conditional_types(matrix, counts)])
+def _uniform_gaps(matrix, types):
+    # sum_y |L(y) - n**-k| for each row of `types`, a sorted word, over its
+    # conditional types (the method of types, Csiszar & Korner 1981).  A
+    # type gives the t_a positions of each input symbol a the counts c_ab of
+    # the outputs b: prod_a t_a! / prod_b c_ab! strings of likelihood
+    # prod_ab matrix[a, b]**c_ab, and prod_a C(t_a + n - 1, n - 1) types in
+    # all.  They are grown for the distinct halves of the words, the first
+    # ceil(k/2) and last floor(k/2) symbols (a run across the middle counts
+    # as two), and paired in pieces of at most STREAM_BLOCK_ENTRIES (one
+    # head type when its tail types are more).  Each sum runs over a whole
+    # row of the last, contiguous axis, which numpy sums pairwise, so no
+    # sum depends on the cut.
+    (u, k), (m, n) = types.shape, matrix.shape
+    half = (k + 1) // 2
+    halves = np.full((2 * u, half + 1), m)  # m past a word's end
+    halves[:u, :half], halves[u:, : k - half] = types[:, :half], types[:, half:]
+    first, kind = _kinds(halves)
+    halves = halves[first]
+    h = len(halves)
+    # rest[j, p]: the positions of half j's run from p on (q >= p with its symbol)
+    rest = ((halves[:, :, None] == halves[:, None, :]) & np.tri(half + 1, dtype=bool).T).sum(axis=2)
+    rest *= halves < m
+    comb = np.array([[math.comb(t, c) for c in range(half + 1)] for t in range(half + 1)], float)
+    word, pos, last, strings, likelihood = (np.arange(h), np.zeros(h, dtype=np.int64),
+                                            np.full(h, -1), np.ones(h), np.ones(h))
+    while (rem := rest[word, pos]).any():
+        # a type grows by the next group of its run: all rem symbols at output
+        # n - 1, or c of them at an output b after the last, and at b = n - 2
+        # the other rem - c at n - 1; a finished half stays as it is
+        grow = (n - 2 - last) * rem + 1
+        row = np.repeat(np.arange(word.size), grow)
+        o = np.arange(row.size) - (np.cumsum(grow) - grow)[row]
+        word, pos, last, rem = word[row], pos[row], last[row], rem[row]
+        g, c = np.divmod(o - 1, np.maximum(rem, 1))
+        end = o == 0
+        b, c = np.where(end, n - 1, last + 1 + g), np.where(end, rem, c + 1)
+        take = np.where(b == n - 2, rem, c)
+        a = halves[word, pos] % m  # past a word's end, only ever to the power 0
+        likelihood = likelihood[row] * matrix[a, b] ** c * matrix[a, n - 1] ** (take - c)
+        strings, pos, last = strings[row] * comb[rem, c], pos + take, np.where(rem > take, b, -1)
+    # each half's types in a row, padded with types of no string
+    size = np.bincount(word, minlength=h)
+    padded = np.zeros((2, h, size.max()))
+    padded[:, word, np.arange(word.size) - (np.cumsum(size) - size)[word]] = strings, likelihood
+    strings, likelihood = padded
+    width, across = size[kind[:u]].max(), size[kind[u:]].max()
+    # s' |l l' - n**-k| = |l (s' l') - s' n**-k| for a tail type of s' strings
+    scaled, shift = likelihood * strings, strings * float(n) ** -k
+    step = max(1, STREAM_BLOCK_ENTRIES // (width * across))
+    rows = max(1, STREAM_BLOCK_ENTRIES // across)
+    gap = np.empty(u)
+    for lo in range(0, u, step):
+        head, tail = kind[lo : min(u, lo + step)], kind[u + lo : u + lo + step]
+        sums = np.empty((head.size, width))
+        for y in range(0, width, rows):
+            part = slice(y, min(y + rows, width))
+            terms = likelihood[head, part, None] * scaled[tail, None, :across]
+            terms -= shift[tail, None, :across]
+            sums[:, part] = np.abs(terms, out=terms).sum(axis=2) * strings[head, part]
+        gap[lo : lo + step] = sums.sum(axis=1)
+    return gap
 
 
 def _row_sums(matrix, codebook):
@@ -737,8 +747,7 @@ def _row_sums(matrix, codebook):
     if need.any():
         types = np.sort(words[need], axis=1)
         distinct, kind = _kinds(types)
-        counts = (types[distinct][:, :, None] == np.arange(matrix.shape[0])).sum(axis=1)
-        gap[need] = _uniform_gaps(matrix, counts, codebook.shape[1])[kind]
+        gap[need] = _uniform_gaps(matrix, types[distinct])[kind]
     return np.where(first, mass[column], 0.0), np.where(first, owned[column], 0), gap[column]
 
 
