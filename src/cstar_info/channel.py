@@ -31,13 +31,11 @@ next lower B rounds to the same product forms its column over all u
 words.  Decisions and likelihoods are those of the full u x n**k table bit
 for bit, and each codeword's mass adds the likelihoods it wins in string
 order.  The uniform-row gap of a codeword that owns no output string
-depends only on its type, its count t_a of each symbol a, and is a sum
-over conditional types, with prod_a C(t_a + n - 1, n - 1) terms per type
-instead of n**k; the terms pair the types of the word's two halves, a run
-across the middle counting as two.  ``STREAM_BLOCK_ENTRIES`` only bounds
-the size of a piece of either pass, so a trial's memory is the two half
-tables, the conditional types of the halves that need a gap and one
-piece, never u * n**k; no result depends on it.
+depends only on its type, its count t_a of each symbol a, so it is
+summed once per type over that type's n**k likelihoods, formed from its
+half tables as in the decoding pass.  ``STREAM_BLOCK_ENTRIES`` only
+bounds the size of a piece of either pass, so a trial's memory is the
+half tables and one piece, never u * n**k; no result depends on it.
 
 The dense decoder (``build_code_and_decoder``) forms the r x n**k rows as
 one product of the half tables, fills and divides one decoder table in
@@ -48,7 +46,6 @@ it peaks at about twice the table.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -658,65 +655,25 @@ def _decisions(matrix, words):
 
 def _uniform_gaps(matrix, types):
     # sum_y |L(y) - n**-k| for each row of `types`, a sorted word, over its
-    # conditional types (the method of types, Csiszar & Korner 1981).  A
-    # type gives the t_a positions of each input symbol a the counts c_ab of
-    # the outputs b: prod_a t_a! / prod_b c_ab! strings of likelihood
-    # prod_ab matrix[a, b]**c_ab, and prod_a C(t_a + n - 1, n - 1) types in
-    # all.  They are grown for the distinct halves of the words, the first
-    # ceil(k/2) and last floor(k/2) symbols (a run across the middle counts
-    # as two), and paired in pieces of at most STREAM_BLOCK_ENTRIES (one
-    # head type when its tail types are more).  Each sum runs over a whole
-    # row of the last, contiguous axis, which numpy sums pairwise, so no
-    # sum depends on the cut.
-    (u, k), (m, n) = types.shape, matrix.shape
+    # n**k likelihoods fl(A B) from the half tables, as in the ML pass.  A
+    # (type, head string) row sums its whole contiguous row of tail strings,
+    # which numpy sums pairwise, in pieces of at most STREAM_BLOCK_ENTRIES
+    # products (at least one row), then each type sums its head strings'
+    # rows: no sum depends on the cut.
+    (u, k), n = types.shape, matrix.shape[1]
     half = (k + 1) // 2
-    halves = np.full((2 * u, half + 1), m)  # m past a word's end
-    halves[:u, :half], halves[u:, : k - half] = types[:, :half], types[:, half:]
-    first, kind = _kinds(halves)
-    halves = halves[first]
-    h = len(halves)
-    # rest[j, p]: the positions of half j's run from p on (q >= p with its symbol)
-    rest = ((halves[:, :, None] == halves[:, None, :]) & np.tri(half + 1, dtype=bool).T).sum(axis=2)
-    rest *= halves < m
-    comb = np.array([[math.comb(t, c) for c in range(half + 1)] for t in range(half + 1)], float)
-    word, pos, last, strings, likelihood = (np.arange(h), np.zeros(h, dtype=np.int64),
-                                            np.full(h, -1), np.ones(h), np.ones(h))
-    while (rem := rest[word, pos]).any():
-        # a type grows by the next group of its run: all rem symbols at output
-        # n - 1, or c of them at an output b after the last, and at b = n - 2
-        # the other rem - c at n - 1; a finished half stays as it is
-        grow = (n - 2 - last) * rem + 1
-        row = np.repeat(np.arange(word.size), grow)
-        o = np.arange(row.size) - (np.cumsum(grow) - grow)[row]
-        word, pos, last, rem = word[row], pos[row], last[row], rem[row]
-        g, c = np.divmod(o - 1, np.maximum(rem, 1))
-        end = o == 0
-        b, c = np.where(end, n - 1, last + 1 + g), np.where(end, rem, c + 1)
-        take = np.where(b == n - 2, rem, c)
-        a = halves[word, pos] % m  # past a word's end, only ever to the power 0
-        likelihood = likelihood[row] * matrix[a, b] ** c * matrix[a, n - 1] ** (take - c)
-        strings, pos, last = strings[row] * comb[rem, c], pos + take, np.where(rem > take, b, -1)
-    # each half's types in a row, padded with types of no string
-    size = np.bincount(word, minlength=h)
-    padded = np.zeros((2, h, size.max()))
-    padded[:, word, np.arange(word.size) - (np.cumsum(size) - size)[word]] = strings, likelihood
-    strings, likelihood = padded
-    width, across = size[kind[:u]].max(), size[kind[u:]].max()
-    # s' |l l' - n**-k| = |l (s' l') - s' n**-k| for a tail type of s' strings
-    scaled, shift = likelihood * strings, strings * float(n) ** -k
-    step = max(1, STREAM_BLOCK_ENTRIES // (width * across))
-    rows = max(1, STREAM_BLOCK_ENTRIES // across)
-    gap = np.empty(u)
-    for lo in range(0, u, step):
-        head, tail = kind[lo : min(u, lo + step)], kind[u + lo : u + lo + step]
-        sums = np.empty((head.size, width))
-        for y in range(0, width, rows):
-            part = slice(y, min(y + rows, width))
-            terms = likelihood[head, part, None] * scaled[tail, None, :across]
-            terms -= shift[tail, None, :across]
-            sums[:, part] = np.abs(terms, out=terms).sum(axis=2) * strings[head, part]
-        gap[lo : lo + step] = sums.sum(axis=1)
-    return gap
+    heads = _half_table(matrix, types[:, :half])
+    tails = _half_table(matrix, types[:, half:])
+    na, nb = heads.shape[1], tails.shape[1]
+    rows = max(1, STREAM_BLOCK_ENTRIES // nb)
+    sums = np.empty(u * na)
+    for lo in range(0, u * na, rows):
+        word, a = np.divmod(np.arange(lo, min(lo + rows, u * na)), na)
+        terms = tails[word]
+        terms *= heads[word, a, None]
+        terms -= float(n) ** -k
+        sums[lo : lo + rows] = np.abs(terms, out=terms).sum(axis=1)
+    return sums.reshape(u, na).sum(axis=1)
 
 
 def _row_sums(matrix, codebook):

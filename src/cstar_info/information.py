@@ -38,6 +38,7 @@ from .algebra import (
     _factor_algebra,
     _from_dense,
     _guard,
+    _integer,
     _one_hot_rows,
     _positive,
     _tensor_element,
@@ -112,10 +113,7 @@ class TypicalSetReport:
 
 
 def _block_args(n, eps):
-    n = int(n)
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    return n, _positive(eps, "eps")
+    return _integer(n, "block length", 1), _positive(eps, "eps")
 
 
 def _is_typical(lp, n, h, eps):

@@ -37,6 +37,7 @@ from .algebra import (
     _Value,
     _check_dim,
     _guard,
+    _integer,
     _kinds,
     _positive,
     _tol,
@@ -427,9 +428,7 @@ def sum_pushforward(values, masses, n, merge_tol=None):
     Returns ``(values, masses)`` arrays; support points closer than
     ``merge_tol`` are merged to keep the support size O(n * dim).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("need n >= 1 summands")
+    n = _integer(n, "n", 1)
     sweep = _AverageSweep(values, masses, merge_tol)
     # the sweep's sums are centred; the raw ones lie within n * spread of n * mean
     if abs(n * sweep.mean) + n * sweep.spread > sys.float_info.max:
@@ -520,21 +519,12 @@ class _AverageSweep:
 def _average_sweeps(omega, ns, observable=None, merge_tol=None, guard_bits=None):
     """Yield ``(n, sweep)`` at each distinct n of the grid, in increasing
     order, from a single convolution pass that is never restarted."""
-    ns = sorted(set(int(n) for n in ns))
-    if ns and ns[0] < 1:
-        raise ValueError("need n >= 1 summands")
+    ns = sorted(set(_integer(n, "n", 1) for n in ns))
     values = _observable_values(omega, observable)
     sweep = _AverageSweep(values, omega.weights, merge_tol, guard_bits)
     for n in ns:
         sweep.advance_to(n)
         yield n, sweep
-
-
-def _check_moment_order(k):
-    k = int(k)
-    if k < 1:
-        raise ValueError("moment order must be >= 1")
-    return k
 
 
 def lln_sweep(omega, ns, k, eps, observable=None, merge_tol=None, guard_bits=None):
@@ -546,7 +536,7 @@ def lln_sweep(omega, ns, k, eps, observable=None, merge_tol=None, guard_bits=Non
     most ``2**guard_bits`` support-by-value products (``SWEEP_GUARD_BITS``
     by default) and raises GuardExceeded before it would form more.
     """
-    k = _check_moment_order(k)
+    k = _integer(k, "moment order", 1)
     eps = _positive(eps, "eps")
     table = {}
     for n, sweep in _average_sweeps(omega, ns, observable, merge_tol, guard_bits):
@@ -563,8 +553,8 @@ def lln_moment(omega, n, k, observable=None, merge_tol=None):
     coefficients 0..d-1).  Odd k is accepted with a warning since the
     absolute moment no longer matches the signed one.
     """
-    n = int(n)
-    k = _check_moment_order(k)
+    n = _integer(n, "n", 1)
+    k = _integer(k, "moment order", 1)
     if k % 2 == 1:
         warnings.warn("odd moment order %d: computing the absolute moment" % k)
     return lln_moment_sweep(omega, [n], k, observable, merge_tol)[n]
@@ -572,7 +562,7 @@ def lln_moment(omega, n, k, observable=None, merge_tol=None):
 
 def lln_moment_sweep(omega, ns, k, observable=None, merge_tol=None):
     """lln_moment over a grid of n values, sharing one convolution pass."""
-    k = _check_moment_order(k)
+    k = _integer(k, "moment order", 1)
     return {n: sweep.moment(k) for n, sweep in _average_sweeps(omega, ns, observable, merge_tol)}
 
 

@@ -44,8 +44,15 @@ from cstar_info.channel import (
     push_state,
     useless_channel,
 )
-from cstar_info.information import entropy, huffman_code
-from cstar_info.probability import State
+from cstar_info.information import Source, aep_projection, aep_typical_set, entropy, huffman_code
+from cstar_info.probability import (
+    State,
+    chebyshev_tail,
+    lln_moment,
+    lln_moment_sweep,
+    lln_sweep,
+    sum_pushforward,
+)
 
 RNG = np.random.default_rng(90125)
 
@@ -811,6 +818,16 @@ def test_counts_and_seeds_refuse_non_integral_numbers(bad):
         ("block length", lambda: JointState(c, omega, bad)),
         ("block length", lambda: joint(c, omega, bad)),
         ("d", lambda: identity_channel(bad)),
+        ("block length", lambda: aep_typical_set(Source.from_weights([0.7, 0.3]), bad, 0.1)),
+        ("block length", lambda: aep_projection(Source.from_weights([0.7, 0.3]), bad, 0.1)),
+        ("n", lambda: sum_pushforward([0.0, 1.0], [0.5, 0.5], bad)),
+        ("n", lambda: lln_sweep(omega, [2, bad], 2, 0.1)),
+        ("n", lambda: lln_moment(omega, bad, 2)),
+        ("n", lambda: lln_moment_sweep(omega, [bad], 2)),
+        ("n", lambda: chebyshev_tail(omega, bad, 0.1)),
+        ("moment order", lambda: lln_sweep(omega, [2], bad, 0.1)),
+        ("moment order", lambda: lln_moment(omega, 2, bad)),
+        ("moment order", lambda: lln_moment_sweep(omega, [2], bad)),
     ]
     for name, call in calls:
         with pytest.raises(ValueError) as refused:
@@ -1056,9 +1073,8 @@ def test_coding_trial_memory_stays_below_the_table():
 def test_gap_pass_memory_stays_in_pieces_on_a_wide_output():
     # 2 inputs, 64 outputs, k = 4: 2**24 output strings, as many as the
     # guard allows, and codeword 2 repeats codeword 0, so the gap pass needs
-    # the gap of its type over 64**4 output strings.  Its conditional types
-    # pair those of the halves [0, 1] and [1, 1] of its sorted symbols,
-    # 4,096 and 2,080 of them, in pieces.
+    # the gap of its type over 64**4 output strings: the 4,096 x 4,096
+    # products of its two half tables, summed in pieces of 64 head strings.
     mat = np.random.default_rng(64).random((2, 64)) ** 3
     matrix = Channel(mat / mat.sum(axis=1, keepdims=True)).matrix
     codebook = _sample_codebook(np.random.default_rng(4), np.array([0.5, 0.5]), 4, 4)
@@ -1177,31 +1193,30 @@ def test_uniform_row_gap_is_the_dense_row_gap(case):
 @given(_coding_cases(max_k=8))
 # a uniform row: every likelihood is 3**-7 up to its rounding
 @example((np.full((2, 3), 1.0 / 3.0), np.array([[0, 0, 1, 1, 1, 0, 1], [0, 1, 1, 0, 0, 1, 0]])))
-def test_closed_form_gap_is_the_dense_row_gap(case):
-    # the sum over conditional types of each sorted word against the sum
-    # over every output string of its dense row, taken with math.fsum, the
-    # same bit for bit at every cut of the pieces.  Beyond the relative
-    # bound, the likelihoods themselves differ by their own rounding: k - 1
-    # products per string in a row, and the powers and products that build
-    # a conditional type's likelihood from its two halves, over a row of
-    # total mass 1.  That is all a gap is when the row is uniform: its
-    # exact value is 0.  On 8,000 random cases, a third of them uniform,
-    # the error stayed within a quarter of this bound.
+def test_half_table_gap_is_the_dense_row_gap(case):
+    # the sum over each sorted word's half-table likelihoods against the
+    # sum over every output string of its unsorted word's dense row, taken
+    # with math.fsum, the same bit for bit at every cut of the pieces: one
+    # (type, head string) row, a whole type, and cuts inside a type's head
+    # strings.  Beyond the relative bound, the likelihoods themselves
+    # differ by their own rounding: k - 1 products per string in a row, in
+    # another order of the symbols, over a row of total mass 1.  That is
+    # all a gap is when the row is uniform: its exact value is 0.
     matrix, codebook = case
     (m, n), k = matrix.shape, codebook.shape[1]
     rows = _block_rows(matrix, codebook)
     want = np.array([math.fsum(np.abs(row - 1.0 / rows.shape[1]).tolist()) for row in rows])
     types = np.sort(codebook, axis=1)
     got = set()
-    for entries in (channel_module.STREAM_BLOCK_ENTRIES, 1, n ** (k // 2)):
+    for entries in (channel_module.STREAM_BLOCK_ENTRIES, 1, n ** (k // 2), 3 * n ** (k // 2)):
         with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", entries):
             gap = _uniform_gaps(matrix, types)
         got.add(gap.tobytes())
     assert len(got) == 1
     assert np.all(np.abs(gap - want) <= 1e-14 * want + (k + 2 * m * n) * 2.0 ** -53)
     # where every likelihood is 0 the gap counts a word's strings times
-    # n**-k: the conditional types of a word count each of its n**k output
-    # strings once
+    # n**-k: the half tables of a word span each of its n**k output strings
+    # once
     with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", 1):
         assert np.allclose(_uniform_gaps(np.zeros((m, n)), types), 1.0, rtol=0.0, atol=1e-14)
 
@@ -1367,7 +1382,8 @@ def test_trial_error_is_the_hamming_oracle(weights):
 
 def test_coding_experiment_values_are_pinned():
     # every value of the benchmark's coding shapes, bit for bit as the
-    # half-table products, masses in string order and per-type gaps give them
+    # half-table products, masses in string order and per-type gaps over the
+    # half tables give them
     c = bsc(0.05)
     with pytest.warns(UserWarning, match="not below capacity"), \
             pytest.warns(UserWarning, match="zero mass"):
@@ -1387,8 +1403,8 @@ def test_coding_experiment_values_are_pinned():
         (955, 1.1480837923040974, 0.5971683353969619,
          (1.1547292616346971, 1.1316449997494558, 1.157877115528139),
          (0.600930033444533, 0.5878630823319179, 0.6027118904144348)),
-        (1897, 1.2452128486441487, 0.6415261294248106,
-         (1.249671977619456, 1.2407537196688416),
+        (1897, 1.245212848644149, 0.6415261294248106,
+         (1.249671977619456, 1.2407537196688418),
          (0.6439705469430229, 0.6390817119065982)),
     ]
 

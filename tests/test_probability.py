@@ -341,6 +341,59 @@ def test_one_partition_behind_subalgebra_distribution_and_independence(case):
         assert abs(omega(p * q) - omega(p) * omega(q)) > EQ_TOL
 
 
+PARTITIONS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "library" / "partitions.json"
+
+
+def _partition_golden_cases():
+    # Seeded cases of the two kinds above: one to eight atoms, one to three
+    # generators and up to three others on the chained grid, weights from
+    # {0, 1, 2, 3}; and every fourth case a product state on a grid of up to
+    # 4 x 2 atoms with a few EQ_TOL of mass moved, against its row and
+    # column generators.
+    rng = np.random.default_rng(2025)
+    for case in range(120):
+        if case % 4 == 3:
+            rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+            weights = np.outer(rng.choice(4, rows), rng.choice(4, cols)).ravel().astype(float)
+            if not weights.any():
+                weights[rng.integers(rows * cols)] = 1.0
+            weights /= weights.sum()
+            moved = float(rng.choice([0.0, 0.53, 1.7, 3.7])) * EQ_TOL
+            weights[rng.choice(np.flatnonzero(weights))] -= moved
+            weights[rng.integers(rows * cols)] += moved
+            alg = AtomicAlgebra(rows * cols)
+            row_gen, col_gen = _factor_generators(alg, rows, cols)
+            yield [row_gen], [col_gen], State(alg, weights)
+            continue
+        d = int(rng.integers(1, 9))
+        alg = AtomicAlgebra(d)
+        gens, others = ([Element(alg, rng.choice(_CHAINED, d)) for _ in range(rng.integers(least, 4))]
+                        for least in (1, 0))
+        weights = rng.choice([0.0, 0.0, 1.0, 2.0, 3.0], d)
+        if not weights.any():
+            weights[rng.integers(d)] = 1.0
+        yield gens, others, State(alg, weights / weights.sum())
+
+
+def partitions_golden_records():
+    """Each case's blocks of ``generated_subalgebra``, atoms of
+    ``distribution_of`` (values and masses as ``float.hex``), and the flag
+    of ``independence_test`` with the atoms of its witness blocks, if any."""
+    records = []
+    for gens, others, omega in _partition_golden_cases():
+        atoms = [[[float.hex(x) for x in np.atleast_1d(value)], float.hex(mass)]
+                 for value, mass in distribution_of(gens, omega).atoms]
+        flag, witness = independence_test(gens, others, omega)
+        blocks = None if witness is None else [np.flatnonzero(p.coeffs).tolist() for p in witness]
+        records.append([[list(b) for b in generated_subalgebra(gens).blocks], atoms, flag, blocks])
+    return records
+
+
+def test_partitions_match_the_library_golden_file():
+    assert partitions_golden_records() == json.loads(
+        PARTITIONS_GOLDEN.read_text(encoding="utf-8"))
+
+
 _A4 = AtomicAlgebra(4)
 
 

@@ -32,8 +32,16 @@ from cstar_info.channel import (
     capacity,
     coding_experiment,
 )
-from cstar_info.information import Code, Source, aep_typical_set, huffman_code
-from cstar_info.probability import ProductState, State, lln_sweep
+from cstar_info.information import Code, Source, aep_projection, aep_typical_set, huffman_code
+from cstar_info.probability import (
+    ProductState,
+    State,
+    chebyshev_tail,
+    lln_moment,
+    lln_moment_sweep,
+    lln_sweep,
+    sum_pushforward,
+)
 
 A2 = AtomicAlgebra(2)
 
@@ -256,9 +264,21 @@ _TOL_RULE = "must be a finite real number >= 0, got "
     (lambda: capacity(bsc(0.1), max_iter=0), "max_iter must be an integer >= 1, got 0"),
     (lambda: capacity(bsc(0.1), max_iter=np.int64(-3)), "max_iter must be an integer >= 1, got -3"),
     (lambda: lln_sweep(_HALF, [2], 2, -0.0), "eps must be positive and finite, got -0.0"),
+    (lambda: aep_typical_set(Source.from_weights([0.5, 0.5]), 0, 0.1),
+     "block length must be an integer >= 1, got 0"),
+    (lambda: aep_projection(Source.from_weights([0.5, 0.5]), -3, 0.1),
+     "block length must be an integer >= 1, got -3"),
+    (lambda: sum_pushforward([0.0, 1.0], [0.5, 0.5], 0), "n must be an integer >= 1, got 0"),
+    (lambda: lln_sweep(_HALF, [2, 0], 2, 0.1), "n must be an integer >= 1, got 0"),
+    (lambda: lln_moment(_HALF, np.int64(0), 2), "n must be an integer >= 1, got 0"),
+    (lambda: chebyshev_tail(_HALF, -1, 0.1), "n must be an integer >= 1, got -1"),
+    (lambda: lln_sweep(_HALF, [2], 0, 0.1), "moment order must be an integer >= 1, got 0"),
+    (lambda: lln_moment_sweep(_HALF, [2], -2), "moment order must be an integer >= 1, got -2"),
 ], ids=["bsc-bool", "bec-bool", "bsc-negative", "bec-nan", "equals-negative", "state-negative",
         "merge_tol-negative", "capacity-tol-negative", "capacity-tol-nan", "capacity-max_iter-0",
-        "capacity-max_iter-negative", "eps-negative-zero"])
+        "capacity-max_iter-negative", "eps-negative-zero", "aep-n-0", "projection-n-negative",
+        "pushforward-n-0", "lln-n-0", "moment-n-0", "chebyshev-n-negative", "lln-k-0",
+        "moment-sweep-k-negative"])
 def test_real_parameters_refuse_values_outside_their_range(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
