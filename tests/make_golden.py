@@ -5,8 +5,8 @@
 Runs every case of ``test_cli._GOLDEN_CASES`` as the golden test does and
 writes its artifact and standard error, then writes the library files
 ``golden/library/lln_sweep.json``, ``coding_experiment.json``,
-``capacity.json``, ``tensor_programs.json``, ``aep_typical_set.json`` and
-``partitions.json``.
+``capacity.json``, ``tensor_programs.json``, ``aep_typical_set.json``,
+``aep_projection.json`` and ``partitions.json``.
 The tests only read these files: a change that moves a value reruns this
 script and quotes the diff.
 
@@ -105,6 +105,8 @@ def main():
                           (test_channel.CAPACITY_GOLDEN, test_channel.capacity_golden_records()),
                           (test_tensor.TENSOR_GOLDEN, test_tensor.tensor_golden_records()),
                           (test_information.AEP_GOLDEN, test_information.aep_golden_records()),
+                          (test_information.AEP_PROJECTION_GOLDEN,
+                           test_information.aep_projection_golden_records()),
                           (test_probability.PARTITIONS_GOLDEN,
                            test_probability.partitions_golden_records())):
         # one case a line, so that a diff names the cases that moved

@@ -37,6 +37,7 @@ from cstar_info.information import (
     source_output,
 )
 from cstar_info.probability import ProductState, State
+from test_tensor import _golden_record as tensor_golden_record
 
 RNG = np.random.default_rng(515253)
 
@@ -565,3 +566,34 @@ def aep_golden_records():
 
 def test_aep_typical_set_matches_the_library_golden_file():
     assert aep_golden_records() == json.loads(AEP_GOLDEN.read_text(encoding="utf-8"))
+
+
+AEP_PROJECTION_GOLDEN = AEP_GOLDEN.with_name("aep_projection.json")
+
+
+def _aep_projection_golden_cases():
+    # Seeded sources of two and three atoms, each at a random eps.  One atom
+    # is left out of every fourth three-atom source and of every fourth
+    # two-atom source, which then puts out one string.  Block lengths are up
+    # to 13 for two atoms and up to 8 for three, so that the file stays small.
+    rng = np.random.default_rng(2030)
+    for case in range(40):
+        d = 2 + case % 2
+        weights = rng.dirichlet(np.ones(d))
+        if case % 8 in (0, 3):
+            weights[int(rng.integers(d))] = 0.0
+        n = int(rng.integers(1, (14, 9)[d - 2]))
+        yield make_source(weights / weights.sum()), n, float(rng.uniform(0.01, 0.5))
+
+
+def aep_projection_golden_records():
+    """Each case's ``[terms, level, dense digest]``: ``.terms`` in key
+    order with coefficients as ``float.hex``, and the SHA-256 of
+    ``dense()``, as in the tensor program corpus."""
+    return [tensor_golden_record(aep_projection(source, n, eps))
+            for source, n, eps in _aep_projection_golden_cases()]
+
+
+def test_aep_projection_matches_the_library_golden_file():
+    assert aep_projection_golden_records() == json.loads(
+        AEP_PROJECTION_GOLDEN.read_text(encoding="utf-8"))
