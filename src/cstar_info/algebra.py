@@ -89,11 +89,12 @@ def _real(value, name, rule="a finite real number", low=-math.inf, high=math.inf
 def _integer(value, name, low=-math.inf):
     # a count or seed as an int of at least low: int() would truncate 2.5
     # and overflow on inf, and a bool is an int only by accident, so all
-    # three are refused
-    if isinstance(value, (bool, np.bool_)) or not (
-            isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    value = int(value)
+    # three are refused; a plain int, the common case, skips the checks
+    if type(value) is not int:
+        if isinstance(value, (bool, np.bool_)) or not (
+                isinstance(value, numbers.Integral) or float(value).is_integer()):
+            raise ValueError("%s must be an integer, got %r" % (name, value))
+        value = int(value)
     if value < low:
         raise ValueError("%s must be an integer >= %d, got %d" % (name, low, value))
     return value
@@ -161,7 +162,7 @@ class _TermMap:
 def _check_dim(data, algebra):
     """The algebra of a serialized value: ``algebra``, which must have the
     serialized dimension, or a new one of that dimension."""
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "serialized dim")
     if algebra is None:
         return AtomicAlgebra(dim)
     if algebra.dim != dim:
@@ -216,9 +217,7 @@ class AtomicAlgebra(_Value):
     __slots__ = ("dim", "labels")
 
     def __init__(self, dim, labels=None):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError("algebra dimension must be >= 1")
+        dim = _integer(dim, "algebra dimension", 1)
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != dim:
@@ -1144,9 +1143,7 @@ def embed_at(x, position):
     """Place a single-factor element at the given 1-based tensor position."""
     if not isinstance(x, Element):
         raise TypeError("embed_at expects an Element")
-    position = int(position)
-    if position < 1:
-        raise ValueError("tensor positions are 1-based")
+    position = _integer(position, "tensor position", 1)
     coeffs = np.where(np.abs(x.coeffs) >= ZERO_TOL, x.coeffs, 0j)
     return _tensor_element(x.algebra, 0j, {(position,): coeffs.reshape(1, 1, -1)})
 
@@ -1162,9 +1159,7 @@ def tensor_power(x, n):
     Built by repeated squaring: the power of an elementary tensor is one
     elementary tensor, made with O(log n) concatenations of O(n d) work.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("tensor power needs n >= 1")
+    n = _integer(n, "tensor power", 1)
     square = as_tensor(x)
     out = None
     while True:

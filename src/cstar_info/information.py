@@ -9,10 +9,10 @@ The typical-set report compares the per-symbol information rate of the
 length-n strings against the entropy (closed interval of radius eps) and
 records the count and probability mass of the typical strings together with
 the standard count bounds.  The rate of a string depends only on its type,
-the number of times each atom occurs, so the report sums exact multinomial
-counts over type classes (the method of types) and never lists the strings
-themselves; only the explicit typical projection does.  Strings of
-probability zero carry infinite information rate and are never typical.
+the number of times each atom occurs, so one walk over the type classes
+(the method of types) decides it: the report sums the exact counts of the
+typical types, and only the explicit typical projection lists their
+strings.  Strings of probability zero are never typical.
 
 Prefix codes are tied back to the algebra through word embeddings: two
 distinct embedded codewords multiply to zero exactly when neither word is a
@@ -30,19 +30,18 @@ from .algebra import (
     AlgebraMismatch,
     AtomicAlgebra,
     Element,
+    GUARD_BITS,
     GuardExceeded,
     TERMS_GUARD_BITS,
     _Frozen,
     _Value,
     _digits,
     _factor_algebra,
-    _from_dense,
     _guard,
     _integer,
     _one_hot_rows,
     _positive,
     _tensor_element,
-    check_guard,
 )
 from .probability import State
 
@@ -116,11 +115,6 @@ def _block_args(n, eps):
     return _integer(n, "block length", 1), _positive(eps, "eps")
 
 
-def _is_typical(lp, n, h, eps):
-    # closed interval; the 1e-12 slack only absorbs float rounding on the edge
-    return abs(-lp / n - h) <= eps + 1e-12
-
-
 def _times_pow2(count, lp):
     # count * 2**lp for an int count of any size: the bits shifted out of
     # count go into the exponent, so the float conversion cannot overflow
@@ -141,9 +135,9 @@ def _typical_run(lp, w, last, left, n, h, eps):
     where |x| is least (every term of x has one sign, so the band is near
     that end whenever |x| is large), which keeps them exact to the float
     error of x even where c itself is not exact as a float, and are widened
-    by that error; ``_is_typical`` still decides every count in the range.
-    Beyond the float error, the 1e-12 slack of ``_is_typical`` admits no
-    further count.
+    by that error; the walk's typicality test still decides every count in
+    the range.  A count outside the range is not typical even when its rate
+    lies past eps by less than the 1e-12 slack of that test.
     """
     slope = w - last
     if not slope:
@@ -161,8 +155,9 @@ def _typical_run(lp, w, last, left, n, h, eps):
     return range(max(ref + math.ceil(low - error), 0), min(ref + math.floor(high + error), left) + 1)
 
 
-def _typical_sums(logw, n, h, eps):
-    """Exact count and probability mass of the eps-typical type classes.
+def _typical_types(logw, n, h, eps):
+    """Yield ``(counts, strings, lp)`` for each eps-typical type: how often
+    each atom occurs, the number of strings and their log2-probability.
 
     A type fixes how often each atom occurs in a length-n string; all
     ``n! / prod(c_i!)`` strings of a type share the log-probability
@@ -176,32 +171,42 @@ def _typical_sums(logw, n, h, eps):
     before.
     """
     d = len(logw)
-    count = 0
-    terms = []
-    stack = [(0, n, 0.0, 1)]  # (next atom, symbols left, log2-prob, strings per prefix)
+    # (next atom, counts so far, symbols left, log2-prob, strings per prefix)
+    stack = [(0, (), n, 0.0, 1)]
     while stack:
-        i, left, lp, prefix = stack.pop()
+        i, head, left, lp, prefix = stack.pop()
         if left and i < d - 2:
             for c in range(left + 1):
-                stack.append((i + 1, left - c, lp + c * logw[i], prefix * math.comb(left, c)))
+                stack.append((i + 1, head + (c,), left - c, lp + c * logw[i], prefix * math.comb(left, c)))
             continue
         if not left or i == d - 1:
             lp += left * logw[i]
-            if _is_typical(lp, n, h, eps):
-                count += prefix
-                terms.append(_times_pow2(prefix, lp))
+            # the closed interval of radius eps around h; the 1e-12 slack
+            # absorbs float rounding on the edge
+            if abs(-lp / n - h) <= eps + 1e-12:
+                yield head + (left,) + (0,) * (d - i - 1), prefix, lp
             continue
         w, last = logw[i], logw[i + 1]
         binom, at = 0, -2  # binom = C(left, at)
         for c in _typical_run(lp, w, last, left, n, h, eps):
             x = lp + c * w + (left - c) * last
-            if _is_typical(x, n, h, eps):
+            if abs(-x / n - h) <= eps + 1e-12:
                 binom = binom * (left - at) // c if at == c - 1 else math.comb(left, c)
                 at = c
-                strings = prefix * binom
-                count += strings
-                terms.append(_times_pow2(strings, x))
-    return count, math.fsum(terms)
+                yield head + (c, left - c), prefix * binom, x
+
+
+def _typical_walk(source, n, eps, guard_bits):
+    # the checked n and eps, the entropy, the atoms of positive weight and
+    # the walk of the typical types over those atoms, behind the type guard
+    n, eps = _block_args(n, eps)
+    d = source.algebra.dim
+    _guard(math.log2(math.comb(n + d - 1, d - 1)), TYPE_GUARD_BITS, guard_bits,
+           "type classes, C(%d, %d), for the typical set", n + d - 1, d - 1)
+    w = source.state.weights
+    h = _entropy_bits(w)
+    atoms = (w > 0.0).nonzero()[0]
+    return n, eps, h, atoms, _typical_types(np.log2(w[atoms]).tolist(), n, h, eps)
 
 
 def aep_typical_set(source, n, eps, guard_bits=None):
@@ -222,12 +227,7 @@ def aep_typical_set(source, n, eps, guard_bits=None):
     ``count_ok`` checks the count against 2**(n (H + eps)) from above always,
     and against (1 - eps) 2**(n (H - eps)) from below once mass_ok holds.
     """
-    n, eps = _block_args(n, eps)
-    d = source.algebra.dim
-    types = math.comb(n + d - 1, d - 1)
-    _guard(math.log2(types), TYPE_GUARD_BITS, guard_bits,
-           "type classes, C(%d, %d), for the typical-set report", n + d - 1, d - 1)
-    h = entropy(source.state)
+    n, eps, h, _, types = _typical_walk(source, n, eps, guard_bits)
     try:
         upper = 2.0 ** (n * (h + eps))
     except OverflowError:
@@ -236,9 +236,11 @@ def aep_typical_set(source, n, eps, guard_bits=None):
         raise GuardExceeded(
             "count bound 2^(n (H + eps)) at n = %d is beyond the float range" % n
         )
-    w = np.asarray(source.state.weights, dtype=float)
-    logw = np.log2(w[w > 0.0]).tolist()
-    count, mass = _typical_sums(logw, n, h, eps)
+    count, terms = 0, []
+    for _, strings, lp in types:
+        count += strings
+        terms.append(_times_pow2(strings, lp))
+    mass = math.fsum(terms)
     lower = (1.0 - eps) * 2.0 ** (n * (h - eps))
     mass_ok = mass > 1.0 - eps
     count_ok = count <= upper * (1.0 + 1e-12)
@@ -257,33 +259,45 @@ def aep_typical_set(source, n, eps, guard_bits=None):
     )
 
 
-def _string_log_probs(weights, n):
-    # log2-probability of every length-n string, strings packed big-endian;
-    # impossible strings carry -inf.
-    with np.errstate(divide="ignore"):
-        logp = np.log2(weights)
-    out = np.zeros(1)
-    for _ in range(n):
-        out = (out[:, None] + logp[None, :]).ravel()
-    return out
-
-
 def aep_projection(source, n, eps, guard_bits=None):
     """Projection onto the eps-typical strings, one one-hot elementary
     tensor (one explicit term) each.
 
-    The projection needs every typical string, so it enumerates all
-    ``d**n`` strings behind the dense-expansion guard; more typical strings
-    than its ``terms`` may hold (``2**TERMS_GUARD_BITS``) are refused.
+    It expands the typical types of ``aep_typical_set``'s walk, behind its
+    type-class guard.  Before any string is formed, it refuses more typical
+    strings than ``terms`` may hold (``2**TERMS_GUARD_BITS``), and more than
+    ``2**TERMS_GUARD_BITS * GUARD_BITS`` atoms in them.
     """
-    n, eps = _block_args(n, eps)
-    check_guard(source.algebra.dim, n, guard_bits)
-    lp = _string_log_probs(source.state.weights, n)
-    mask = _is_typical(lp, n, entropy(source.state), eps)
-    hits = int(np.count_nonzero(mask))
-    _guard(math.log2(max(hits, 1)), TERMS_GUARD_BITS, None,
-           "typical strings, %d, for the explicit projection", hits)
-    return _from_dense(source.algebra, mask, n)
+    n, eps, _, atoms, types = _typical_walk(source, n, eps, guard_bits)
+    types = list(types)
+    count = sum(strings for _, strings, _ in types)
+    _guard(math.log2(max(count, 1)), TERMS_GUARD_BITS, None,
+           "typical strings, %d, for the explicit projection", count)
+    _guard(math.log2(max(count * n, 1)), TERMS_GUARD_BITS + math.log2(GUARD_BITS), None,
+           "atoms in %d typical strings of length %d", count, n)
+    if not count:
+        return _tensor_element(source.algebra, 0j, {})
+    # Positions are filled from n down to 1.  Each row branches into the
+    # atoms it has left, grouped by atom, so the rows end in big-endian
+    # order; left[a][r] counts the atoms a that row r has left to place.
+    left = list(np.array([counts for counts, _, _ in types]).T)
+    steps = []
+    for _ in range(n):
+        rows = [col.nonzero()[0] for col in left]
+        pick = np.repeat(atoms, [r.size for r in rows])
+        parent = np.concatenate(rows)
+        left = [col[parent] - (pick == a) for a, col in zip(atoms, left)]
+        steps.append((parent, pick))
+    # read each string back through the parents, from position 1 to n; a
+    # step's arrays are dropped once read
+    strings = np.empty((count, n), dtype=atoms.dtype)
+    row = np.arange(count)
+    for k in range(n):
+        parent, pick = steps.pop()
+        strings[:, k] = pick[row]
+        row = parent[row]
+    rows = _one_hot_rows(strings, 1.0, source.algebra.dim)
+    return _tensor_element(source.algebra, 0j, {tuple(range(1, n + 1)): rows})
 
 
 # prefix codes -----------------------------------------------------------------
@@ -314,7 +328,7 @@ class Code(_Value):
     __slots__ = ("words", "alphabet_size")
 
     def __init__(self, words, alphabet_size=2):
-        alphabet_size = int(alphabet_size)
+        alphabet_size = _integer(alphabet_size, "alphabet size")
         if not 2 <= alphabet_size <= 10:
             raise ValueError("alphabet size must be between 2 and 10")
         words = tuple(str(w) for w in words)
@@ -378,14 +392,10 @@ def is_prefix_free(code):
 
 def kraft_check(lengths, alphabet_size):
     """Kraft inequality sum_i n**(k_max - k_i) <= n**k_max, exactly."""
-    n = int(alphabet_size)
-    if n < 2:
-        raise ValueError("alphabet size must be >= 2")
-    ks = [int(k) for k in lengths]
+    n = _integer(alphabet_size, "alphabet size", 2)
+    ks = [_integer(k, "codeword length", 1) for k in lengths]
     if not ks:
         raise ValueError("need at least one length")
-    if min(ks) < 1:
-        raise ValueError("codeword lengths must be >= 1")
     k_max = max(ks)
     return sum(n ** (k_max - k) for k in ks) <= n ** k_max
 
@@ -397,10 +407,10 @@ def kraft_construct(lengths, alphabet_size):
     lexicographic intervals, so the construction is deterministic.  Raises
     ValueError when the lengths fail the Kraft inequality.
     """
-    n = int(alphabet_size)
-    if not kraft_check(lengths, n):
-        raise ValueError("lengths %r violate the Kraft inequality for base %d" % (tuple(lengths), n))
-    ks = [int(k) for k in lengths]
+    ks = [_integer(k, "codeword length", 1) for k in lengths]
+    n = _integer(alphabet_size, "alphabet size", 2)
+    if not kraft_check(ks, n):
+        raise ValueError("lengths %r violate the Kraft inequality for base %d" % (tuple(ks), n))
     order = sorted(range(len(ks)), key=lambda i: ks[i])
     words = [None] * len(ks)
     value = 0
@@ -454,7 +464,7 @@ def huffman_code(state, alphabet_size=2):
     """
     import heapq
 
-    n = int(alphabet_size)
+    n = _integer(alphabet_size, "alphabet size")
     if not 2 <= n <= 10:
         raise ValueError("alphabet size must be between 2 and 10")
     d = state.algebra.dim

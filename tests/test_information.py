@@ -4,11 +4,13 @@ import itertools
 import json
 import math
 import pathlib
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cstar_info.algebra import (
@@ -189,6 +191,79 @@ def test_aep_projection_properties():
     # the state of the typical event equals the enumerated mass
     omega_n = ProductState.iid(src.state)
     assert omega_n(q).real == pytest.approx(report.prob_mass, abs=1e-12)
+
+
+_EPS_SHIFTS = {
+    "at": lambda e: e,
+    "+1 ulp": lambda e: float(np.nextafter(e, math.inf)),
+    "-1 ulp": lambda e: float(np.nextafter(e, 0.0)),
+    "+1e-13": lambda e: e + 1e-13,
+    "-1e-13": lambda e: e - 1e-13,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=2, max_size=3).filter(lambda ks: sum(ks) > max(ks)),
+       st.integers(1, 9), st.data(), st.sampled_from(sorted(_EPS_SHIFTS)))
+def test_aep_projection_keeps_the_strings_the_report_counts(ks, n, data, shift):
+    # eps at the distance of a drawn type's rate from H, or next to it, so
+    # that type sits on the edge of the typical set
+    source = make_source([k / sum(ks) for k in ks])
+    w = source.state.weights[source.state.weights > 0]
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=w.size - 1, max_size=w.size - 1)))
+    counts = np.diff([0] + cuts + [n])
+    rate = -float(np.dot(counts, np.log2(w))) / n
+    eps = _EPS_SHIFTS[shift](abs(rate - entropy(source.state)))
+    assume(eps > 0.0)
+    report = aep_typical_set(source, n, eps)
+    q = aep_projection(source, n, eps)
+    assert len(q.terms) == report.count
+    assert trace(q, level=n) == report.count
+
+
+def test_aep_projection_past_the_dense_guard():
+    # 2**30 strings, of which 31,900 are typical: only the typical types
+    # are expanded
+    src = make_source([0.9, 0.1])
+    q = aep_projection(src, 30, 0.2)
+    report = aep_typical_set(src, 30, 0.2)
+    assert len(q.terms) == report.count == 31900
+    assert q.level == 30
+    assert ProductState.iid(src.state)(q).real == pytest.approx(report.prob_mass, abs=1e-12)
+    # 4,598,438 typical strings at n = 40 are refused before any is formed
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(GuardExceeded, match="typical strings, 4598438,"):
+            aep_projection(src, 40, 0.2)
+        assert time.perf_counter() - start < 1.0
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_aep_projection_guards_the_atoms_of_a_long_block():
+    # one rare symbol in 10**5: 100,000 typical strings fit the term cap,
+    # but their 10**10 atoms are refused before any string is formed
+    src = make_source([1 - 1e-5, 1e-5])
+    assert aep_typical_set(src, 100000, 1e-4).count == 100000
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match="atoms in 100000 typical strings of length 100000"):
+            aep_projection(src, 100000, 1e-4)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_aep_projection_guard_bits_lift_the_type_class_guard():
+    # C(103, 3) = 176,851 type classes of four atoms are above 2**17; only
+    # the string of the first atom alone is typical
+    src = make_source([1 - 3e-4, 1e-4, 1e-4, 1e-4])
+    with pytest.raises(GuardExceeded, match="type classes"):
+        aep_projection(src, 100, 0.005)
+    q = aep_projection(src, 100, 0.005, guard_bits=18)
+    assert q.terms == {MultiIndex({pos: 0 for pos in range(1, 101)}): 1.0}
 
 
 def test_aep_guard():
@@ -408,6 +483,8 @@ def test_kraft_construct_example():
     scrambled = kraft_construct((2, 1, 2), 2)
     assert scrambled.words == ("10", "0", "11")
     assert scrambled.lengths == (2, 1, 2)
+    # the lengths are read once, so an iterator gives the same code
+    assert kraft_construct(iter((2, 1, 2)), 2) == scrambled
 
 
 def test_kraft_construct_feasible_random():

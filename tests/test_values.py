@@ -32,7 +32,15 @@ from cstar_info.channel import (
     capacity,
     coding_experiment,
 )
-from cstar_info.information import Code, Source, aep_projection, aep_typical_set, huffman_code
+from cstar_info.information import (
+    Code,
+    Source,
+    aep_projection,
+    aep_typical_set,
+    huffman_code,
+    kraft_check,
+    kraft_construct,
+)
 from cstar_info.probability import (
     ProductState,
     State,
@@ -280,6 +288,36 @@ _TOL_RULE = "must be a finite real number >= 0, got "
         "pushforward-n-0", "lln-n-0", "moment-n-0", "chebyshev-n-negative", "lln-k-0",
         "moment-sweep-k-negative"])
 def test_real_parameters_refuse_values_outside_their_range(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+_X = Element(A2, [0.25, 0.75])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AtomicAlgebra(2.5), "algebra dimension must be an integer, got 2.5"),
+    (lambda: AtomicAlgebra(0), "algebra dimension must be an integer >= 1, got 0"),
+    (lambda: Element.from_dict({"dim": 2.7, "coeffs": [[1.0, 0.0], [0.0, 0.0]]}),
+     "serialized dim must be an integer, got 2.7"),
+    (lambda: tensor_power(_X, 2.5), "tensor power must be an integer, got 2.5"),
+    (lambda: tensor_power(_X, 0), "tensor power must be an integer >= 1, got 0"),
+    (lambda: embed_at(_X, True), "tensor position must be an integer, got True"),
+    (lambda: embed_at(_X, 2.5), "tensor position must be an integer, got 2.5"),
+    (lambda: embed_at(_X, 0), "tensor position must be an integer >= 1, got 0"),
+    (lambda: Code(["0", "1"], 2.5), "alphabet size must be an integer, got 2.5"),
+    (lambda: kraft_check([1, 2.5], 2), "codeword length must be an integer, got 2.5"),
+    (lambda: kraft_check([1, 2], True), "alphabet size must be an integer, got True"),
+    (lambda: kraft_check([1, 0], 2), "codeword length must be an integer >= 1, got 0"),
+    (lambda: kraft_construct([1, 2], 2.5), "alphabet size must be an integer, got 2.5"),
+    (lambda: kraft_construct([1, math.inf], 2), "codeword length must be an integer, got inf"),
+    (lambda: huffman_code(_HALF, 2.5), "alphabet size must be an integer, got 2.5"),
+], ids=["algebra-dim-float", "algebra-dim-0", "from_dict-dim-float", "power-float", "power-0",
+        "position-bool", "position-float", "position-0", "code-alphabet-float",
+        "kraft-length-float", "kraft-alphabet-bool", "kraft-length-0", "construct-alphabet-float",
+        "construct-length-inf", "huffman-alphabet-float"])
+def test_counts_refuse_values_that_are_not_whole(call, message):
+    # int() would truncate 2.5 and 2.7 to 2 and read True as 1
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
