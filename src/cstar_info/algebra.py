@@ -52,11 +52,13 @@ class GuardExceeded(RuntimeError):
 
 def _guard(bits, default, guard_bits, noun, *args):
     """Refuse 2**bits units of work, named by ``noun % args``, above
-    2**guard_bits, or above 2**default when guard_bits is None.  The 1e-9
-    slack keeps a log2 that rounds just above a whole limit inside it."""
-    limit = default if guard_bits is None else float(guard_bits)
+    2**guard_bits, or above 2**default when guard_bits is None, and return
+    that limit.  The 1e-9 slack keeps a log2 that rounds just above a whole
+    limit inside it."""
+    limit = default if guard_bits is None else _real(guard_bits, "guard_bits")
     if bits > limit + 1e-9:
         raise GuardExceeded("needs ~2^%.5g %s; guard is 2^%g" % (bits, noun % args, limit))
+    return limit
 
 
 def check_guard(dim, level, guard_bits=None):
@@ -75,21 +77,26 @@ def _positive(value, name):
 
 
 def _real(value, name, rule="a finite real number", low=-math.inf, high=math.inf):
-    # a tolerance, rate or probability as a float in [low, high]: float()
-    # would read a bool as 0 or 1 and a string as the number it spells, and
-    # a NaN passes a range check written as "refuse if below", so all three
-    # are refused, as is inf
-    if not isinstance(value, (bool, np.bool_, str, bytes)):
+    # a tolerance, rate, probability, base or guard limit as a float in
+    # [low, high]: float() would read a bool as 0 or 1 and a string as the
+    # number it spells, and a NaN passes a range check written as "refuse
+    # if below", so all three are refused, as is inf; a plain float, the
+    # common case, skips float()
+    if type(value) is not float:
+        if isinstance(value, (bool, np.bool_, str, bytes)):
+            raise ValueError("%s must be %s, got %r" % (name, rule, value))
         value = float(value)
-        if math.isfinite(value) and low <= value <= high:
-            return value
+    if math.isfinite(value) and low <= value <= high:
+        return value
     raise ValueError("%s must be %s, got %r" % (name, rule, value))
 
 
 def _integer(value, name, low=-math.inf):
-    # a count or seed as an int of at least low: int() would truncate 2.5
-    # and overflow on inf, and a bool is an int only by accident, so all
-    # three are refused; a plain int, the common case, skips the checks
+    # a count, seed, index, position or level as an int of at least low:
+    # int() would truncate 2.5 and overflow on inf, and a bool is an int
+    # only by accident, so all three are refused; a numeric string is read
+    # as the integer it spells; a plain int, the common case, skips the
+    # checks
     if type(value) is not int:
         if isinstance(value, (bool, np.bool_)) or not (
                 isinstance(value, numbers.Integral) or float(value).is_integer()):
@@ -240,9 +247,9 @@ class AtomicAlgebra(_Value):
 
     def atom(self, i):
         """The atomic projection e_i."""
-        i = int(i)
-        if not 0 <= i < self.dim:
-            raise ValueError("atom index out of range")
+        i = _integer(i, "atom index", 0)
+        if i >= self.dim:
+            raise ValueError("atom index must be below %d, got %d" % (self.dim, i))
         coeffs = np.zeros(self.dim, dtype=complex)
         coeffs[i] = 1.0
         return Element(self, coeffs)
@@ -407,12 +414,8 @@ class MultiIndex(_Value):
         pairs = []
         seen = set()
         for pos, idx in items:
-            pos = int(pos)
-            idx = int(idx)
-            if pos < 1:
-                raise ValueError("tensor positions are 1-based")
-            if idx < 0:
-                raise ValueError("atom indices are 0-based and non-negative")
+            pos = _integer(pos, "tensor position", 1)
+            idx = _integer(idx, "atom index", 0)
             if pos in seen:
                 raise ValueError("position collision at %d" % pos)
             seen.add(pos)
@@ -828,7 +831,7 @@ class TensorElement(_Value):
         # block needs no check for cancellation
         if level is None:
             return self._level(guard_bits)
-        lvl = int(level)
+        lvl = _integer(level, "level", 0)
         if lvl < self._reach() and lvl < self._level(guard_bits):
             raise ValueError("level %d below element support %d" % (lvl, self.level))
         return lvl
@@ -1094,7 +1097,7 @@ class TensorElement(_Value):
         factor_algebra = _check_dim(data, factor_algebra)
         terms = []
         for entry in data["terms"]:
-            idx = MultiIndex({int(pos): atom for pos, atom in entry["idx"].items()})
+            idx = MultiIndex(entry["idx"])
             re, im = entry["c"]
             terms.append((idx, complex(re, im)))
         return cls(factor_algebra, terms)
@@ -1112,14 +1115,10 @@ _set_cache = TensorElement._cache.__set__
 
 
 def _from_dense(factor_algebra, vec, level):
-    """TensorElement with one one-hot elementary tensor per nonzero string."""
+    """TensorElement with one one-hot elementary tensor per nonzero string
+    of vec, the ``dense`` vector of a level of at least 1."""
     d = factor_algebra.dim
-    vec = np.asarray(vec)
-    if vec.shape != (d ** level,):
-        raise ValueError("dense vector has wrong length for level %d" % level)
     flat = np.flatnonzero(np.abs(vec) >= ZERO_TOL)
-    if level == 0:
-        return _tensor_element(factor_algebra, complex(vec[0]) if flat.size else 0j, {})
     blocks = {}
     if flat.size:
         atoms = np.stack(_digits(flat, d, level), axis=1)

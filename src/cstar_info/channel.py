@@ -65,6 +65,7 @@ from .algebra import (
     _kinds,
     _positive,
     _real,
+    _runs,
     _tol,
     check_guard,
     tensor_power,
@@ -143,7 +144,7 @@ class Channel(_Value):
     def from_dict(cls, data):
         try:
             mat = np.array(data["matrix"], dtype=float)
-            if mat.shape != (int(data["input_dim"]), int(data["output_dim"])):
+            if mat.shape != tuple(_integer(data[key], key) for key in ("input_dim", "output_dim")):
                 raise ValueError("channel matrix shape disagrees with declared dims")
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError("a channel is an object of input_dim, output_dim and matrix (%r)" % exc)
@@ -307,6 +308,7 @@ def classify(channel, omega=None, tol=None, rank_tol=1e-8):
     have exactly one positive entry, which induces the decoding partition.
     """
     t = _tol(tol)
+    rank_tol = _real(rank_tol, "rank_tol", "a finite real number >= 0", 0.0)
     mat = channel.matrix
     if min(mat.shape) == 1:
         rank_one = True
@@ -481,12 +483,11 @@ def _codebook_size(k, rate, m, n, guard_bits):
     if bits < 1:
         raise ValueError("rate %g gives fewer than 2 codewords at block length %d" % (rate, k))
     strings = span * np.log2(n)
-    _guard(strings, EXPERIMENT_GUARD_BITS, guard_bits,
-           "output strings per trial, block length %d over %d symbols", k, n)
+    limit = _guard(strings, EXPERIMENT_GUARD_BITS, guard_bits,
+                   "output strings per trial, block length %d over %d symbols", k, n)
     # log2 of the size as counted, while 2**bits is a float
     size_bits = np.log2(np.floor(2.0 ** bits)) if bits < 1024 else bits
-    lifted = None if guard_bits is None else float(guard_bits) + 2
-    _guard(size_bits + strings, EXPERIMENT_GUARD_BITS + 2, lifted,
+    _guard(size_bits + strings, limit + 2, None,
            "likelihoods per trial, 2^%.5g codewords times %d**%d strings", size_bits, n, k)
     r = int(np.floor(2.0 ** bits))
     if r > m ** k:
@@ -608,6 +609,18 @@ def _run_winners(heads, top, top_word, second, u):
     return winner, best, (products.max(axis=0) == best) & (best > 0.0)
 
 
+def _half_tables(matrix, words):
+    # yields heads, head, tails, tail: the half tables over the distinct
+    # heads and tails of the words, in sorted order, and each word's row in
+    # them; no decision or sum depends on the order of the rows
+    for part in np.split(words, [(words.shape[1] + 1) // 2], axis=1):
+        order, starts = _runs(part)
+        row = np.empty_like(order)
+        row[order] = np.cumsum(starts) - 1
+        yield _half_table(matrix, part[order[starts]])
+        yield row
+
+
 def _decisions(matrix, words):
     """Maximum-likelihood decisions over distinct codewords, streamed.
 
@@ -624,12 +637,8 @@ def _decisions(matrix, words):
     of a head can round to the same product only if the next lower one,
     ``second``, does; only such strings form their column over every word.
     """
-    u, k = words.shape
-    half = (k + 1) // 2
-    head_first, head = _kinds(words[:, :half])
-    tail_first, tail = _kinds(words[:, half:])
-    heads = _half_table(matrix, words[head_first, :half])
-    tails = _half_table(matrix, words[tail_first, half:])
+    u = words.shape[0]
+    heads, head, tails, tail = _half_tables(matrix, words)
     h, nb = heads.shape[0], tails.shape[1]
     top, top_word, second = _head_tops(tails, tail, head, h)
     # A run has at most STREAM_BLOCK_ENTRIES products over the h heads: whole
@@ -661,16 +670,14 @@ def _uniform_gaps(matrix, types):
     # products (at least one row), then each type sums its head strings'
     # rows: no sum depends on the cut.
     (u, k), n = types.shape, matrix.shape[1]
-    half = (k + 1) // 2
-    heads = _half_table(matrix, types[:, :half])
-    tails = _half_table(matrix, types[:, half:])
+    heads, head, tails, tail = _half_tables(matrix, types)
     na, nb = heads.shape[1], tails.shape[1]
     rows = max(1, STREAM_BLOCK_ENTRIES // nb)
     sums = np.empty(u * na)
     for lo in range(0, u * na, rows):
         word, a = np.divmod(np.arange(lo, min(lo + rows, u * na)), na)
-        terms = tails[word]
-        terms *= heads[word, a, None]
+        terms = tails[tail[word]]
+        terms *= heads[head[word], a, None]
         terms -= float(n) ** -k
         sums[lo : lo + rows] = np.abs(terms, out=terms).sum(axis=1)
     return sums.reshape(u, na).sum(axis=1)

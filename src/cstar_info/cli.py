@@ -22,7 +22,7 @@ import re
 import sys
 import warnings
 
-from .algebra import AtomicAlgebra, Element, GuardExceeded, _integer
+from .algebra import AtomicAlgebra, Element, GuardExceeded, _integer, _real
 from .probability import State, lln_sweep
 from .information import (
     Code,
@@ -77,9 +77,9 @@ def _parse_int(value):
 
 
 def _parse_float(value):
-    if isinstance(value, bool):
-        raise TypeError("expected a number, got %r" % (value,))
-    return float(value)
+    # flag text is read by float(); the library's rule then refuses a bool,
+    # NaN or inf, from flag text and config file alike
+    return _real(float(value) if isinstance(value, str) else value, "value")
 
 
 def _parse_weights(value):

@@ -41,6 +41,7 @@ from .algebra import (
     _integer,
     _one_hot_rows,
     _positive,
+    _real,
     _tensor_element,
 )
 from .probability import State
@@ -88,8 +89,7 @@ def _entropy_bits(weights):
 def entropy(state, base=2):
     """Shannon entropy of the weight vector (0 log 0 = 0), in bits by
     default and in base-``base`` digits otherwise."""
-    if not base > 1:
-        raise ValueError("entropy base must be above 1, got %r" % (base,))
+    base = _real(base, "entropy base", "finite and above 1", math.nextafter(1.0, 2.0))
     return _entropy_bits(state.weights) / float(np.log2(base))
 
 
@@ -109,10 +109,6 @@ class TypicalSetReport:
     upper_bound: float
     mass_ok: bool
     count_ok: bool
-
-
-def _block_args(n, eps):
-    return _integer(n, "block length", 1), _positive(eps, "eps")
 
 
 def _times_pow2(count, lp):
@@ -199,7 +195,7 @@ def _typical_types(logw, n, h, eps):
 def _typical_walk(source, n, eps, guard_bits):
     # the checked n and eps, the entropy, the atoms of positive weight and
     # the walk of the typical types over those atoms, behind the type guard
-    n, eps = _block_args(n, eps)
+    n, eps = _integer(n, "block length", 1), _positive(eps, "eps")
     d = source.algebra.dim
     _guard(math.log2(math.comb(n + d - 1, d - 1)), TYPE_GUARD_BITS, guard_bits,
            "type classes, C(%d, %d), for the typical set", n + d - 1, d - 1)
@@ -419,8 +415,7 @@ def kraft_construct(lengths, alphabet_size):
         k = ks[i]
         if prev is not None:
             value = (value + 1) * (n ** (k - prev))
-        if value >= n ** k:
-            raise ValueError("lengths %r exhaust the base-%d tree" % (tuple(lengths), n))
+        # below n**k: value = n**k sum_{j<i} n**-k_j <= n**k - 1 by the Kraft check
         words[i] = "".join(map(str, _digits(value, n, k)))
         prev = k
     return Code(tuple(words), n)

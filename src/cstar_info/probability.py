@@ -40,6 +40,7 @@ from .algebra import (
     _integer,
     _kinds,
     _positive,
+    _real,
     _tol,
 )
 
@@ -86,9 +87,7 @@ class State(_Value):
 
     @classmethod
     def point_mass(cls, algebra, index):
-        w = np.zeros(algebra.dim)
-        w[int(index)] = 1.0
-        return cls(algebra, w)
+        return cls(algebra, algebra.atom(index).coeffs.real)
 
     def __call__(self, x):
         if not isinstance(x, Element):
@@ -151,9 +150,7 @@ class ProductState(_Frozen):
         return self.tail.algebra
 
     def state_at(self, position):
-        position = int(position)
-        if position < 1:
-            raise ValueError("tensor positions are 1-based")
+        position = _integer(position, "tensor position", 1)
         if position <= len(self.factors):
             return self.factors[position - 1]
         return self.tail
@@ -390,7 +387,7 @@ def annihilator_projection(gens, targets, tol=None):
     conditional reasoning on the event algebraic.
     """
     gens = tuple(gens)
-    targets = tuple(float(t) for t in targets)
+    targets = tuple(_real(t, "target") for t in targets)
     if len(gens) != len(targets):
         raise ValueError("need one target per observable")
     if not gens:

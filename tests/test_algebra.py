@@ -106,6 +106,20 @@ def test_mismatch_rejected():
         TensorElement.identity(a) * TensorElement.identity(b)
 
 
+_A2 = AtomicAlgebra(2)
+
+
+@pytest.mark.parametrize("got, want", [
+    (lambda: -Element(_A2, [1.0, -2j]), lambda: Element(_A2, [-1.0, 2j])),
+    (lambda: MultiIndex(MultiIndex({3: 1, 1: 0})), lambda: MultiIndex(((1, 0), (3, 1)))),
+    (lambda: TensorElement(_A2, {((3, 1), (1, 0)): 2.0, (): 0.5}),
+     lambda: TensorElement(_A2, {MultiIndex({1: 0, 3: 1}): 2.0, MultiIndex(): 0.5})),
+], ids=["negation", "multiindex-of-multiindex", "tensor-from-plain-pairs"])
+def test_other_spellings_give_the_same_value(got, want):
+    x, y = got(), want()
+    assert x == y and hash(x) == hash(y)
+
+
 def test_cstar_identity_random():
     for _ in range(200):
         d = int(RNG.integers(1, 9))

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import time
 import tracemalloc
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cstar_info.algebra import (
+    AlgebraMismatch,
     AtomicAlgebra,
     Element,
     GuardExceeded,
@@ -406,6 +408,24 @@ def test_code_validation():
     c = Code(("0", "10", "11"), 2)
     assert c.lengths == (1, 2, 2)
     assert c.source_dim == 3
+
+
+_THIRDS = State.uniform(AtomicAlgebra(3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Source(AtomicAlgebra(3), [1 / 3] * 3), TypeError, "state must be a State"),
+    (lambda: Source(AtomicAlgebra(2), _THIRDS), AlgebraMismatch,
+     "state lives on AtomicAlgebra(3), not AtomicAlgebra(2)"),
+    (lambda: code_metrics(Code(("0", "1"), 2), _THIRDS), AlgebraMismatch,
+     "code has 2 words, state has 3 atoms"),
+    (lambda: code_metrics(Code(("0", "01", "1"), 2), _THIRDS), ValueError,
+     "expected-length bounds require a prefix-free code"),
+    (lambda: embed_word("", AtomicAlgebra(2)), ValueError, "cannot embed the empty word"),
+], ids=["source-state", "source-algebra", "metrics-size", "metrics-prefix", "embed-empty"])
+def test_sources_codes_and_words_refuse_bad_input(call, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call()
 
 
 def test_embed_word_refuses_non_ascii_digits():

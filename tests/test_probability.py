@@ -80,6 +80,45 @@ def test_state_refuses_without_a_numpy_warning(weights, message):
             State(AtomicAlgebra(2), weights)
 
 
+def test_product_state_takes_its_last_factor_as_the_tail():
+    alg = AtomicAlgebra(2)
+    s, t = State(alg, [0.5, 0.5]), State(alg, [0.1, 0.9])
+    omega = ProductState((s, t))
+    assert omega.tail is t
+    assert [omega.state_at(p) for p in (1, 2, 3, 9)] == [s, t, t, t]
+    assert omega(tensor_product(alg.atom(1), alg.atom(1))) == pytest.approx(0.45)
+
+
+_S2 = State(AtomicAlgebra(2), [0.5, 0.5])
+_S3 = State.uniform(AtomicAlgebra(3))
+_OBS2 = Element(AtomicAlgebra(2), [0.0, 1.0])
+_OBS3 = Element(AtomicAlgebra(3), [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ProductState(), ValueError, "need a tail state or at least one factor"),
+    (lambda: ProductState((), [0.5, 0.5]), TypeError, "tail must be a State"),
+    (lambda: ProductState(([0.5, 0.5],), _S2), TypeError, "factors must be States"),
+    (lambda: ProductState((_S3,), _S2), AlgebraMismatch, "all factors must share one algebra"),
+    (lambda: distribution_of([], _S2), ValueError, "need at least one observable"),
+    (lambda: distribution_of([_OBS3], _S2), AlgebraMismatch, "observable and state algebras differ"),
+    (lambda: distribution_of([_OBS2 * 1j], _S2), ValueError, "observables must be self-adjoint"),
+    (lambda: annihilator_projection([_OBS2], [0.0, 1.0]), ValueError,
+     "need one target per observable"),
+    (lambda: annihilator_projection([], []), ValueError, "need at least one observable"),
+    (lambda: annihilator_projection([_OBS2, _OBS3], [0.0, 0.0]), AlgebraMismatch,
+     "observables live on different algebras"),
+    (lambda: annihilator_projection([_OBS2 * 1j], [0.0]), ValueError,
+     "observables must be self-adjoint"),
+], ids=["product-empty", "product-tail", "product-factor", "product-algebras",
+        "distribution-empty", "distribution-algebras", "distribution-not-self-adjoint",
+        "annihilator-targets", "annihilator-empty", "annihilator-algebras",
+        "annihilator-not-self-adjoint"])
+def test_probability_constructors_refuse_bad_input(call, error, message):
+    with pytest.raises(error, match="^%s$" % message):
+        call()
+
+
 def test_state_evaluation_linear():
     alg = AtomicAlgebra(4)
     omega = random_state(alg)
