@@ -80,12 +80,16 @@ def _real(value, name, rule="a finite real number", low=-math.inf, high=math.inf
     # a tolerance, rate, probability, base or guard limit as a float in
     # [low, high]: float() would read a bool as 0 or 1 and a string as the
     # number it spells, and a NaN passes a range check written as "refuse
-    # if below", so all three are refused, as is inf; a plain float, the
-    # common case, skips float()
+    # if below", so all three are refused, as is inf and whatever float()
+    # cannot read, None among them; a plain float, the common case, skips
+    # float()
     if type(value) is not float:
-        if isinstance(value, (bool, np.bool_, str, bytes)):
-            raise ValueError("%s must be %s, got %r" % (name, rule, value))
-        value = float(value)
+        try:
+            if isinstance(value, (bool, np.bool_, str, bytes)):
+                raise TypeError
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("%s must be %s, got %r" % (name, rule, value)) from None
     if math.isfinite(value) and low <= value <= high:
         return value
     raise ValueError("%s must be %s, got %r" % (name, rule, value))
@@ -94,14 +98,18 @@ def _real(value, name, rule="a finite real number", low=-math.inf, high=math.inf
 def _integer(value, name, low=-math.inf):
     # a count, seed, index, position or level as an int of at least low:
     # int() would truncate 2.5 and overflow on inf, and a bool is an int
-    # only by accident, so all three are refused; a numeric string is read
-    # as the integer it spells; a plain int, the common case, skips the
+    # only by accident, so all three are refused, as is whatever float() or
+    # int() cannot read, None or "1e3" among them; a string int() reads is
+    # read as the integer it spells; a plain int, the common case, skips the
     # checks
     if type(value) is not int:
-        if isinstance(value, (bool, np.bool_)) or not (
-                isinstance(value, numbers.Integral) or float(value).is_integer()):
-            raise ValueError("%s must be an integer, got %r" % (name, value))
-        value = int(value)
+        try:
+            if isinstance(value, (bool, np.bool_)) or not (
+                    isinstance(value, numbers.Integral) or float(value).is_integer()):
+                raise TypeError
+            value = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("%s must be an integer, got %r" % (name, value)) from None
     if value < low:
         raise ValueError("%s must be an integer >= %d, got %d" % (name, low, value))
     return value
@@ -769,35 +777,24 @@ class TensorElement(_Value):
         for idx, c in items:
             if not isinstance(idx, MultiIndex):
                 idx = MultiIndex(idx)
-            for _, atom in idx.pairs:
-                if atom >= d:
-                    raise ValueError(
-                        "atom index %d invalid for factor dimension %d" % (atom, d)
-                    )
+            bad = [atom for _, atom in idx.pairs if atom >= d]
+            if bad:
+                raise ValueError("atom index %d invalid for factor dimension %d" % (bad[0], d))
             acc[idx] = acc.get(idx, 0j) + complex(c)
-        clean = {idx: c for idx, c in acc.items() if abs(c) >= ZERO_TOL}
+        # per support, the atom strings and coefficients of its rows; the
+        # empty support holds the scalar
         grouped = {}
-        for idx, c in clean.items():
-            if idx.pairs:
-                grouped.setdefault(idx.support, []).append((idx, c))
-        blocks = {
-            support: _one_hot_rows(
-                np.array([[atom for _, atom in idx.pairs] for idx, _ in entries]),
-                [c for _, c in entries],
-                d,
-            )
-            for support, entries in grouped.items()
-        }
-        level = max((idx.level for idx in clean), default=0)
-        # the key order _expand gives: the scalar, then each support's strings
-        # big-endian, supports in first-seen order
-        terms = {idx: c for idx, c in clean.items() if not idx.pairs}
-        for entries in grouped.values():
-            terms.update(sorted(entries, key=lambda entry: [atom for _, atom in entry[0].pairs]))
+        for idx, c in acc.items():
+            if abs(c) >= ZERO_TOL:
+                atoms, coeffs = grouped.setdefault(idx.support, ([], []))
+                atoms.append([atom for _, atom in idx.pairs])
+                coeffs.append(c)
         _set_algebra(self, factor_algebra)
-        _set_scalar(self, clean.get(MultiIndex(), 0j))
-        _set_blocks(self, blocks)
-        _set_cache(self, {"terms": terms, "level": level})
+        _set_scalar(self, grouped.pop((), ([], [0j]))[1][0])
+        _set_blocks(self, {support: _one_hot_rows(np.array(atoms), coeffs, d)
+                           for support, (atoms, coeffs) in grouped.items()})
+        # each row is one string kept above ZERO_TOL, so no block is zero
+        _set_cache(self, {"level": self._reach()})
 
     @classmethod
     def scalar(cls, factor_algebra, value):
@@ -1043,20 +1040,18 @@ class TensorElement(_Value):
         """Functional calculus over the full atomic expansion.
 
         Keeps the sparse term structure when every term is fully explicit
-        and f maps 0 to 0; otherwise expands densely first (guarded).
+        and f needs no value at 0: every string of the level has a term, or
+        f maps 0 to 0.  Otherwise it expands densely first (guarded).
         """
-        lvl = self._level(guard_bits)
-        fully_explicit = all(len(i) == lvl for i in self.terms)
-        if fully_explicit:
-            f0 = _call_scalar(f, 0j, domain_check) if lvl > 0 else 0j
-            if f0 == 0j:
-                return TensorElement(
-                    self.factor_algebra,
-                    {i: _call_scalar(f, c, domain_check) for i, c in self.terms.items()},
-                )
+        d, lvl = self.factor_algebra.dim, self._level(guard_bits)
+        if all(len(i) == lvl for i in self.terms) and (
+                lvl == 0 or len(self.terms) == d ** lvl or _call_scalar(f, 0j, domain_check) == 0j):
+            terms = {i: _call_scalar(f, c, domain_check) for i, c in self.terms.items()}
+            return TensorElement(self.factor_algebra, terms)
         vec = self.dense(guard_bits=guard_bits)
         vals = np.array([_call_scalar(f, complex(c), domain_check) for c in vec])
-        return _from_dense(self.factor_algebra, vals, lvl)
+        flat = np.flatnonzero(np.abs(vals) >= ZERO_TOL)
+        return _from_strings(self.factor_algebra, np.stack(_digits(flat, d, lvl), axis=1), vals[flat])
 
     def equals(self, other, tol=None, guard_bits=None):
         if not isinstance(other, TensorElement):
@@ -1114,16 +1109,17 @@ _set_blocks = TensorElement._blocks.__set__
 _set_cache = TensorElement._cache.__set__
 
 
-def _from_dense(factor_algebra, vec, level):
-    """TensorElement with one one-hot elementary tensor per nonzero string
-    of vec, the ``dense`` vector of a level of at least 1."""
-    d = factor_algebra.dim
-    flat = np.flatnonzero(np.abs(vec) >= ZERO_TOL)
-    blocks = {}
-    if flat.size:
-        atoms = np.stack(_digits(flat, d, level), axis=1)
-        blocks[tuple(range(1, level + 1))] = _one_hot_rows(atoms, vec[flat], d)
-    return _tensor_element(factor_algebra, 0j, blocks)
+def _from_strings(factor_algebra, atoms, coeffs):
+    """TensorElement with one one-hot elementary tensor per row of ``atoms``,
+    fixing atom ``atoms[r, k]`` at position k + 1, times ``coeffs[r]``.  Every
+    such string is nonzero, so the level is the width of ``atoms``."""
+    count, width = atoms.shape
+    if not count:
+        return _tensor_element(factor_algebra, 0j, {})
+    rows = _one_hot_rows(atoms, coeffs, factor_algebra.dim)
+    t = _tensor_element(factor_algebra, 0j, {tuple(range(1, width + 1)): rows})
+    t._cache["level"] = width
+    return t
 
 
 # module-level operations ----------------------------------------------------

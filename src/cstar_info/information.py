@@ -33,16 +33,16 @@ from .algebra import (
     GUARD_BITS,
     GuardExceeded,
     TERMS_GUARD_BITS,
+    TensorElement,
     _Frozen,
     _Value,
     _digits,
     _factor_algebra,
+    _from_strings,
     _guard,
     _integer,
-    _one_hot_rows,
     _positive,
     _real,
-    _tensor_element,
 )
 from .probability import State
 
@@ -272,7 +272,7 @@ def aep_projection(source, n, eps, guard_bits=None):
     _guard(math.log2(max(count * n, 1)), TERMS_GUARD_BITS + math.log2(GUARD_BITS), None,
            "atoms in %d typical strings of length %d", count, n)
     if not count:
-        return _tensor_element(source.algebra, 0j, {})
+        return TensorElement(source.algebra)
     # Positions are filled from n down to 1.  Each row branches into the
     # atoms it has left, grouped by atom, so the rows end in big-endian
     # order; left[a][r] counts the atoms a that row r has left to place.
@@ -292,8 +292,7 @@ def aep_projection(source, n, eps, guard_bits=None):
         parent, pick = steps.pop()
         strings[:, k] = pick[row]
         row = parent[row]
-    rows = _one_hot_rows(strings, 1.0, source.algebra.dim)
-    return _tensor_element(source.algebra, 0j, {tuple(range(1, n + 1)): rows})
+    return _from_strings(source.algebra, strings, 1.0)
 
 
 # prefix codes -----------------------------------------------------------------
@@ -373,8 +372,7 @@ def embed_word(word, algebra):
     word = str(word)
     if not word:
         raise ValueError("cannot embed the empty word")
-    rows = _one_hot_rows(np.array([_word_digits(word, algebra.dim)]), 1.0, algebra.dim)
-    return _tensor_element(algebra, 0j, {tuple(range(1, len(word) + 1)): rows})
+    return _from_strings(algebra, np.array([_word_digits(word, algebra.dim)]), 1.0)
 
 
 def is_prefix_free(code):

@@ -486,6 +486,47 @@ def test_tensor_apply_sees_implicit_zeros():
     assert np.allclose(t.apply(math.log2, domain_check=False).dense(1), [0.0, 0.0])
 
 
+def _inf_at_zero(v):
+    return math.inf if v == 0 else v
+
+
+@pytest.mark.parametrize("x", [
+    Element(AtomicAlgebra(2), [0.0, 2.0]),
+    embed_at(Element(AtomicAlgebra(2), [0.0, 2.0]), 1),
+    embed_at(AtomicAlgebra(2).atom(0), 1) + embed_at(AtomicAlgebra(2).atom(0), 2),
+], ids=["element", "tensor-sparse", "tensor-dense"])
+def test_apply_refuses_or_zeroes_a_value_that_is_not_finite(x):
+    with pytest.raises(ValueError, match="^function not finite on spectrum value 0j$"):
+        x.apply(_inf_at_zero)
+    got = x.apply(_inf_at_zero, domain_check=False)
+    want = [0.0 if v == 0 else v for v in truncate_to_level(x, 3).tolist()]
+    assert np.array_equal(truncate_to_level(got, 3), want)
+
+
+def test_apply_asks_f_at_zero_only_when_a_string_has_coefficient_zero():
+    # every string of level 3 carries 1, 2, 4 or 8: log2 is defined on all
+    alg = AtomicAlgebra(2)
+    x = tensor_power(Element(alg, [1.0, 2.0]), 3)
+    seen = []
+    got = x.apply(lambda v: seen.append(v) or math.log2(v))
+    assert 0.0 not in seen
+    assert np.array_equal(got.dense(3), np.log2(x.dense().real))
+    # a string with coefficient 0 still needs f(0)
+    y = tensor_power(Element(alg, [0.0, 2.0]), 3)
+    with pytest.raises(ValueError, match="function undefined on spectrum value 0j"):
+        y.apply(math.log2)
+    assert np.array_equal(y.apply(math.log2, domain_check=False).dense(3), [0.0] * 7 + [3.0])
+
+
+def test_trace_at_an_explicit_level_past_a_zero_block():
+    alg = AtomicAlgebra(2)
+    a = Element(alg, [2.0, 3.0])
+    x = embed_at(a, 1) + embed_at(alg.zero(), 5)
+    assert x.level == 1
+    assert trace(x, level=3) == 5.0 * 4
+    assert trace(x, level=3) == complex(np.sum(x.dense(3)))
+
+
 def test_tensor_serialization_roundtrip():
     alg = AtomicAlgebra(3)
     t = TensorElement(

@@ -360,6 +360,14 @@ def test_classify_useless_precedence():
     assert classify(one_col).kind == "useless"
 
 
+def test_a_loose_rank_tolerance_warns_when_the_state_shows_dependence():
+    # bsc(0.3) has singular values 1 and 0.4, so rank_tol=0.5 calls it rank
+    # 1; under the uniform state its joint table is not the product of its
+    # margins
+    with pytest.warns(UserWarning, match="^rank-1 channel failed the joint independence check$"):
+        assert classify(bsc(0.3), State.uniform(AtomicAlgebra(2)), rank_tol=0.5).kind == "useless"
+
+
 def test_classify_unreachable_output_not_lossless():
     # an output no input can produce breaks the decoding partition
     c = Channel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

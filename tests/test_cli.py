@@ -506,6 +506,37 @@ def test_malformed_files_are_config_errors(tmp_path, capsys, channel):
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["lln", "--p", "0.5,0.5"], ("bad.json", '{"n": '), "bad JSON config "),
+    (["lln", "--p", "0.5,0.5"], ("bad.toml", "n = ["), "TOML config"),
+    (["lln", "--p", "0.5,0.5"], ("list.json", "[1, 2]"), " must hold a single object"),
+    (["code", "--state", "0.5,0.5"], None, "code needs either --huffman or --words"),
+    (["code", "--state", "0.5,0.5", "--words", "0,,1"], None, "empty codeword in '0,,1'"),
+], ids=["json", "toml", "not-an-object", "code-without-words", "empty-codeword"])
+def test_configurations_that_cannot_run_are_config_errors(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        path = tmp_path / config[0]
+        path.write_text(config[1])
+        argv = argv + ["--config", str(path)]
+    code, out = run(tmp_path, argv)
+    assert code == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and message in err["message"]
+
+
+def test_read_artifact_types_csv_cells_and_refuses_other_files(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text('# config: {"command": "coding-experiment"}\n'
+                    "assignment,ok,label,x,blank\n0;1;1,true,a1,0.5,\n2,false,1e,-3,\n")
+    assert read_artifact(str(path))["results"] == [
+        {"assignment": [0, 1, 1], "ok": True, "label": "a1", "x": 0.5, "blank": None},
+        {"assignment": [2], "ok": False, "label": "1e", "x": -3, "blank": None},
+    ]
+    path.write_text("atom,word\n0,1\n")
+    with pytest.raises(ConfigError, match="is not an artifact of this tool$"):
+        read_artifact(str(path))
+
+
 def test_code_rejects_word_count_mismatch(tmp_path):
     code, _ = run(tmp_path, ["code", "--state", "0.5,0.5", "--words", "0,10,11"], "x.json")
     assert code == 1

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from cstar_info.probability import (
     Distribution,
     ProductState,
     State,
+    Subalgebra,
     annihilator_projection,
     chebyshev_tail,
     distribution_of,
@@ -110,12 +112,30 @@ _OBS3 = Element(AtomicAlgebra(3), [0.0, 1.0, 2.0])
      "observables live on different algebras"),
     (lambda: annihilator_projection([_OBS2 * 1j], [0.0]), ValueError,
      "observables must be self-adjoint"),
+    (lambda: ProductState.iid(_S2)(embed_at(_OBS3, 1)), AlgebraMismatch,
+     "element factor algebra AtomicAlgebra(3), state algebra AtomicAlgebra(2)"),
+    (lambda: lln_sweep(_S2, [2], 2, 0.1, _OBS3), AlgebraMismatch,
+     "observable and state algebras differ"),
+    (lambda: lln_sweep(_S2, [2], 2, 0.1, _OBS2 * 1j), ValueError,
+     "observable must be self-adjoint"),
+    (lambda: lln_sweep(_S2, [2], 2, 0.1, Element(AtomicAlgebra(2), [0.0, math.inf])), ValueError,
+     "observable values must be finite"),
+    (lambda: prob_interval(_OBS3, _S2, 0.0, 1.0), AlgebraMismatch,
+     "element and state algebras differ"),
+    (lambda: Distribution(((0.0, 1.5), (1.0, -0.5))), ValueError,
+     "distribution masses must be nonnegative"),
+    (lambda: Subalgebra(AtomicAlgebra(3), ((0, 1), (1, 2))), ValueError,
+     "blocks must partition the atom set"),
+    (lambda: Subalgebra(AtomicAlgebra(3), ((0,), (1,))), ValueError,
+     "blocks must partition the atom set"),
 ], ids=["product-empty", "product-tail", "product-factor", "product-algebras",
         "distribution-empty", "distribution-algebras", "distribution-not-self-adjoint",
         "annihilator-targets", "annihilator-empty", "annihilator-algebras",
-        "annihilator-not-self-adjoint"])
+        "annihilator-not-self-adjoint", "product-state-algebra", "lln-observable-algebra",
+        "lln-observable-not-self-adjoint", "lln-observable-not-finite", "interval-algebras",
+        "distribution-negative", "subalgebra-overlap", "subalgebra-missing"])
 def test_probability_constructors_refuse_bad_input(call, error, message):
-    with pytest.raises(error, match="^%s$" % message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
         call()
 
 

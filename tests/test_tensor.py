@@ -23,7 +23,7 @@ from cstar_info.algebra import (
     tensor_product,
     trace,
 )
-from cstar_info.information import embed_word
+from cstar_info.information import Source, aep_projection, embed_word
 from cstar_info.probability import ProductState, State
 from tensor_oracle import DictTensor
 
@@ -401,6 +401,33 @@ def test_terms_keys_come_scalar_first_then_big_endian():
     y = TensorElement(AtomicAlgebra(2), {MultiIndex({1: 1}): 1.0, MultiIndex({1: 0}): 3.0,
                                          MultiIndex(): 2.0})
     assert [idx.pairs for idx in y.terms] == [(), ((1, 0),), ((1, 1),)]
+
+
+def _built_elements():
+    # elements given by basis strings, each one block of several one-hot
+    # rows: a typical projection, a constructed element and the dense
+    # result of apply
+    alg = AtomicAlgebra(2)
+    yield aep_projection(Source.from_weights([0.9, 0.1]), 20, 0.2)
+    yield TensorElement(alg, {MultiIndex({1: 0, 3: 1}): 2.0, MultiIndex({1: 1, 3: 1}): 3.0,
+                              MultiIndex({1: 1, 3: 0}): -1.0})
+    yield (embed_at(alg.atom(0), 1) + embed_at(alg.atom(1), 2)).apply(lambda v: v + 1.0)
+
+
+def test_elements_given_by_basis_strings_know_their_level(monkeypatch):
+    # .level expands nothing, so .level then dense() expands the block once
+    calls = []
+    expand = algebra._block_strings
+    monkeypatch.setattr(algebra, "_block_strings", lambda rows: calls.append(1) or expand(rows))
+    for x, level in zip(_built_elements(), (20, 3, 2)):
+        (rows,) = x._blocks.values()
+        assert len(rows) > 1
+        calls.clear()
+        assert x.level == level
+        assert calls == []
+        x.dense()
+        assert len(calls) == 1
+        assert max(idx.level for idx in x.terms) == level
 
 
 @st.composite

@@ -184,10 +184,13 @@ _EXTREMES = [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, math.nan, math.inf, -math.inf, 1e30
 # call still ends in a result or one of the library's errors
 _ODD = [math.nan, math.inf, -math.inf, -1, True, 2.5, "2"]
 _FLOATS = st.one_of(st.sampled_from(_EXTREMES), st.floats(), st.sampled_from(_ODD))
+# a real parameter whose default is not None draws None as well
+_REALS = st.one_of(_FLOATS, st.none())
 
 
 def _or_odd(*values):
-    return st.sampled_from(list(values) + _ODD)
+    # the usual values of a parameter, the odd ones, and None
+    return st.sampled_from(list(values) + _ODD + [None])
 
 
 # guard limits that keep every fuzzed call small
@@ -326,12 +329,16 @@ _TOL_RULE = "must be a finite real number >= 0, got "
     (lambda: entropy(_HALF, 1), "entropy base must be finite and above 1, got 1.0"),
     (lambda: classify(useless_channel([0.5, 0.5]), rank_tol=math.nan),
      "rank_tol must be a finite real number >= 0, got nan"),
+    (lambda: entropy(_HALF, None), "entropy base must be finite and above 1, got None"),
+    (lambda: capacity(bsc(0.1), tol=None), "tol " + _TOL_RULE + "None"),
+    (lambda: check_guard(2, 30, guard_bits=10 ** 400), _GUARD_RULE + "1" + "0" * 400),
 ], ids=["bsc-bool", "bec-bool", "bsc-negative", "bec-nan", "equals-negative", "state-negative",
         "merge_tol-negative", "capacity-tol-negative", "capacity-tol-nan", "capacity-max_iter-0",
         "capacity-max_iter-negative", "eps-negative-zero", "aep-n-0", "projection-n-negative",
         "pushforward-n-0", "lln-n-0", "moment-n-0", "chebyshev-n-negative", "lln-k-0",
         "moment-sweep-k-negative", "guard-nan", "dense-guard-nan", "aep-guard-nan",
-        "lln-guard-inf", "coding-guard-nan", "target-nan", "base-inf", "base-1", "rank_tol-nan"])
+        "lln-guard-inf", "coding-guard-nan", "target-nan", "base-inf", "base-1", "rank_tol-nan",
+        "base-none", "capacity-tol-none", "guard-beyond-float"])
 def test_real_parameters_refuse_values_outside_their_range(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -376,6 +383,12 @@ _X3 = tensor_power(Element(A2, [1.0, 2.0]), 3)
      "input_dim must be an integer, got 2.5"),
     (lambda: Channel.from_dict({"input_dim": True, "output_dim": 1, "matrix": [[1.0]]}),
      "input_dim must be an integer, got True"),
+    (lambda: A2.atom(None), "atom index must be an integer, got None"),
+    (lambda: coding_experiment(bsc(0.1), _HALF, 0.5, [4], seed=None), "seed must be an integer, got None"),
+    (lambda: MultiIndex({"1e3": 0}), "tensor position must be an integer, got '1e3'"),
+    (lambda: TensorElement.from_dict({"dim": 2, "terms": [{"idx": {"1.0": 0}, "c": [1.0, 0.0]}]}),
+     "tensor position must be an integer, got '1.0'"),
+    (lambda: AtomicAlgebra(object), "algebra dimension must be an integer, got <class 'object'>"),
 ], ids=["algebra-dim-float", "algebra-dim-0", "from_dict-dim-float", "power-float", "power-0",
         "position-bool", "position-float", "position-0", "code-alphabet-float",
         "kraft-length-float", "kraft-alphabet-bool", "kraft-length-0", "construct-alphabet-float",
@@ -383,7 +396,8 @@ _X3 = tensor_power(Element(A2, [1.0, 2.0]), 3)
         "multiindex-position-float", "multiindex-position-0", "multiindex-atom-negative",
         "tensor-from_dict-position-str", "dense-level-float", "trace-level-float",
         "truncate-level-negative", "point_mass-negative", "state_at-float", "state_at-0",
-        "channel-from_dict-dim-float", "channel-from_dict-dim-bool"])
+        "channel-from_dict-dim-float", "channel-from_dict-dim-bool", "atom-none", "seed-none",
+        "multiindex-position-exponent", "tensor-from_dict-position-decimal", "algebra-dim-object"])
 def test_counts_refuse_values_that_are_not_whole(call, message):
     # int() would truncate 2.5 and 2.7 to 2 and read True as 1
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -392,7 +406,7 @@ def test_counts_refuse_values_that_are_not_whole(call, message):
 
 @settings(max_examples=300)
 @given(_vectors(), st.lists(st.one_of(st.integers(-1, 25), _or_odd()), min_size=1, max_size=3),
-       _or_odd(1, 2, 3, 40, 0), _FLOATS, st.one_of(st.none(), _vectors()), _GUARDS)
+       _or_odd(1, 2, 3, 40, 0), _REALS, st.one_of(st.none(), _vectors()), _GUARDS)
 def test_fuzz_lln_sweep(weights, ns, k, eps, values, guard_bits):
     omega = _state(weights)
     if omega is not None:
@@ -401,7 +415,7 @@ def test_fuzz_lln_sweep(weights, ns, k, eps, values, guard_bits):
 
 
 @settings(max_examples=300)
-@given(_vectors(), st.one_of(st.integers(-1, 30), _or_odd(10 ** 8, 2 ** 64)), _FLOATS, _GUARDS)
+@given(_vectors(), st.one_of(st.integers(-1, 30), _or_odd(10 ** 8, 2 ** 64)), _REALS, _GUARDS)
 def test_fuzz_aep_typical_set(weights, n, eps, guard_bits):
     omega = _state(weights)
     if omega is not None:
@@ -417,7 +431,7 @@ def test_fuzz_huffman_code(weights, alphabet):
 
 
 @settings(max_examples=100)
-@given(_matrices(), _vectors(), st.one_of(_FLOATS, st.floats(0.2, 1.5)),
+@given(_matrices(), _vectors(), st.one_of(_REALS, st.floats(0.2, 1.5)),
        st.lists(_or_odd(1, 2, 3, 4, 0, 40), min_size=1, max_size=2),
        _or_odd(1, 2, 0), _or_odd(3, 0), _GUARDS)
 @example([[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5], 0.4, [4], math.inf, 3, None)
@@ -477,4 +491,43 @@ def test_parameters_are_read_through_integer_and_real():
     found = ["%s:%d in %s()" % (path.name, line, name)
              for path in sorted(pathlib.Path(cstar_info.__file__).parent.glob("*.py"))
              for name, line in _bare_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+# the block format of TensorElement, which only algebra builds and reads
+_BLOCK_INTERNALS = {"_one_hot_rows", "_tensor_element", "_blocks", "_scalar", "_cache"}
+
+
+def _internal_names(tree):
+    """``(name, line)`` of each name, attribute or import of a block internal."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in _BLOCK_INTERNALS:
+            yield name, node.lineno
+
+
+def test_internal_names_are_found():
+    source = """
+from .algebra import _one_hot_rows, _tensor_element as build
+x._blocks, y._cache.get("level")
+_scalar = _call_scalar
+"""
+    assert list(_internal_names(ast.parse(source))) == [
+        ("_one_hot_rows", 2), ("_tensor_element", 2), ("_scalar", 4), ("_blocks", 3), ("_cache", 3)]
+
+
+def test_block_internals_are_named_only_in_algebra():
+    # other modules build tensor elements through algebra's public API and
+    # _from_strings, so the block format is known in one module
+    found = ["%s:%d %s" % (path.name, line, name)
+             for path in sorted(pathlib.Path(cstar_info.__file__).parent.glob("*.py"))
+             if path.name != "algebra.py"
+             for name, line in _internal_names(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
