@@ -740,8 +740,9 @@ class TensorElement(_Value):
     ``terms`` is the expansion over basis strings: it maps MultiIndex ->
     complex coefficient, one key per choice of a nonzero atom at each
     explicit position of a row, with equal strings summed and coefficients
-    below ``ZERO_TOL`` dropped.  It is built on first access and cached;
-    the scalar comes first, then each block's strings in big-endian order.
+    below ``ZERO_TOL`` dropped.  It is built by ``_expand`` on first access
+    and cached, for a constructed element too; the scalar comes first, then
+    each block's strings in big-endian order.
     It refuses, before building anything, an expansion of more than
     ``2**TERMS_GUARD_BITS`` strings, and so do ``==``, ``hash``,
     ``to_dict`` and ``apply``, which read it.
@@ -761,11 +762,13 @@ class TensorElement(_Value):
     ``level`` is the largest position of a block that is not zero.  It is
     the largest position in ``terms`` unless every string coefficient of
     that block is below ``ZERO_TOL``, as in a high tensor power of a small
-    vector, whose trace and product-state values are still exact.  A
-    block that sums elementary tensors may cancel, so finding the level
-    expands it, behind the dense guard (``GUARD_BITS``, or the
-    ``guard_bits`` of ``dense``, ``norm``, ``spectrum``, ``equals`` and
-    ``apply``).
+    vector, whose trace and product-state values are still exact.  An
+    element given by basis strings, from a term map or ``_from_strings``,
+    holds one one-hot row per nonzero string and records its level when it
+    is built.  In a sum or a product, a block that sums elementary tensors
+    may cancel, so finding the level expands it, behind the dense guard
+    (``GUARD_BITS``, or the ``guard_bits`` of ``dense``, ``norm``,
+    ``spectrum``, ``equals`` and ``apply``).
     """
 
     __slots__ = ("factor_algebra", "_scalar", "_blocks", "_cache")
@@ -1051,7 +1054,8 @@ class TensorElement(_Value):
         vec = self.dense(guard_bits=guard_bits)
         vals = np.array([_call_scalar(f, complex(c), domain_check) for c in vec])
         flat = np.flatnonzero(np.abs(vals) >= ZERO_TOL)
-        return _from_strings(self.factor_algebra, np.stack(_digits(flat, d, lvl), axis=1), vals[flat])
+        atoms = np.stack(_digits(flat, d, lvl), axis=1)
+        return _from_strings(self.factor_algebra, atoms, vals[flat])
 
     def equals(self, other, tol=None, guard_bits=None):
         if not isinstance(other, TensorElement):
@@ -1111,8 +1115,8 @@ _set_cache = TensorElement._cache.__set__
 
 def _from_strings(factor_algebra, atoms, coeffs):
     """TensorElement with one one-hot elementary tensor per row of ``atoms``,
-    fixing atom ``atoms[r, k]`` at position k + 1, times ``coeffs[r]``.  Every
-    such string is nonzero, so the level is the width of ``atoms``."""
+    fixing atom ``atoms[r, k]`` at position k + 1, times ``coeffs[r]``, which
+    is not zero.  So no string is zero, and the level is the width."""
     count, width = atoms.shape
     if not count:
         return _tensor_element(factor_algebra, 0j, {})

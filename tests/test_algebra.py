@@ -432,6 +432,13 @@ def test_terms_guard(monkeypatch):
     assert len((four + embed_at(half.algebra.zero(), 5)).terms) == 16
     with pytest.raises(GuardExceeded):
         (four + embed_at(half, 5)).terms  # 16 + 2 strings
+    # a constructed element is guarded as well: its .terms is built by the
+    # same expansion
+    strings = itertools.product(range(2), repeat=5)
+    many = TensorElement(half.algebra, {MultiIndex(dict(enumerate(s, 1))): 1.0 for s in strings})
+    assert many.level == 5
+    with pytest.raises(GuardExceeded, match="2\\^5 basis strings in .terms; guard is 2\\^4"):
+        many.terms
 
 
 def test_level_of_a_sum_block_is_guarded(monkeypatch):
