@@ -484,17 +484,20 @@ def _digits(value, base, width):
     return out
 
 
-def _pack(rows):
+def _pack(rows, base=None):
     """Integer rows packed big-endian into int64 keys, most significant first.
 
-    The inverse of ``_digits``: with base the largest digit + 1, each key
-    holds the next ``per`` digits of every row, as many as base**per <=
-    2**63 - 1 allows, so the keys order the rows as their digits do.  Rows
-    of width 0 have no keys.  When base**per < 2**16 the one key is uint16,
-    which numpy's stable sort orders by radix sort instead of timsort.
+    The inverse of ``_digits``: with base the largest digit + 1, or the
+    given base above every digit, each key holds the next ``per`` digits of
+    every row, as many as base**per <= 2**63 - 1 allows, so the keys order
+    the rows as their digits do.  Rows of width 0 have no keys.  When
+    base**per < 2**16 the one key is uint16, which numpy's stable sort
+    orders by radix sort instead of timsort.  Rows of one width packed with
+    one given base get keys of the same layout, which may be compared.
     """
     width = rows.shape[1]
-    base = int(rows.max(initial=0)) + 1
+    if base is None:
+        base = int(rows.max(initial=0)) + 1
     per = 1
     while per < width and base ** (per + 1) < 2 ** 63:
         per += 1
@@ -624,8 +627,12 @@ def _broadcast_axes(support, d, level):
 def _runs(rows):
     # a stable big-endian sort of integer rows by their packed keys: the
     # order, and where each run of equal rows starts along it
-    keys = _pack(rows)
-    order = np.lexsort(keys[::-1]) if keys else np.arange(len(rows))
+    return _key_runs(_pack(rows), len(rows))
+
+
+def _key_runs(keys, size):
+    # _runs of `size` rows given by their keys (none for rows of width 0)
+    order = np.lexsort(keys[::-1]) if keys else np.arange(size)
     starts = np.zeros(len(order), dtype=bool)
     starts[:1] = True
     for key in keys:

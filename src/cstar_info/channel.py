@@ -33,9 +33,12 @@ for bit, and each codeword's mass adds the likelihoods it wins in string
 order.  The uniform-row gap of a codeword that owns no output string
 depends only on its type, its count t_a of each symbol a, so it is
 summed once per type over that type's n**k likelihoods, formed from its
-half tables as in the decoding pass.  ``STREAM_BLOCK_ENTRIES`` only
-bounds the size of a piece of either pass, so a trial's memory is the
-half tables and one piece, never u * n**k; no result depends on it.
+half tables as in the decoding pass.  ``STREAM_BLOCK_ENTRIES`` bounds
+the size of a piece of either pass, so a trial's memory is the half
+tables and one piece, never u * n**k; no result depends on it.  The
+trials of one block length share their half tables and per-type gaps in
+groups (``_TrialGroup``) whose tables stay within the larger of one
+trial's own tables and ``STREAM_BLOCK_ENTRIES`` entries.
 
 The dense decoder (``build_code_and_decoder``) forms the r x n**k rows as
 one product of the half tables, fills and divides one decoder table in
@@ -62,10 +65,11 @@ from .algebra import (
     _Value,
     _guard,
     _integer,
+    _key_runs,
     _kinds,
+    _pack,
     _positive,
     _real,
-    _runs,
     _tol,
     check_guard,
     tensor_power,
@@ -609,19 +613,64 @@ def _run_winners(heads, top, top_word, second, u):
     return winner, best, (products.max(axis=0) == best) & (best > 0.0)
 
 
-def _half_tables(matrix, words):
-    # yields heads, head, tails, tail: the half tables over the distinct
-    # heads and tails of the words, in sorted order, and each word's row in
-    # them; no decision or sum depends on the order of the rows
-    for part in np.split(words, [(words.shape[1] + 1) // 2], axis=1):
-        order, starts = _runs(part)
-        row = np.empty_like(order)
-        row[order] = np.cumsum(starts) - 1
-        yield _half_table(matrix, part[order[starts]])
-        yield row
+class _RowMemo:
+    """Values of distinct integer rows, each computed once by ``fill``.
+
+    The rows met so far are kept as their keys packed with the fixed base
+    ``base``, so a later batch is matched against them by one stable sort of
+    both; ``values`` holds their values in order of arrival.
+    """
+
+    def __init__(self, fill, base):
+        self.fill, self.base = fill, base
+        self.keys = self.values = None
+        self.size = 0
+
+    def match(self, rows):
+        # (label, new, keys): each row's label, its value's index once the
+        # new distinct rows follow the known ones in sorted order; the first
+        # row of each new label; and the keys of those rows
+        keys = _pack(rows, self.base)
+        known = [np.concatenate(pair) for pair in zip(self.keys, keys)] if self.size else keys
+        order, starts = _key_runs(known, self.size + len(rows))
+        lead = order[starts]  # a known row leads its run: the sort is stable
+        fresh = (lead >= self.size).nonzero()[0]  # the runs of new rows
+        new = lead[fresh] - self.size
+        lead[fresh] = np.arange(self.size, self.size + len(fresh))  # each run's label
+        label = np.empty_like(order)
+        label[order] = lead[np.cumsum(starts) - 1]
+        return label[self.size :], new, [key[new] for key in keys]
+
+    def add(self, rows, found):
+        # the labels of `found`, the match of the rows, once their new
+        # distinct rows have values
+        label, new, keys = found
+        if len(new):
+            values = self.fill(rows[new])
+            if self.size:
+                values = np.concatenate((self.values, values))
+                keys = [np.concatenate(pair) for pair in zip(self.keys, keys)]
+            self.values, self.keys = values, keys
+            self.size += len(new)
+        return label
+
+    def lookup(self, rows):
+        return self.add(rows, self.match(rows))
 
 
-def _decisions(matrix, words):
+def _split(words):
+    # the heads, the first ceil(k/2) symbols of the words, and the tails
+    half = (words.shape[1] + 1) // 2
+    return words[:, :half], words[:, half:]
+
+
+def _half_memos(matrix):
+    # the half tables over the heads and over the tails
+    table = functools.partial(_half_table, matrix)
+    return _RowMemo(table, matrix.shape[0]), _RowMemo(table, matrix.shape[0])
+
+
+def _decisions(matrix, words, tables=None):
     """Maximum-likelihood decisions over distinct codewords, streamed.
 
     Yields ``(winner, likelihood, redone)`` per run of output strings, in
@@ -636,9 +685,13 @@ def _decisions(matrix, words):
     among them, and the lowest word attaining top wins the head.  A lower B
     of a head can round to the same product only if the next lower one,
     ``second``, does; only such strings form their column over every word.
+    ``tables`` are ``_TrialGroup.tables`` of the words, those of a group of
+    one when not given.
     """
     u = words.shape[0]
-    heads, head, tails, tail = _half_tables(matrix, words)
+    if tables is None:
+        tables = _TrialGroup(matrix, words.shape[1]).tables(words)
+    heads, head, tails, tail = tables
     h, nb = heads.shape[0], tails.shape[1]
     top, top_word, second = _head_tops(tails, tail, head, h)
     # A run has at most STREAM_BLOCK_ENTRIES products over the h heads: whole
@@ -662,15 +715,19 @@ def _decisions(matrix, words):
             yield winner.ravel(), best.ravel(), redone.ravel()
 
 
-def _uniform_gaps(matrix, types):
+def _uniform_gaps(matrix, types, halves=None):
     # sum_y |L(y) - n**-k| for each row of `types`, a sorted word, over its
-    # n**k likelihoods fl(A B) from the half tables, as in the ML pass.  A
-    # (type, head string) row sums its whole contiguous row of tail strings,
-    # which numpy sums pairwise, in pieces of at most STREAM_BLOCK_ENTRIES
-    # products (at least one row), then each type sums its head strings'
-    # rows: no sum depends on the cut.
+    # n**k likelihoods fl(A B) from the half tables, as in the ML pass: those
+    # of `halves`, grown by the types' new halves, or fresh ones.  A (type,
+    # head string) row sums its whole contiguous row of tail strings, which
+    # numpy sums pairwise, in pieces of at most STREAM_BLOCK_ENTRIES products
+    # (at least one row), then each type sums its head strings' rows: no sum
+    # depends on the cut or on the other rows of the tables.
     (u, k), n = types.shape, matrix.shape[1]
-    heads, head, tails, tail = _half_tables(matrix, types)
+    if halves is None:
+        halves = _half_memos(matrix)
+    head, tail = (memo.lookup(part) for memo, part in zip(halves, _split(types)))
+    heads, tails = (memo.values for memo in halves)
     na, nb = heads.shape[1], tails.shape[1]
     rows = max(1, STREAM_BLOCK_ENTRIES // nb)
     sums = np.empty(u * na)
@@ -683,7 +740,71 @@ def _uniform_gaps(matrix, types):
     return sums.reshape(u, na).sum(axis=1)
 
 
-def _row_sums(matrix, codebook):
+class _TrialGroup:
+    """Half tables and uniform-row gaps shared by the coding trials of one
+    block length k, run one after another.
+
+    One pair of half tables holds the distinct heads and tails of every
+    trial's distinct words and of the types whose gaps were summed; a trial
+    adds only the halves the group has not met.  Each gap is summed once per
+    type and looked up by later trials.  A trial's ML pass reads the rows of
+    its own heads and the tail table.  Before a trial whose new halves would
+    take the group's entries (its tables' likelihoods and its gaps) past the
+    larger of the trial's own tables and ``STREAM_BLOCK_ENTRIES``, the group
+    closes and the trial opens a new one, so the tables never grow with the
+    number of trials.  The halves of the types whose gaps a trial needs
+    join after that check.  No decision or sum depends on the order of the
+    rows or on the other rows the tables hold: every value is that of the
+    trial's own tables and gaps, bit for bit.
+    """
+
+    def __init__(self, matrix, k):
+        self.matrix = matrix
+        half = (k + 1) // 2
+        self.columns = (matrix.shape[1] ** half, matrix.shape[1] ** (k - half))
+        self._open()
+
+    def _open(self):
+        # the fill closes over the tables, not the group: no reference cycle
+        # keeps a closed group's tables alive
+        matrix, halves = self.matrix, _half_memos(self.matrix)
+        self.halves = halves
+        self.gap = _RowMemo(lambda types: _uniform_gaps(matrix, types, halves), matrix.shape[0])
+
+    def tables(self, words):
+        """``(heads, head, tails, tail)`` for ``_decisions`` of the words:
+        the half tables over their distinct heads and the group's tails, and
+        each word's row in them."""
+        head_memo, tail_memo = self.halves
+        head_part, tail_part = _split(words)
+        head_found, tail_found = head_memo.match(head_part), tail_memo.match(tail_part)
+        # the group's entries with the trial's new halves, against those of
+        # the trial's own half tables
+        a, b = self.columns
+        grown = (self.gap.size + (head_memo.size + len(head_found[1])) * a
+                 + (tail_memo.size + len(tail_found[1])) * b)
+        if grown > STREAM_BLOCK_ENTRIES and grown > (
+                np.count_nonzero(np.bincount(head_found[0])) * a
+                + np.count_nonzero(np.bincount(tail_found[0])) * b):
+            self._open()
+            return self.tables(words)
+        head = head_memo.add(head_part, head_found)
+        tail = tail_memo.add(tail_part, tail_found)
+        heads = head_memo.values
+        if len(head_found[1]) < len(heads):  # the group knew some heads
+            present = np.bincount(head, minlength=len(heads)) > 0
+            if not present.all():
+                # _head_tops gives every head row a word
+                heads, head = heads[present], (np.cumsum(present) - 1)[head]
+        return heads, head, tail_memo.values, tail
+
+    def gaps(self, types):
+        """The uniform-row gap of each row of ``types``, a sorted word."""
+        label = self.gap.lookup(types)
+        return self.gap.values[label]
+
+
+def _row_sums(matrix, codebook, group=None):
     """Per codeword: the owned mass m_j, the number of owned output strings,
     and the uniform-row gap sum_y |row_j(y) - 1/n**k|, filled in for every
     row that owns nothing (and for the first of a repeated word).
@@ -691,7 +812,11 @@ def _row_sums(matrix, codebook):
     Each output string goes to its most likely codeword, ties to the lowest
     index, by the streamed max-product of ``_decisions``; a codeword's mass
     adds the likelihoods it wins in string order, however the runs are cut.
+    The half tables and gaps come from the trial ``group``, a group of one
+    when none is given.
     """
+    if group is None:
+        group = _TrialGroup(matrix, codebook.shape[1])
     # A repeated codeword has the same row as its first occurrence and loses
     # every tie to it, so it owns nothing: the pass runs over the u distinct
     # words in index order.
@@ -700,7 +825,7 @@ def _row_sums(matrix, codebook):
     u = words.shape[0]
     mass = np.zeros(u)
     owned = np.zeros(u, dtype=np.int64)
-    for winner, likelihood, _ in _decisions(matrix, words):
+    for winner, likelihood, _ in _decisions(matrix, words, group.tables(words)):
         owned += np.bincount(winner, minlength=u)
         np.add.at(mass, winner, likelihood)  # one term at a time, in order
     # The gap is needed for the words that own nothing and for the repeated
@@ -709,13 +834,11 @@ def _row_sums(matrix, codebook):
     need = (owned == 0) | (np.bincount(column, minlength=u) > 1)
     gap = np.zeros(u)
     if need.any():
-        types = np.sort(words[need], axis=1)
-        distinct, kind = _kinds(types)
-        gap[need] = _uniform_gaps(matrix, types[distinct])[kind]
+        gap[need] = group.gaps(np.sort(words[need], axis=1))
     return np.where(first, mass[column], 0.0), np.where(first, owned[column], 0), gap[column]
 
 
-def _streamed_trial(matrix, codebook):
+def _streamed_trial(matrix, codebook, group=None):
     """Deviation and error probability of one codebook's ML decoder channel.
 
     From the per-codeword sums of ``_row_sums``: with s_j the row sums, the
@@ -724,7 +847,7 @@ def _streamed_trial(matrix, codebook):
     of zero likelihood contributes 1 + s_j; a row that owns none falls back
     to the uniform decoder row and contributes its uniform-row gap.
     """
-    mass, owned, gap = _row_sums(matrix, codebook)
+    mass, owned, gap = _row_sums(matrix, codebook, group)
     if np.any(mass <= 0.0):
         warnings.warn(_ZERO_MASS)
     sums = np.prod(matrix.sum(axis=1)[codebook], axis=1)
@@ -746,7 +869,7 @@ def build_code_and_decoder(channel, omega, k, rate, seed=0, guard_bits=None):
     k = _integer(k, "k", 1)
     _check_input(channel, omega)
     r = _codebook_size(k, rate, channel.input_dim, channel.output_dim, guard_bits)
-    rng = np.random.default_rng(_integer(seed, "seed"))
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     codebook = _sample_codebook(rng, omega.weights, k, r)
     # the rows go before LosslessChannel copies the decoder
     decision, decoder, _ = _decoder_from_rows(_block_rows(channel.matrix, codebook))
@@ -776,11 +899,18 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
     along with the decoding error probability, is averaged.  Useless
     channels are refused; rates at or above capacity are allowed but warned
     about, since the deviations then have no reason to shrink.
+
+    The trials of one k share their half tables and the uniform-row gap of
+    each type, so a later trial forms only the halves and gaps that the
+    trials before it did not.  A group of trials closes before one whose
+    new halves would take the tables and gaps past the larger of that
+    trial's own tables and ``STREAM_BLOCK_ENTRIES`` entries: memory does
+    not grow with ``trials``.  Every trial's values are those it has alone.
     """
     if classify(channel).kind == "useless":
         raise ValueError("coding experiment on a useless channel is vacuous")
     trials = _integer(trials, "trials", 1)
-    seed = _integer(seed, "seed")
+    seed = _integer(seed, "seed", 0)
     # the rate, the input and every block length are refused before the
     # capacity probe, which would warn first, and before any trial
     rate = _positive(rate, "rate")
@@ -802,10 +932,11 @@ def coding_experiment(channel, omega, rate, ks, trials=20, seed=0, guard_bits=No
     for k, r in sizes.items():
         devs = []
         errs = []
+        group = _TrialGroup(channel.matrix, k)
         for t in range(trials):
             rng = np.random.default_rng(seed + t)
             codebook = _sample_codebook(rng, omega.weights, k, r)
-            deviation, error = _streamed_trial(channel.matrix, codebook)
+            deviation, error = _streamed_trial(channel.matrix, codebook, group)
             devs.append(deviation)
             errs.append(error)
         results.append(

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cstar_info import channel as channel_module
@@ -840,6 +840,53 @@ def test_coding_experiment_structure():
         assert r.deviation <= 2 * r.error_prob + 1e-12
 
 
+def _experiment_warnings(**kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (result,) = coding_experiment(**kwargs)
+    return result, {str(w.message) for w in caught}
+
+
+@st.composite
+def _trial_groups(draw):
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 6))
+    # zero entries, and a mixture row that can own nothing, give zero-mass rows
+    grid = st.sampled_from([0.0, 0.0, 0.05, 0.25, 1.0])
+    mat = np.array([[draw(grid) for _ in range(n)] for _ in range(m)])
+    mat[mat.sum(axis=1) == 0.0, 0] = 1.0
+    mat /= mat.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        mat[-1] = mat[:-1].mean(axis=0)
+    channel = Channel(mat)
+    assume(classify(channel).kind != "useless")
+    weights = np.array([draw(grid) for _ in range(m)])
+    weights[0] += weights.sum() == 0.0
+    # 2 <= r <= m**k codewords, up to every input string: repeats are common
+    bits = draw(st.integers(1, int(k * math.log2(m))))
+    return dict(channel=channel, omega=State(AtomicAlgebra(m), weights / weights.sum()),
+                rate=bits / k, ks=[k], seed=draw(st.integers(0, 2 ** 32)),
+                trials=draw(st.integers(2, 4)))
+
+
+@settings(max_examples=40)
+@given(_trial_groups())
+def test_trials_of_a_group_are_the_trials_alone(case):
+    # trial t of a group, with the tables and gaps of the trials before it,
+    # is the experiment of one trial at seed + t, bit for bit, when every
+    # later trial opens a new group (a bound of 1 entry) and when groups grow
+    trials, seed = case.pop("trials"), case.pop("seed")
+    for entries in (1, channel_module.STREAM_BLOCK_ENTRIES):
+        with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", entries):
+            grouped, warned = _experiment_warnings(trials=trials, seed=seed, **case)
+            alone = [_experiment_warnings(trials=1, seed=seed + t, **case) for t in range(trials)]
+        assert [(d.hex(), e.hex()) for d, e in
+                zip(grouped.trial_deviations, grouped.trial_error_probs)] == \
+            [(one.deviation.hex(), one.error_prob.hex()) for one, _ in alone]
+        assert warned == set().union(*(w for _, w in alone))
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.5, True, np.True_])
 def test_counts_and_seeds_refuse_non_integral_numbers(bad):
     # int() would truncate 2.5, overflow on inf and read True as 1
@@ -1085,7 +1132,7 @@ def test_streamed_blocks_when_one_string_exceeds_the_block(case):
     assert warned == want_warned
 
 
-def test_coding_trial_memory_stays_below_the_table():
+def _memory_case(trials):
     # r = 172,950 codewords over 2**6 output strings: the half tables hold 8
     # strings each, and the whole table would be 11 M likelihoods.
     mat = np.random.default_rng(7).random((16, 2))
@@ -1095,17 +1142,32 @@ def test_coding_trial_memory_stays_below_the_table():
     try:
         with pytest.warns(UserWarning, match="not below capacity"), \
                 pytest.warns(UserWarning, match="zero mass"):
-            (result,) = coding_experiment(c, omega, rate=2.9, ks=[6], trials=1, seed=0)
+            (result,) = coding_experiment(c, omega, rate=2.9, ks=[6], trials=trials, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.codebook_size == 172950
-    # about 41 MB: the gap pass tabulates only the distinct halves of the types
+    return result, peak
+
+
+def test_coding_trial_memory_stays_below_the_table():
+    result, peak = _memory_case(trials=1)
+    # about 42 MB: the gap pass tabulates only the distinct halves of the
+    # types, beside the trial group's half tables
     assert peak < 44 * 2 ** 20
     # the values, bit for bit
     assert result.deviation == 0.9894682274113076
     assert result.error_prob == 0.9997979332373419
 
+
+def test_trials_sharing_tables_stay_below_the_memory_of_one():
+    # the later trials of a block length share the first one's half tables
+    # and its 45,928 types' gaps (52,285 after three), and no trial's
+    # codebook is held during another
+    result, peak = _memory_case(trials=3)
+    assert peak < 44 * 2 ** 20
+    assert result.trial_deviations[0] == 0.9894682274113076
+    assert result.trial_error_probs[0] == 0.9997979332373419
 
 
 def test_gap_pass_memory_stays_in_pieces_on_a_wide_output():
@@ -1168,13 +1230,13 @@ def _pass_widths(matrix, codebook):
     # distinct words, then the gap pass's words, one per type
     widths = []
 
-    def decisions(matrix, words):
+    def decisions(matrix, words, tables=None):
         widths.append(("ml", words.shape[0]))
-        return _decisions(matrix, words)
+        return _decisions(matrix, words, tables)
 
-    def gaps(matrix, types):
+    def gaps(matrix, types, halves=None):
         widths.append(("gap", types.shape[0]))
-        return _uniform_gaps(matrix, types)
+        return _uniform_gaps(matrix, types, halves)
 
     with mock.patch.object(channel_module, "_decisions", decisions), \
             mock.patch.object(channel_module, "_uniform_gaps", gaps):

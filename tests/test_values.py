@@ -36,6 +36,7 @@ from cstar_info.channel import (
     LosslessChannel,
     bec,
     bsc,
+    build_code_and_decoder,
     capacity,
     classify,
     coding_experiment,
@@ -332,13 +333,18 @@ _TOL_RULE = "must be a finite real number >= 0, got "
     (lambda: entropy(_HALF, None), "entropy base must be finite and above 1, got None"),
     (lambda: capacity(bsc(0.1), tol=None), "tol " + _TOL_RULE + "None"),
     (lambda: check_guard(2, 30, guard_bits=10 ** 400), _GUARD_RULE + "1" + "0" * 400),
+    (lambda: coding_experiment(bsc(0.1), _HALF, 0.5, [4], seed=-1),
+     "seed must be an integer >= 0, got -1"),
+    (lambda: build_code_and_decoder(bsc(0.1), _HALF, 4, 0.5, seed=np.int64(-1)),
+     "seed must be an integer >= 0, got -1"),
 ], ids=["bsc-bool", "bec-bool", "bsc-negative", "bec-nan", "equals-negative", "state-negative",
         "merge_tol-negative", "capacity-tol-negative", "capacity-tol-nan", "capacity-max_iter-0",
         "capacity-max_iter-negative", "eps-negative-zero", "aep-n-0", "projection-n-negative",
         "pushforward-n-0", "lln-n-0", "moment-n-0", "chebyshev-n-negative", "lln-k-0",
         "moment-sweep-k-negative", "guard-nan", "dense-guard-nan", "aep-guard-nan",
         "lln-guard-inf", "coding-guard-nan", "target-nan", "base-inf", "base-1", "rank_tol-nan",
-        "base-none", "capacity-tol-none", "guard-beyond-float"])
+        "base-none", "capacity-tol-none", "guard-beyond-float", "coding-seed-negative",
+        "code-and-decoder-seed-negative"])
 def test_real_parameters_refuse_values_outside_their_range(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
