@@ -723,6 +723,26 @@ def _one_string(support, row):
     return {_index(tuple(pairs)): c} if abs(c) >= ZERO_TOL else {}
 
 
+class _NoTerms(dict):
+    """The ``terms`` of a zero that a left operand shares among its vanishing
+    products: an empty dict that refuses entries, and pickles and copies as
+    the one instance ``_NO_TERMS``."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args):
+        raise TypeError("the terms of a shared zero are read-only")
+
+    # an empty dict has nothing to delete, so only what adds is refused
+    __setitem__ = update = setdefault = __ior__ = _refuse
+
+    def __reduce__(self):
+        return "_NO_TERMS"
+
+
+_NO_TERMS = _NoTerms()
+
+
 def _tensor_element(factor_algebra, scalar, blocks):
     t = _new(TensorElement)
     _set_algebra(t, factor_algebra)
@@ -760,11 +780,14 @@ class TensorElement(_Value):
     An element that is one elementary tensor, one block of one row and no
     scalar part, is the common case of a word embedding and of a product of
     two words.  It caches its position masks once, so a product of two of
-    them that vanishes is one test and a fresh zero.  When the row has one
-    nonzero atom at every position, ``terms`` is its one basis string, read
-    from the row's Python list with the key and the coefficient bits the
-    numpy expansion gives; a row with more atoms at a position, and a sum
-    of rows, are expanded in numpy.
+    them that vanishes is one test.  The zero it returns is built once and
+    kept by the left operand, with read-only empty ``terms``; it is given
+    again while the right operand's scalar is the same object, so its
+    scalar always has the bits of ``s * t``, sign of zero included.  When
+    the row has one nonzero atom at every position, ``terms`` is its one
+    basis string, read from the row's Python list with the key and the
+    coefficient bits the numpy expansion gives; a row with more atoms at a
+    position, and a sum of rows, are expanded in numpy.
 
     ``level`` is the largest position of a block that is not zero.  It is
     the largest position in ``terms`` unless every string coefficient of
@@ -963,7 +986,14 @@ class TensorElement(_Value):
         x = self._cache.get("mask") or self._mask()
         y = other._cache.get("mask") or other._mask()
         if x and y and _vanishes(x, y, d):
-            return _tensor_element(self.factor_algebra, s * t, {})
+            # one zero per left operand, kept with the t it was built for: the
+            # same t object gives s * t the same bits, sign of zero included
+            got = self._cache.get("zero")
+            if got is None or got[0] is not t:
+                zero = _tensor_element(self.factor_algebra, s * t, {})
+                zero._cache["terms"] = _NO_TERMS
+                got = self._cache["zero"] = t, zero
+            return got[1]
         blocks = {}
         for first, a in self._blocks.items():
             for second, b in other._blocks.items():

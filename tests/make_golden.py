@@ -1,6 +1,7 @@
 """Rewrite the golden files under tests/golden/ from the current code.
 
-    python tests/make_golden.py
+    python tests/make_golden.py            # rewrite the files
+    python tests/make_golden.py --check    # write nothing; exit 1 if any byte moved
 
 Runs every case of ``test_cli._GOLDEN_CASES`` as the golden test does and
 writes its artifact and standard error, then writes the library files
@@ -14,8 +15,12 @@ Each file is read before it is rewritten, and one line per file reports how
 many of its values moved and the largest relative move among them, with
 ``float.hex`` strings read as floats.  A JSON file's values are its leaves
 in order; any other file's are its words, split at commas and white space.
+With ``--check`` the same lines are printed and nothing is written or
+removed; the exit code is 1 when any file would change, so exit 0 proves
+every golden file is what the current code gives, byte for byte.
 """
 
+import argparse
 import json
 import math
 import pathlib
@@ -75,31 +80,33 @@ def _moves(old, new):
     return moved, largest
 
 
-def _write(path, text):
+def _report(path, text):
+    # print what rewriting path with text moves; true when its bytes change
     old = path.read_text(encoding="utf-8") if path.exists() else None
-    path.write_text(text, encoding="utf-8")
     name = path.relative_to(TESTS / "golden")
     if old is None:
         print("%s: new, %d values" % (name, len(_values(text))))
     else:
-        print("%s: %d values moved, largest relative move %.3g" % ((name,) + _moves(old, text)))
+        moved, largest = _moves(old, text)
+        line = "%s: %d values moved, largest relative move %.3g" % (name, moved, largest)
+        print(line + ", other bytes differ" if old != text and not moved else line)
+    return old != text
 
 
-def main():
+def main(check=False):
+    files = {}
+    removed = set()
     with tempfile.TemporaryDirectory() as workdir:
         for name, code, argv in test_cli._GOLDEN_CASES:
             run_dir = pathlib.Path(workdir) / name
             run_dir.mkdir()
-            got, files = test_cli._golden_run(run_dir, argv)
+            got, outputs = test_cli._golden_run(run_dir, argv)
             if got != code:
                 sys.exit("%s exits with %d, not %d" % (name, got, code))
             paths = {test_cli.GOLDEN / ("%s.%s" % (name, suffix)): text
-                     for suffix, text in files.items()}
-            for old in set(test_cli.GOLDEN.glob(name + ".*")) - set(paths):
-                print("%s: removed" % old.relative_to(TESTS / "golden"))
-                old.unlink()
-            for path, text in paths.items():
-                _write(path, text)
+                     for suffix, text in outputs.items()}
+            removed |= set(test_cli.GOLDEN.glob(name + ".*")) - set(paths)
+            files.update(paths)
     for path, records in ((test_probability.LLN_GOLDEN, test_probability.lln_golden_records()),
                           (test_channel.CODING_GOLDEN, test_channel.coding_golden_records()),
                           (test_channel.CAPACITY_GOLDEN, test_channel.capacity_golden_records()),
@@ -111,8 +118,21 @@ def main():
                            test_probability.partitions_golden_records())):
         # one case a line, so that a diff names the cases that moved
         lines = ",\n".join(json.dumps(r) for r in records)
-        _write(path, "[\n%s\n]\n" % lines)
+        files[path] = "[\n%s\n]\n" % lines
+    changed = bool(removed)
+    for path in sorted(removed):
+        print("%s: removed" % path.relative_to(TESTS / "golden"))
+        if not check:
+            path.unlink()
+    for path, text in files.items():
+        changed |= _report(path, text)
+        if not check:
+            path.write_text(text, encoding="utf-8")
+    return 1 if check and changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Rewrite or check the golden files.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any golden file would change")
+    sys.exit(main(parser.parse_args().check))

@@ -962,3 +962,22 @@ def test_artifacts_match_the_golden_files(tmp_path, name, code, argv):
         "%s.%s" % (name, suffix) for suffix in files)
     for suffix, text in files.items():
         assert text == (GOLDEN / ("%s.%s" % (name, suffix))).read_text(encoding="utf-8")
+
+
+def test_make_golden_check_reports_a_moved_value_and_writes_nothing(capsys, monkeypatch):
+    import make_golden
+
+    path = GOLDEN / "library" / "tensor_programs.json"
+    text = path.read_text(encoding="utf-8")
+    assert not make_golden._report(path, text)
+    # one coefficient one ulp above 1
+    assert make_golden._report(path, text.replace("0x1.0000000000000p+0",
+                                                  "0x1.0000000000001p+0", 1))
+    assert capsys.readouterr().out.splitlines() == [
+        "library/tensor_programs.json: 0 values moved, largest relative move 0",
+        "library/tensor_programs.json: 1 values moved, largest relative move 2.22e-16",
+    ]
+    # the golden files are what the code gives, and --check writes none
+    for name in ("write_text", "unlink"):
+        monkeypatch.setattr(pathlib.Path, name, None)
+    assert make_golden.main(check=True) == 0

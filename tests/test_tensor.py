@@ -1,14 +1,17 @@
 """The factored tensor layer against the basis-string oracle in tensor_oracle."""
 
+import copy
 import functools
 import hashlib
 import json
 import math
 import operator
 import pathlib
+import pickle
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -382,12 +385,55 @@ def test_embed_word_equals_the_element_built_from_its_term():
             assert x.level == built.level == len(word)
 
 
-def test_vanishing_products_are_distinct_zeros():
+def test_vanishing_products_of_one_left_operand_share_a_read_only_zero():
     alg = AtomicAlgebra(2)
     x, y = embed_word("01", alg), embed_word("1", alg)
-    a, b = x * y, x * y
-    assert a is not b and a.terms is not b.terms and a._cache is not b._cache
-    assert a == b == TensorElement(alg) and not a.terms
+    z = x * y
+    assert x * y is z and x * embed_word("11", alg) is z
+    assert z.terms == {} and z == TensorElement(alg) and hash(z) == hash(TensorElement(alg))
+    # a caller that writes into the shared terms changes no other result
+    with pytest.raises(TypeError):
+        z.terms[MultiIndex({1: 0})] = 1.0
+    assert z.terms == {} and (x * y).terms == {}
+    # the zero, and an operand that holds one, pickle and copy with it
+    for value, zero_of in ((z, lambda back: back), (x, lambda back: back * y)):
+        for back in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert back == value and hash(back) == hash(value)
+            assert zero_of(back) == z
+            with pytest.raises(TypeError):
+                zero_of(back).terms[MultiIndex({1: 0})] = 1.0
+
+
+def _bits(z):
+    return math.copysign(1.0, z.real), math.copysign(1.0, z.imag), z
+
+
+def test_vanishing_products_keep_the_sign_bits_of_their_scalar():
+    # s * t carries the sign bits of the operands' zero scalars, so a zero
+    # kept for one right operand must not stand for a product with another
+    alg = AtomicAlgebra(2)
+    pairs = []
+    for u, v in (("01", "1"), ("1", "01")):
+        left, right = embed_word(u, alg), embed_word(v, alg)
+        pairs += [(a, b) for a in (left, (-1.0) * left, left.star(), 1j * left)
+                  for b in (right, (-1.0) * right, right.star(), 1j * right)]
+    signs = set()
+    for a, b in pairs * 2:
+        got, want = a * b, algebra._tensor_element(alg, a._scalar * b._scalar, {})
+        assert _bits(got._scalar) == _bits(want._scalar)
+        assert got.dense().tobytes() == want.dense().tobytes()
+        assert [_bits(c) for _, c in got.factor_sums()] == [_bits(c) for _, c in want.factor_sums()]
+        signs.add(_bits(want._scalar)[:2])
+    assert len(signs) > 1
+
+
+def test_vanishing_products_of_one_left_operand_build_one_zero():
+    alg = AtomicAlgebra(2)
+    x = embed_word("0", alg)
+    others = [embed_word("1" + format(i, "010b"), alg) for i in range(1000)]
+    with mock.patch.object(algebra, "_tensor_element", wraps=algebra._tensor_element) as spy:
+        assert not any((x * y).terms for y in others)
+    assert spy.call_count <= 1
 
 
 def test_terms_keys_come_scalar_first_then_big_endian():
