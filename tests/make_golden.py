@@ -6,8 +6,8 @@
 Runs every case of ``test_cli._GOLDEN_CASES`` as the golden test does and
 writes its artifact and standard error, then writes the library files
 ``golden/library/lln_sweep.json``, ``coding_experiment.json``,
-``capacity.json``, ``tensor_programs.json``, ``aep_typical_set.json``,
-``aep_projection.json`` and ``partitions.json``.
+``capacity.json``, ``decoder.json``, ``tensor_programs.json``,
+``aep_typical_set.json``, ``aep_projection.json`` and ``partitions.json``.
 The tests only read these files: a change that moves a value reruns this
 script and quotes the diff.
 
@@ -110,6 +110,7 @@ def main(check=False):
     for path, records in ((test_probability.LLN_GOLDEN, test_probability.lln_golden_records()),
                           (test_channel.CODING_GOLDEN, test_channel.coding_golden_records()),
                           (test_channel.CAPACITY_GOLDEN, test_channel.capacity_golden_records()),
+                          (test_channel.DECODER_GOLDEN, test_channel.decoder_golden_records()),
                           (test_tensor.TENSOR_GOLDEN, test_tensor.tensor_golden_records()),
                           (test_information.AEP_GOLDEN, test_information.aep_golden_records()),
                           (test_information.AEP_PROJECTION_GOLDEN,

@@ -1515,6 +1515,7 @@ def test_coding_experiment_values_are_pinned():
 LIBRARY_GOLDEN = pathlib.Path(__file__).parent / "golden" / "library"
 CODING_GOLDEN = LIBRARY_GOLDEN / "coding_experiment.json"
 CAPACITY_GOLDEN = LIBRARY_GOLDEN / "capacity.json"
+DECODER_GOLDEN = LIBRARY_GOLDEN / "decoder.json"
 
 
 def _coding_golden_cases():
@@ -1593,9 +1594,55 @@ def capacity_golden_records():
     return records
 
 
+def _decoder_golden_cases():
+    # A bsc, a z-channel and a channel with three inputs whose last output no
+    # input reaches, under a uniform and a skewed input; one input of weight
+    # 0 makes codewords repeat.  k runs from 1 to 8, and the rates up to 0.99
+    # bits leave decision blocks without mass.
+    three = Channel([[0.25, 0.25, 0.5, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    inputs = [(bsc(0.1), (0.5, 0.5)), (bsc(0.1), (0.8, 0.2)),
+              (Channel([[1.0, 0.0], [0.3, 0.7]]), (0.5, 0.5)),
+              (Channel([[1.0, 0.0], [0.3, 0.7]]), (0.9, 0.1)),
+              (three, (1 / 3, 1 / 3, 1 / 3)), (three, (0.6, 0.4, 0.0)), (three, (0.2, 0.3, 0.5))]
+    # (input, k, rate, seed); the last two leave codeword 0 only strings
+    # that no codeword reaches, whose decoder row is uniform on them
+    grid = [(0, 1, 1.0, 0), (0, 4, 0.5, 1), (0, 8, 0.99, 2), (1, 3, 0.7, 3), (1, 6, 0.9, 4),
+            (1, 8, 0.6, 5), (2, 2, 0.8, 6), (2, 5, 0.99, 7), (2, 7, 0.75, 8), (3, 4, 0.9, 9),
+            (3, 8, 0.99, 10), (4, 1, 1.5, 11), (4, 2, 1.2, 12), (4, 4, 1.0, 13), (5, 2, 0.9, 14),
+            (5, 3, 0.9, 15), (5, 5, 0.95, 16), (6, 2, 1.5, 17), (6, 3, 1.2, 18), (6, 5, 1.1, 19),
+            (6, 1, 1.585, 3), (4, 2, 1.5, 2)]
+    for which, k, rate, seed in grid:
+        c, weights = inputs[which]
+        yield dict(channel=c, omega=State(AtomicAlgebra(c.input_dim), list(weights)),
+                   k=k, rate=rate, seed=seed)
+
+
+def decoder_golden_records():
+    """Each case's SHA-256 of the codebook, the decisions and the decoder
+    bytes, its row masses as ``float.hex`` and its warnings."""
+    records = []
+    for case in _decoder_golden_cases():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            codebook, lossless = build_code_and_decoder(**case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            masses = _decoder_from_rows(_block_rows(case["channel"].matrix, codebook))[2]
+        records.append([hashlib.sha256(codebook.tobytes()).hexdigest(),
+                        hashlib.sha256(np.array(lossless.decision, dtype=np.int64).tobytes()).hexdigest(),
+                        hashlib.sha256(lossless.matrix.tobytes()).hexdigest(),
+                        [float.hex(float(x)) for x in masses],
+                        sorted(str(w.message) for w in caught)])
+    return records
+
+
 def test_coding_experiment_matches_the_library_golden_file():
     assert coding_golden_records() == json.loads(CODING_GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_capacity_matches_the_library_golden_file():
     assert capacity_golden_records() == json.loads(CAPACITY_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_build_code_and_decoder_matches_the_library_golden_file():
+    assert decoder_golden_records() == json.loads(DECODER_GOLDEN.read_text(encoding="utf-8"))
