@@ -40,16 +40,15 @@ trials of one block length share their half tables and per-type gaps in
 groups (``_TrialGroup``) whose tables stay within the larger of one
 trial's own tables and ``STREAM_BLOCK_ENTRIES`` entries.
 
-The dense decoder (``build_code_and_decoder``) forms the r x n**k rows as
-one product of the half tables, fills and divides one decoder table in
-place, then drops the rows before ``LosslessChannel`` copies the decoder:
-it peaks at about twice the table.
+The decoder channel (``build_code_and_decoder``) fills one r x n**k table
+from the same streamed pass, each winner read as its word's first index,
+divides it in place and hands it to ``LosslessChannel`` uncopied: it
+peaks at about one table.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -86,7 +85,7 @@ STREAM_BLOCK_ENTRIES = 2 ** 18
 # Codebooks over at most this many inputs, and with at least as many draws
 # per input, are drawn by counting thresholds rather than by binary search.
 COUNT_DRAW_INPUTS = 64
-# Shared by the dense decoder and the streamed trial.
+# Warned by the decoder table and by the streamed trial alike.
 _ZERO_MASS = "decision block with zero mass; decoder row set to uniform"
 
 
@@ -449,13 +448,16 @@ class LosslessChannel(_Value):
 
     def __init__(self, matrix, decision):
         mat = Channel(matrix).matrix  # a checked, read-only copy
-        if len(decision) != mat.shape[1]:
+        picks = np.asarray(decision)
+        if picks.shape != mat.shape[1:]:
             raise ValueError("need one decision per output string")
-        decision = tuple(map(operator.index, decision))  # a float is refused, not truncated
-        if any(not 0 <= i < mat.shape[0] for i in decision):
-            raise ValueError("decision indices out of range")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "decision", decision)
+        if picks.dtype.kind not in "iu" or picks.min() < 0 or picks.max() >= len(mat):
+            # name the first entry that is a bool, a float, a string or out of range
+            for v in np.asarray(decision, dtype=object).tolist():
+                if type(v) is bool or not isinstance(v, (int, np.integer)) or not 0 <= v < len(mat):
+                    raise ValueError("decision must be an integer in [0, %d), got %r" % (len(mat), v))
+        picks = picks.astype(np.int64, copy=False)  # ints numpy held as objects
+        self.__setstate__((None, {"matrix": mat, "decision": tuple(picks.tolist())}))
 
     @property
     def codebook_size(self):
@@ -537,42 +539,6 @@ def _half_table(matrix, parts):
         factor = np.ascontiguousarray(matrix[symbols].T)
         columns = (columns[:, None, :] * factor[None, :, :]).reshape(-1, len(parts))
     return columns.T
-
-
-def _block_rows(matrix, codebook):
-    # Row j is the block channel C^k conditioned on codeword j; output strings
-    # are packed big-endian, matching the dense() ordering of tensor elements.
-    # The rows are one product of the half tables, laid out codeword-fastest
-    # like both tables, so the reshape is a view.
-    half = (codebook.shape[1] + 1) // 2
-    heads = _half_table(matrix, codebook[:, :half])
-    tails = _half_table(matrix, codebook[:, half:])
-    return (heads[:, :, None] * tails[:, None, :]).reshape(len(codebook), -1)
-
-
-def _decoder_from_rows(rows):
-    # Maximum-likelihood decision per output string, ties to the lowest
-    # codeword index; decoder rows are renormalized restrictions.  The
-    # decoder is one table beside the rows, filled and divided in place; it
-    # is C-ordered because the last bits of its row sums, the masses, depend
-    # on the layout.
-    r, size = rows.shape
-    decision = np.argmax(rows, axis=0)
-    strings = np.arange(size)
-    decoder = np.zeros(rows.shape)
-    decoder[decision, strings] = rows[decision, strings]
-    masses = decoder.sum(axis=1)
-    empty = masses <= 0.0
-    if np.any(empty):
-        warnings.warn(_ZERO_MASS)
-        # a row without mass is uniform on the strings it owns, or on every
-        # string when it owns none
-        owned = np.bincount(decision, minlength=r)
-        lost = empty[decision]
-        decoder[decision[lost], strings[lost]] = 1.0 / owned[decision[lost]]
-        decoder[empty & (owned == 0)] = 1.0 / size
-    np.divide(decoder, masses[:, None], out=decoder, where=~empty[:, None])
-    return decision, decoder, masses
 
 
 def _head_tops(tails, tail, head, h):
@@ -860,6 +826,34 @@ def _streamed_trial(matrix, codebook, group=None):
     return float(deviation.sum()) / r, float(np.sum(sums - mass)) / r
 
 
+def _ml_decoder(matrix, codebook):
+    # The decisions, the decoder table and its row masses.  Each output
+    # string goes to the lowest codeword of greatest likelihood: the
+    # streamed pass decides over the distinct words, and a repeat loses
+    # every tie to its first index.  Decoder rows are renormalized
+    # restrictions, in one table filled and divided in place; it is
+    # C-ordered because the last bits of its row sums, the masses, depend
+    # on the layout.
+    first, _ = _kinds(codebook)
+    winner, likelihood, _ = map(np.concatenate, zip(*_decisions(matrix, codebook[first])))
+    decision = first.nonzero()[0][winner]
+    strings = np.arange(decision.size)
+    decoder = np.zeros((codebook.shape[0], decision.size))
+    decoder[decision, strings] = likelihood
+    masses = decoder.sum(axis=1)
+    empty = masses <= 0.0
+    if np.any(empty):
+        warnings.warn(_ZERO_MASS)
+        # a row without mass is uniform on the strings it owns, or on every
+        # string when it owns none
+        owned = np.bincount(decision, minlength=len(decoder))
+        lost = empty[decision]
+        decoder[decision[lost], strings[lost]] = 1.0 / owned[decision[lost]]
+        decoder[empty & (owned == 0)] = 1.0 / decision.size
+    np.divide(decoder, masses[:, None], out=decoder, where=~empty[:, None])
+    return decision, decoder, masses
+
+
 def build_code_and_decoder(channel, omega, k, rate, seed=0, guard_bits=None):
     """Draw a random codebook and its maximum-likelihood decoder channel.
 
@@ -871,9 +865,12 @@ def build_code_and_decoder(channel, omega, k, rate, seed=0, guard_bits=None):
     r = _codebook_size(k, rate, channel.input_dim, channel.output_dim, guard_bits)
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     codebook = _sample_codebook(rng, omega.weights, k, r)
-    # the rows go before LosslessChannel copies the decoder
-    decision, decoder, _ = _decoder_from_rows(_block_rows(channel.matrix, codebook))
-    return codebook, LosslessChannel(decoder, decision.tolist())
+    decision, decoder, _ = _ml_decoder(channel.matrix, codebook)
+    # the table built here is handed over read-only, as unpickling does,
+    # without the checks and the copy of LosslessChannel(...)
+    lossless = object.__new__(LosslessChannel)
+    lossless.__setstate__((None, {"matrix": decoder, "decision": tuple(decision.tolist())}))
+    return codebook, lossless
 
 
 @dataclass(frozen=True)

@@ -351,6 +351,7 @@ def test_real_parameters_refuse_values_outside_their_range(call, message):
 
 
 _X = Element(A2, [0.25, 0.75])
+_DECISION_RULE = "decision must be an integer in [0, 2), got "
 _X3 = tensor_power(Element(A2, [1.0, 2.0]), 3)
 
 
@@ -395,6 +396,12 @@ _X3 = tensor_power(Element(A2, [1.0, 2.0]), 3)
     (lambda: TensorElement.from_dict({"dim": 2, "terms": [{"idx": {"1.0": 0}, "c": [1.0, 0.0]}]}),
      "tensor position must be an integer, got '1.0'"),
     (lambda: AtomicAlgebra(object), "algebra dimension must be an integer, got <class 'object'>"),
+    (lambda: LosslessChannel(np.eye(2), [False, True]), _DECISION_RULE + "False"),
+    (lambda: LosslessChannel(np.eye(2), [0.0, 1.0]), _DECISION_RULE + "0.0"),
+    (lambda: LosslessChannel(np.eye(2), (0, "1")), _DECISION_RULE + "'1'"),
+    (lambda: LosslessChannel(np.eye(2), [0, 2]), _DECISION_RULE + "2"),
+    (lambda: LosslessChannel(np.eye(2), [-1, 0]), _DECISION_RULE + "-1"),
+    (lambda: LosslessChannel(np.eye(2), [0, 2 ** 70]), _DECISION_RULE + str(2 ** 70)),
 ], ids=["algebra-dim-float", "algebra-dim-0", "from_dict-dim-float", "power-float", "power-0",
         "position-bool", "position-float", "position-0", "code-alphabet-float",
         "kraft-length-float", "kraft-alphabet-bool", "kraft-length-0", "construct-alphabet-float",
@@ -403,7 +410,9 @@ _X3 = tensor_power(Element(A2, [1.0, 2.0]), 3)
         "tensor-from_dict-position-str", "dense-level-float", "trace-level-float",
         "truncate-level-negative", "point_mass-negative", "state_at-float", "state_at-0",
         "channel-from_dict-dim-float", "channel-from_dict-dim-bool", "atom-none", "seed-none",
-        "multiindex-position-exponent", "tensor-from_dict-position-decimal", "algebra-dim-object"])
+        "multiindex-position-exponent", "tensor-from_dict-position-decimal", "algebra-dim-object",
+        "decision-bool", "decision-float", "decision-str", "decision-2", "decision-negative",
+        "decision-beyond-int64"])
 def test_counts_refuse_values_that_are_not_whole(call, message):
     # int() would truncate 2.5 and 2.7 to 2 and read True as 1
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -456,10 +465,18 @@ def test_fuzz_coding_experiment(matrix, weights, rate, ks, trials, seed, guard_b
 _TEXT_READERS = {"_integer", "_real", "_parse_int", "_parse_float", "_csv_cell", "_csv_value"}
 
 
+def _is_reader(func):
+    # int, float or operator.index, which reads a bool as 0 or 1
+    if isinstance(func, ast.Name):
+        return func.id in ("int", "float")
+    return isinstance(func, ast.Attribute) and func.attr == "index" and \
+        isinstance(func.value, ast.Name) and func.value.id == "operator"
+
+
 def _bare_reads(tree):
-    """``(function, line)`` of each ``int(p)`` or ``float(p)`` where p is a
-    parameter of the enclosing function, or a name a loop or comprehension
-    takes from one."""
+    """``(function, line)`` of each ``int(p)``, ``float(p)`` or
+    ``operator.index(p)`` where p is a parameter of the enclosing function,
+    or a name a loop or comprehension takes from one."""
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name in _TEXT_READERS:
             continue
@@ -471,8 +488,7 @@ def _bare_reads(tree):
                     isinstance(node.iter, ast.Name) and node.iter.id in names:
                 names.update(n.id for n in ast.walk(node.target) if isinstance(n, ast.Name))
         for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
-                    node.func.id in ("int", "float") and len(node.args) == 1 and \
+            if isinstance(node, ast.Call) and _is_reader(node.func) and len(node.args) == 1 and \
                     isinstance(node.args[0], ast.Name) and node.args[0].id in names:
                 yield fn.name, node.lineno
 
@@ -486,14 +502,18 @@ def g(items):
         float(x)
 def _real(value):
     return float(value)
+def h(i, j):
+    return operator.index(i), [operator.index(d) for d in j], str.index(j), index(i)
 """
-    assert list(_bare_reads(ast.parse(source))) == [("f", 3), ("f", 3), ("f", 3), ("g", 6)]
+    assert list(_bare_reads(ast.parse(source))) == [("f", 3), ("f", 3), ("f", 3), ("g", 6),
+                                                    ("h", 10), ("h", 10)]
 
 
 def test_parameters_are_read_through_integer_and_real():
-    # a bare int() truncates 2.5 and reads True as 1, and a bare float()
-    # lets NaN, inf and True through: every number a caller passes goes
-    # through algebra._integer or algebra._real
+    # a bare int() truncates 2.5 and reads True as 1, a bare
+    # operator.index() reads True as 1 too, and a bare float() lets NaN, inf
+    # and True through: every number a caller passes goes through
+    # algebra._integer or algebra._real
     found = ["%s:%d in %s()" % (path.name, line, name)
              for path in sorted(pathlib.Path(cstar_info.__file__).parent.glob("*.py"))
              for name, line in _bare_reads(ast.parse(path.read_text(encoding="utf-8")))]
