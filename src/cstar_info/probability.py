@@ -15,7 +15,10 @@ distribution of self-adjoint elements pushes the weights onto the blocks of
 the subalgebra they generate.  Averages of independent copies of an
 observable are handled by exact convolution of that pushforward, which
 keeps moment and tail computations for the weak law exact up to float
-rounding.
+rounding.  An observable whose values are integers in arithmetic
+progression (the coordinate observable among them) is convolved on the
+integer lattice of its sums, and its tails are cut at exact rational
+thresholds; any other is convolved by sorting and merging its float sums.
 """
 
 from __future__ import annotations
@@ -422,8 +425,11 @@ def prob_interval(x, omega, lo, hi, tol=None):
 def sum_pushforward(values, masses, n, merge_tol=None):
     """Exact distribution of the sum of n iid copies of a finite variable.
 
-    Returns ``(values, masses)`` arrays; support points closer than
-    ``merge_tol`` are merged to keep the support size O(n * dim).
+    Returns ``(values, masses)`` arrays.  When the distinct values are the
+    integers ``v0, v0 + g, ...`` and ``merge_tol < g``, the support is the
+    lattice of exact sums ``n * v0 + g * k``, each rounded once to a float;
+    otherwise support points closer than ``merge_tol`` are merged to keep
+    the support size O(n * dim).
     """
     n = _integer(n, "n", 1)
     sweep = _AverageSweep(values, masses, merge_tol)
@@ -431,7 +437,11 @@ def sum_pushforward(values, masses, n, merge_tol=None):
     if abs(n * sweep.mean) + n * sweep.spread > sys.float_info.max:
         raise ValueError("sums of %d copies span beyond the float range" % n)
     sweep.advance_to(n)
-    return sweep.sums + n * sweep.mean, sweep.sum_masses
+    if sweep.lattice is None:
+        return sweep.sums + n * sweep.mean, sweep.sum_masses
+    v0, g = sweep.lattice
+    sums = n * v0 + g * np.arange(sweep.sum_masses.size, dtype=object)
+    return sums.astype(float), sweep.sum_masses
 
 
 def _observable_values(omega, observable):
@@ -446,22 +456,43 @@ def _observable_values(omega, observable):
     return observable.coeffs.real.copy()
 
 
+def _progression(values, tol):
+    # (v0, g) as Python ints when the distinct values are the integers v0,
+    # v0 + g, v0 + 2 g, ... with tol < g (a single value has step 1), else
+    # None
+    if not all(map(float.is_integer, values)):
+        return None
+    distinct = sorted(set(map(int, values)))
+    g = distinct[1] - distinct[0] if len(distinct) > 1 else 1
+    if g <= tol or any(b - a != g for a, b in zip(distinct, distinct[1:])):
+        return None
+    return distinct[0], g
+
+
 class _AverageSweep:
     """Iterates the exact distribution of the n-fold sum incrementally.
 
-    ``sums`` and ``sum_masses`` hold the support and masses of the sum of n
-    centred copies ``x - mean``, so ``sums / n`` is the deviation of the
-    average; each step convolves them with one more copy and merges support
-    points closer than ``merge_tol``.  A step forms support-size times
-    value-count products, and a pass refuses to form more than
+    When the values are integers in arithmetic progression ``v0, v0 + g,
+    ...`` and ``merge_tol < g`` (the coordinate observable always is), the
+    sum lives on the lattice ``n * v0 + g * k``: ``sum_masses[k]`` is the
+    mass at k, each step is one ``np.convolve`` with the weights binned
+    onto the progression (``kernel``), the average deviates from the mean
+    by ``(v0 - mean) + g * k / n``, and tails are cut at exact rational
+    thresholds.  Otherwise ``lattice`` is None, and ``sums`` and
+    ``sum_masses`` hold the support and masses of the sum of n centred
+    copies ``x - mean``, so ``sums / n`` is the deviation of the average;
+    each step convolves them with one more copy and merges support points
+    closer than ``merge_tol``.  Either way a step is charged support-size
+    times value-count products, and a pass refuses to form more than
     ``2**guard_bits`` of them (``SWEEP_GUARD_BITS`` by default).
     """
 
     def __init__(self, values, masses, merge_tol=None, guard_bits=None):
+        values = np.asarray(values, dtype=float)
         self.masses = np.asarray(masses, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             self.mean = float(np.dot(values, self.masses))
-            self.values = np.asarray(values, dtype=float) - self.mean
+            self.values = values - self.mean
             self.spread = spread = float(np.max(np.abs(self.values)))
         if not math.isfinite(spread):
             raise ValueError("the mean of the observable is beyond the float range")
@@ -473,34 +504,47 @@ class _AverageSweep:
         self.max_order = _LOG_FLOAT_MAX / math.log(spread) if spread > 1.0 else math.inf
         self.tol = _tol(merge_tol, "merge_tol")
         self.guard_bits = guard_bits
+        self.lattice = _progression(values.tolist(), self.tol)
+        if self.lattice is not None:
+            v0, g = self.lattice
+            self.kernel = np.bincount([(int(v) - v0) // g for v in values.tolist()], self.masses)
+            self.cuts = {}
         self.work = 0
         self.sums = np.zeros(1)
         self.sum_masses = np.ones(1)
         self.n = 0
 
     def step(self):
-        v = np.add.outer(self.sums, self.values).ravel()
-        m = np.multiply.outer(self.sum_masses, self.masses).ravel()
-        order = np.argsort(v, kind="stable")
-        v = v[order]
-        first = _gap_starts(v, self.tol).nonzero()[0]
-        self.sums = v[first]
-        self.sum_masses = np.add.reduceat(m[order], first)
-        self.work += m.size
+        self.work += self.sum_masses.size * self.values.size
+        if self.lattice is not None:
+            self.sum_masses = np.convolve(self.sum_masses, self.kernel)
+        else:
+            v = np.add.outer(self.sums, self.values).ravel()
+            m = np.multiply.outer(self.sum_masses, self.masses).ravel()
+            order = np.argsort(v, kind="stable")
+            v = v[order]
+            first = _gap_starts(v, self.tol).nonzero()[0]
+            self.sums = v[first]
+            self.sum_masses = np.add.reduceat(m[order], first)
         self.n += 1
 
     def advance_to(self, n):
         while self.n < n:
             # convolution never shrinks the support (merging aside), so the
             # remaining steps form at least this many products
-            need = self.work + self.sums.size * self.values.size * (n - self.n)
+            need = self.work + self.sum_masses.size * self.values.size * (n - self.n)
             _guard(math.log2(need), SWEEP_GUARD_BITS, self.guard_bits,
                    "support-by-value products at least, to sweep to n = %d", n)
             if n > self.max_copies:
                 raise ValueError("sums of %d copies span beyond the float range" % n)
             self.step()
         # the average's deviations at n, read by every moment and tail
-        self.deviation = np.abs(self.sums / self.n)
+        if self.lattice is None:
+            self.deviation = np.abs(self.sums / self.n)
+        else:
+            v0, g = self.lattice
+            k = np.arange(self.sum_masses.size)
+            self.deviation = np.abs((v0 - self.mean) + float(g) * k / self.n)
 
     def moment(self, k):
         if k > self.max_order:
@@ -510,7 +554,20 @@ class _AverageSweep:
         return float(np.dot(self.sum_masses, self.deviation ** k))
 
     def tail(self, eps):
-        return float(self.sum_masses[self.deviation > eps].sum())
+        if self.lattice is None:
+            return float(self.sum_masses[self.deviation > eps].sum())
+        if eps not in self.cuts:
+            # |v0 + g k / n - mean| > eps exactly when k < n A or k > n B, for
+            # A = (mean - eps - v0) / g and B = (mean + eps - v0) / g, exact
+            # rationals of the given floats over one denominator
+            v0, g = self.lattice
+            (m, q), (e, s) = self.mean.as_integer_ratio(), eps.as_integer_ratio()
+            self.cuts[eps] = (m * s - e * q - v0 * q * s, m * s + e * q - v0 * q * s, q * s * g)
+        low, high, den = self.cuts[eps]
+        size = self.sum_masses.size
+        below = min(max(-(-self.n * low // den), 0), size)  # k < ceil(n A)
+        above = min(max(self.n * high // den + 1, 0), size)  # k > floor(n B)
+        return float(self.sum_masses[:below].sum() + self.sum_masses[above:].sum())
 
 
 def _average_sweeps(omega, ns, observable=None, merge_tol=None, guard_bits=None):

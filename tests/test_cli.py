@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -426,23 +427,27 @@ def test_lln_rows_track_variance(tmp_path):
 
 @pytest.mark.parametrize("values", [(0.0, 1.0), (0.0, 3.0)])
 def test_lln_values_match_binomial_closed_form(tmp_path, values):
-    p, eps = 0.7, 0.25  # no average lands exactly eps from the mean
-    code, path = run(tmp_path, ["lln", "--p", "0.3,0.7", "--n", "1:6", "--eps", str(eps),
-                                "--values", "%g,%g" % values], "v.json")
-    assert code == 0
+    # no average lands exactly 0.25 from the mean, and the all-lo average
+    # lands exactly mean - lo below it, on the boundary, so no tail; the
+    # oracle decides each average exactly against the float mean and eps
+    p = 0.7
     lo, hi = values
     mean = lo + (hi - lo) * p
-    for row in read_artifact(str(path))["results"]:
-        n = row["n"]
-        variance = (hi - lo) ** 2 * p * (1 - p) / n
-        tail = sum(
-            math.comb(n, j) * p ** j * (1 - p) ** (n - j)
-            for j in range(n + 1)
-            if abs(lo + (hi - lo) * j / n - mean) > eps
-        )
-        assert row["moment"] == pytest.approx(variance, abs=1e-12)
-        assert row["variance"] == pytest.approx(variance, abs=1e-12)
-        assert row["tail_probability"] == pytest.approx(tail, abs=1e-12)
+    for eps in (0.25, mean - lo):
+        code, path = run(tmp_path, ["lln", "--p", "0.3,0.7", "--n", "1:6", "--eps", repr(eps),
+                                    "--values", "%g,%g" % values], "v.json")
+        assert code == 0
+        for row in read_artifact(str(path))["results"]:
+            n = row["n"]
+            variance = (hi - lo) ** 2 * p * (1 - p) / n
+            tail = sum(
+                math.comb(n, j) * p ** j * (1 - p) ** (n - j)
+                for j in range(n + 1)
+                if abs(lo + (hi - lo) * Fraction(j, n) - Fraction(mean)) > Fraction(eps)
+            )
+            assert row["moment"] == pytest.approx(variance, abs=1e-12)
+            assert row["variance"] == pytest.approx(variance, abs=1e-12)
+            assert row["tail_probability"] == pytest.approx(tail, abs=1e-12)
 
 
 @pytest.mark.parametrize("values", [None, "0,2.5,-1"])

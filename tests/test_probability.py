@@ -6,6 +6,7 @@ import math
 import pathlib
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -647,6 +648,118 @@ def test_chebyshev_tail_exact_small_case():
     assert chebyshev_tail(omega, 2, 0.4) == pytest.approx(0.5)
     # eps above the max deviation leaves no tail
     assert chebyshev_tail(omega, 2, 0.6) == 0.0
+
+
+def test_sum_pushforward_returns_exact_lattice_sums():
+    # integer values in progression give the sums n * v0 + g * k themselves,
+    # not centred float sums with the mean added back
+    v, m = sum_pushforward([0, 1, 2], [0.2, 0.3, 0.5], 40)
+    assert v.tolist() == list(range(81))
+    assert m.sum() == pytest.approx(1.0, abs=1e-12)
+    v, _ = sum_pushforward([-3, 1, 1, 5], [0.25, 0.25, 0.25, 0.25], 7)
+    assert v.tolist() == list(range(-21, 36, 4))
+
+
+def test_boundary_tails_follow_the_exact_verdict():
+    # at eps = 0.3 some averages lie on mean +- eps; the exact rational
+    # comparison keeps them out of the tail, where a float test of
+    # |k / n - mean| > eps would take them in (0.57725 at n = 5)
+    omega = State(AtomicAlgebra(3), [0.2, 0.3, 0.5])
+    table = lln_sweep(omega, [5, 10, 15], 2, 0.3)
+    tails = {5: 0.40225, 10: 0.2301331225, 15: 0.139776118040575}
+    for n, tail in tails.items():
+        assert table[n][2] == pytest.approx(tail, rel=1e-12)
+        assert chebyshev_tail(omega, n, 0.3) == table[n][2]
+
+
+def _exact_law(values, weights, n):
+    """The exact law of the sum of n iid draws under the float weights, as
+    ``({sum: c}, d)``: the sum has mass ``c / d``."""
+    den = max(Fraction(w).denominator for w in weights)  # powers of two
+    nums = [int(Fraction(w) * den) for w in weights]
+    law = {Fraction(0): 1}
+    for _ in range(n):
+        nxt = {}
+        for total, c in law.items():
+            for v, w in zip(values, nums):
+                if w:
+                    nxt[total + v] = nxt.get(total + v, 0) + c * w
+        law = nxt
+    return law, den ** n
+
+
+@st.composite
+def _sweep_cases(draw):
+    # Weights in tenths, zeros among them.  A progression v0, v0 + g, ...
+    # covers every step up to its size, with repeats; the two value sets
+    # that are no progression stay on the sort-and-merge, whose tails are
+    # float verdicts.
+    dim = draw(st.integers(2, 4))
+    lattice = draw(st.booleans())
+    if lattice:
+        size = draw(st.integers(1, dim))
+        steps = list(range(size)) + draw(st.lists(st.integers(0, size - 1),
+                                                  min_size=dim - size, max_size=dim - size))
+        v0, g = draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2]))
+        values = [float(v0 + g * i) for i in draw(st.permutations(steps))]
+    else:
+        values = draw(st.sampled_from([[0.0, 1.0, 3.0], [0.0, 2.5, -1.0]]))
+        dim = 3
+    cuts = sorted(draw(st.lists(st.integers(0, 10), min_size=dim - 1, max_size=dim - 1)))
+    weights = [(b - a) / 10 for a, b in zip([0] + cuts, cuts + [10])]
+    ns = sorted(set(draw(st.lists(st.integers(1, 25), min_size=1, max_size=3))))
+    # eps on a lattice boundary: the distance of one average from the mean
+    n = draw(st.sampled_from(ns))
+    picks = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    deviation = abs(sum(map(Fraction, picks)) / n - Fraction(float(np.dot(values, weights))))
+    eps = float(deviation) if deviation else 0.5
+    return values, weights, ns, draw(st.integers(1, 4)), eps, lattice
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sweep_cases())
+def test_sweeps_match_an_exact_multinomial_oracle(case):
+    values, weights, ns, k, eps, lattice = case
+    omega = State(AtomicAlgebra(len(values)), weights)
+    table = lln_sweep(omega, ns, k, eps, observable=Element(omega.algebra, values))
+    exact_values = [Fraction(v) for v in values]
+    # the sweep centres on the float mean; the tail verdict compares with it
+    mean = Fraction(float(np.dot(values, omega.weights)))
+    for n in ns:
+        law, den = _exact_law(exact_values, omega.weights, n)
+        sums, masses = sum_pushforward(values, omega.weights, n)
+        assert math.isclose(masses.sum(), 1.0, abs_tol=1e-12)
+        deviations = {s: abs(s / n - mean) for s in law}
+        for order, got in ((k, table[n][0]), (2, table[n][1])):
+            want = sum(c * deviations[s] ** order for s, c in law.items()) / den
+            assert math.isclose(got, want, rel_tol=1e-12)
+        if lattice:
+            # the lattice's sums are exact, so each carries its exact mass
+            for s, m in zip(sums.tolist(), masses.tolist()):
+                assert math.isclose(m, law.get(Fraction(s), 0) / den, rel_tol=1e-12)
+            tail = sum(c for s, c in law.items() if deviations[s] > Fraction(eps)) / den
+            assert math.isclose(table[n][2], tail, rel_tol=1e-12)
+
+
+def test_lattice_sweeps_are_charged_as_the_sort_and_merge():
+    # (0, 1, 1) runs on the lattice and (0, 0.5, 0.5) on the sort-and-merge;
+    # both have n + 1 support points at n and three atoms, so the guard
+    # charges them alike and refuses at the same n with the same text
+    omega = State(AtomicAlgebra(3), [0.2, 0.3, 0.5])
+    lattice, merged = (Element(omega.algebra, v) for v in ([0.0, 1.0, 1.0], [0.0, 0.5, 0.5]))
+    refusals = []
+    for ns, bits in [([5, 40], 8), ([5, 40], 9.5), (range(1, 61), 10), (range(1, 61), 12)]:
+        texts = []
+        for obs in (lattice, merged):
+            with pytest.raises(GuardExceeded) as exc:
+                lln_sweep(omega, ns, 2, 0.1, observable=obs, guard_bits=bits)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1]
+        refusals.append(texts[0])
+    # three products per support point: 3 (1 + ... + 5) by n = 5, then at
+    # least 6 * 3 for each of the 35 steps left
+    assert refusals[0] == ("needs ~2^%.5g support-by-value products at least, to sweep to "
+                           "n = 40; guard is 2^8" % math.log2(45 + 6 * 3 * 35))
 
 
 # library golden file ---------------------------------------------------------
