@@ -26,14 +26,20 @@ decodes by an exact max-product over the half tables of the H distinct
 heads and the distinct tails: the words of a head share its A, and
 rounding is monotone, so per head and tail string it keeps the greatest B,
 the lowest word attaining it and the next lower B, then takes each
-string's greatest product over the heads.  Only a string where a head's
-next lower B rounds to the same product forms its column over all u
-words.  Decisions and likelihoods are those of the full u x n**k table bit
-for bit, and each codeword's mass adds the likelihoods it wins in string
-order.  The uniform-row gap of a codeword that owns no output string
-depends only on its type, its count t_a of each symbol a, so it is
-summed once per type over that type's n**k likelihoods, formed from its
-half tables as in the decoding pass.  ``STREAM_BLOCK_ENTRIES`` bounds
+string's greatest product over the heads.  It meets a head string's heads
+by decreasing A, in stages of 1, 2, 4, ..., and decides a string once its
+best is above fl(A_next maxtop), the next head's A times the greatest top
+at the tail string: rounding is monotone, so no head left reaches it.  At
+bsc(0.05), rate 0.99 and k = 12 a string meets about 2.04 of the 64 heads.
+The last stage takes every head at once, and small runs and sparse
+codebooks start with it.  Only a string where a head's next lower B rounds
+to the same product forms its column over all u words.  Decisions and
+likelihoods are those of the full u x n**k table bit for bit, and each
+codeword's mass adds the likelihoods it wins in string order.  The
+uniform-row gap of a codeword that owns no output string depends only on
+its type, its count t_a of each symbol a, so it is summed once per type
+over that type's n**k likelihoods, formed from its half tables as in the
+decoding pass.  ``STREAM_BLOCK_ENTRIES`` bounds
 the size of a piece of either pass, so a trial's memory is the half
 tables and one piece, never u * n**k; no result depends on it.  The
 trials of one block length share their half tables and per-type gaps in
@@ -85,6 +91,12 @@ STREAM_BLOCK_ENTRIES = 2 ** 18
 # Codebooks over at most this many inputs, and with at least as many draws
 # per input, are drawn by counting thresholds rather than by binary search.
 COUNT_DRAW_INPUTS = 64
+# A run of the ML pass over more than this many head-by-string products
+# searches its heads by likelihood; a smaller one takes every head at once.
+SEARCH_RUN_ENTRIES = 2 ** 13
+# The search takes every head at once when its first stage would leave, or
+# leaves, more than this share of the run's strings open.
+SEARCH_OPEN_SHARE = 0.5
 # Warned by the decoder table and by the streamed trial alike.
 _ZERO_MASS = "decision block with zero mass; decoder row set to uniform"
 
@@ -140,7 +152,7 @@ class Channel(_Value):
         return {
             "input_dim": self.input_dim,
             "output_dim": self.output_dim,
-            "matrix": [[float(v) for v in row] for row in self.matrix],
+            "matrix": self.matrix.tolist(),
         }
 
     @classmethod
@@ -566,17 +578,77 @@ def _head_tops(tails, tail, head, h):
     return top, top_word, second
 
 
-def _run_winners(heads, top, top_word, second, u):
-    # Best likelihood and winner per string of a run, heads against tail
-    # strings, and the strings whose column must be formed.
-    products = heads[:, :, None] * top[:, None, :]
+def _max_product(heads, top, top_word, second, u):
+    # Over the heads on axis 0 (the operands broadcast to one shape), per
+    # string: the greatest product best of a head's likelihood and its top,
+    # the lowest word among the heads attaining it, and whether a head's
+    # product with its second rounds to it too.
+    products = heads * top
     best = products.max(axis=0)
-    winner = np.minimum.reduce(np.broadcast_to(top_word[:, None, :], products.shape),
+    winner = np.minimum.reduce(np.broadcast_to(top_word, products.shape),
                                axis=0, where=products == best, initial=u)
-    winner[best == 0.0] = 0  # every likelihood is 0
     # fl(A second) <= fl(A top) <= best, with equality only for a tied head
-    np.multiply(heads[:, :, None], second[:, None, :], out=products)
-    return winner, best, (products.max(axis=0) == best) & (best > 0.0)
+    np.multiply(heads, second, out=products)
+    return best, winner, products.max(axis=0) == best
+
+
+def _head_search(heads, top, top_word, second, u):
+    # Each head string meets its heads by decreasing likelihood, in stages
+    # of 1, 2, 4, ... heads.  No head not yet met rounds to more than
+    # fl(A_next maxtop), the head string's next likelihood times the
+    # greatest top at the tail string, so a string whose best is above it
+    # is decided.  A string of best 0 stays open to the last head.  None
+    # when the first stage leaves more than SEARCH_OPEN_SHARE of the
+    # strings open.
+    h, cols = heads.shape[0], top.shape[1]
+    order = np.argsort(-heads, axis=0)
+    ranked = np.take_along_axis(heads, order, axis=0)
+    maxtop = top.max(axis=0)
+    met = order[:1]
+    best, winner, redone = _max_product(ranked[:1, :, None], top[met], top_word[met],
+                                        second[met], u)
+    at = np.flatnonzero(best <= ranked[1, :, None] * maxtop)  # the open strings
+    if at.size > SEARCH_OPEN_SHARE * best.size:
+        return None
+    best_at, winner_at, redone_at = best.ravel(), winner.ravel(), redone.ravel()
+    lo = 1
+    while at.size:
+        hi = min(h, 2 * lo + 1)
+        a, b = np.divmod(at, cols)
+        # gathered C-ordered, heads on axis 0: an index array after a slice
+        # gives the transposed layout, which reduces slowly
+        met = order[lo:hi].take(a, axis=1)
+        found, word, redo = _max_product(ranked[lo:hi].take(a, axis=1), top[met, b],
+                                         top_word[met, b], second[met, b], u)
+        # the heads met before and the stage's, merged exactly: a greater
+        # best replaces the old one, an equal one keeps the lower word and
+        # either redo
+        old, old_word, old_redo = best_at[at], winner_at[at], redone_at[at]
+        gain, tie = found > old, found == old
+        winner_at[at] = np.where(gain | tie & (word < old_word), word, old_word)
+        redone_at[at] = np.where(gain, redo, old_redo | tie & redo)
+        best_at[at] = found = np.maximum(old, found)
+        if hi == h:
+            break
+        at, lo = at[found <= ranked[hi, a] * maxtop[b]], hi
+    return best, winner, redone
+
+
+def _run_winners(heads, top, top_word, second, u, search):
+    # Best likelihood and winner per string of a run, heads against tail
+    # strings, and the strings whose column must be formed.  With ``search``
+    # a run of more than SEARCH_RUN_ENTRIES products over two heads or more
+    # searches its heads; the last stage takes every head at once.
+    h, rows = heads.shape
+    found = None
+    if search and h > 1 and h * rows * top.shape[1] > SEARCH_RUN_ENTRIES:
+        found = _head_search(heads, top, top_word, second, u)
+    if found is None:
+        found = _max_product(heads[:, :, None], top[:, None, :], top_word[:, None, :],
+                             second[:, None, :], u)
+    best, winner, redone = found
+    winner[best == 0.0] = 0  # every likelihood is 0
+    return winner, best, redone & (best > 0.0)
 
 
 class _RowMemo:
@@ -651,6 +723,20 @@ def _decisions(matrix, words, tables=None):
     among them, and the lowest word attaining top wins the head.  A lower B
     of a head can round to the same product only if the next lower one,
     ``second``, does; only such strings form their column over every word.
+
+    Each head string a meets its heads by decreasing A[h, a], in stages of
+    1, 2, 4, ... heads, and string (a, b) is decided once its best so far
+    is strictly above fl(A_next maxtop), with A_next the greatest A[h, a]
+    of a head not yet met and maxtop the greatest top[h, b] of the run.
+    Rounding is monotone, so no head not met reaches that best with its
+    top or its second: the winner, its likelihood and the redo flag are
+    final.  At bsc(0.05), rate 0.99 and k = 12 a string meets about 2.04
+    of the 64 heads.  The last stage is every head at once; a run takes it
+    from the start when it holds at most ``SEARCH_RUN_ENTRIES`` products,
+    or when the u words fill at most ``1 - SEARCH_OPEN_SHARE`` of the
+    h * nb head-tail pairs (the first stage decides a string about when its
+    likeliest head and tail form a word), and after the first stage when
+    that leaves more than ``SEARCH_OPEN_SHARE`` of the strings open.
     ``tables`` are ``_TrialGroup.tables`` of the words, those of a group of
     one when not given.
     """
@@ -667,11 +753,16 @@ def _decisions(matrix, words, tables=None):
     cols = min(nb, max(1, STREAM_BLOCK_ENTRIES // h))
     rows = max(1, STREAM_BLOCK_ENTRIES // (h * cols))
     per_column = max(1, STREAM_BLOCK_ENTRIES // u)
+    # The first stage of the head search decides a string when its likeliest
+    # head and tail form a word, about as often as the words fill the h * nb
+    # head-tail pairs: a sparser codebook would leave more than
+    # SEARCH_OPEN_SHARE of the strings open, and takes every head at once.
+    search = u > (1.0 - SEARCH_OPEN_SHARE) * h * nb
     for a0 in range(0, heads.shape[1], rows):
         for b0 in range(0, nb, cols):
             b = slice(b0, b0 + cols)
             winner, best, redone = _run_winners(heads[:, a0 : a0 + rows], top[:, b],
-                                                top_word[:, b], second[:, b], u)
+                                                top_word[:, b], second[:, b], u, search)
             width = best.shape[1]
             redo = np.flatnonzero(redone)
             for i in range(0, redo.size, per_column):

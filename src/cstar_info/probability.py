@@ -139,7 +139,7 @@ class ProductState(_Frozen):
         for f in factors:
             if not isinstance(f, State):
                 raise TypeError("factors must be States")
-            if f.algebra != tail.algebra:
+            if f.algebra is not tail.algebra and f.algebra != tail.algebra:
                 raise AlgebraMismatch("all factors must share one algebra")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "tail", tail)

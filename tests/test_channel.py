@@ -1,5 +1,6 @@
 """Unit tests for channels, joint states, capacity, and random coding."""
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -1397,6 +1398,17 @@ def _masses_in_string_order(rows):
     return np.array(mass)
 
 
+def _heads_searched(searched):
+    # The ML pass with its head search on every run of two heads or more,
+    # never falling back (True), with every head at once (False), or at its
+    # default cut-over (None)
+    if searched is None:
+        return contextlib.nullcontext()
+    if searched:
+        return mock.patch.multiple(channel_module, SEARCH_RUN_ENTRIES=0, SEARCH_OPEN_SHARE=1.0)
+    return mock.patch.object(channel_module, "SEARCH_RUN_ENTRIES", math.inf)
+
+
 def _check_decisions(matrix, codebook):
     # winners, winning likelihoods and masses bit for bit against the dense
     # rows, masses summed in string order; returns which strings the pass
@@ -1429,15 +1441,35 @@ _UNREACHABLE = (np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
                 np.array([[2, 0], [0, 1], [1, 1], [2, 0], [0, 0]]))
 
 
+# Under the head search, some string stays open past the first stage and
+# meets a later head of equal product whose second rounds to it too (the
+# last row is the first an ulp apart) ...
+_STAGED_TIE = (np.array([[0.125, 0.875], [0.0, 1.0], [0.0, 1.0],
+                         [np.nextafter(0.125, 1.0), np.nextafter(0.875, 0.0)]]),
+               np.array([[0, 0, 0, 0, 3], [0, 3, 0, 0, 0], [0, 3, 0, 0, 3]]))
+# ... or a later head of greater product whose second rounds to it
+_STAGED_GAIN = (_normalized([[0.0, 0.05, 0.25], [0.0, 0.05, 0.1]]),
+                np.array([[0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1]]))
+
+
 @pytest.mark.parametrize("entries", [channel_module.STREAM_BLOCK_ENTRIES, 1, 30])
 @settings(max_examples=60)
 @given(_coding_cases(max_k=6))
 @example(_COLLAPSE)
 @example(_GROUPED)
 @example(_UNREACHABLE)
+@example(_STAGED_TIE)
+@example(_STAGED_GAIN)
 def test_ml_pass_is_the_argmax_of_the_dense_rows(entries, case):
-    with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", entries):
-        _check_decisions(*case)
+    # at the default cut-over, with every head at once and with the head
+    # search on every run of two heads or more: the same runs bit for bit
+    runs = []
+    for searched in (None, False, True):
+        with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", entries), \
+                _heads_searched(searched):
+            _check_decisions(*case)
+            runs.append([tuple(r.tobytes() for r in run) for run in _decisions(*case)])
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_ml_pass_redoes_a_rounding_collapse_and_meets_zero_likelihoods():
@@ -1446,6 +1478,50 @@ def test_ml_pass_redoes_a_rounding_collapse_and_meets_zero_likelihoods():
     # the strings no codeword reaches go to word 0, as argmax gives them
     redone, likelihood = _check_decisions(*_UNREACHABLE)
     assert np.any(likelihood == 0.0) and not redone.any()
+
+
+def _search_stages(case):
+    # (best, winner, redo) of each stage of the head search after its first,
+    # over the strings it meets, while the ML pass runs on the case
+    real, stages = channel_module._max_product, []
+
+    def stage(heads, *operands):
+        result = real(heads, *operands)
+        if heads.ndim == 2:  # gathered per open string, not a grid
+            stages.append(result)
+        return result
+
+    with _heads_searched(True), mock.patch.object(channel_module, "_max_product", stage):
+        _check_decisions(*case)
+    return stages
+
+
+@pytest.mark.parametrize("case, met", [
+    (_STAGED_TIE, lambda best, redo: redo & (best > 0.0)),
+    (_STAGED_GAIN, lambda best, redo: redo & (best > 0.0)),
+    (_UNREACHABLE, lambda best, redo: best == 0.0),
+], ids=["tie", "gain", "zero"])
+def test_head_search_carries_redone_and_zero_strings_past_its_first_stage(case, met):
+    assert any(met(best, redo).any() for best, _, redo in _search_stages(case))
+
+
+def test_head_search_meets_few_heads_per_string():
+    # bsc(0.05) at rate 0.99 and k = 12: the bound decides each output
+    # string after about two of its 64 heads (the count, not the time)
+    matrix = bsc(0.05).matrix
+    codebook = _sample_codebook(np.random.default_rng(12), np.array([0.5, 0.5]), 12,
+                                channel_module._codebook_size(12, 0.99, 2, 2, None))
+    words = codebook[np.sort(np.unique(codebook, axis=0, return_index=True)[1])]
+    real, products = channel_module._max_product, []
+
+    def stage(heads, top, *operands):
+        products.append(np.broadcast(heads, top).size)
+        return real(heads, top, *operands)
+
+    with mock.patch.object(channel_module, "_max_product", stage):
+        strings = sum(run[0].size for run in _decisions(matrix, words))
+    assert strings == 2 ** 12 and len(np.unique(words[:, :6], axis=0)) == 64
+    assert sum(products) / strings <= 3.0
 
 
 @settings(max_examples=60)
@@ -1502,17 +1578,21 @@ def _dyadic_cases(draw):
 @given(_dyadic_cases())
 @example(_COLLAPSE)
 @example(_UNREACHABLE)
+@example(_STAGED_TIE)
+@example(_STAGED_GAIN)
 def test_decoder_table_is_the_dense_oracle_bit_for_bit(entries, case):
     # decisions, decoder bytes, masses and warnings of the streamed decoder
     # against the argmax over the dense rows, at every cut of the pieces
     matrix, codebook = case
     want, want_warnings = _warned(_decoder_from_rows, _block_rows(matrix, codebook))
-    with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", entries):
-        got, got_warnings = _warned(_ml_decoder, matrix, codebook)
-    assert got[0].tolist() == want[0].tolist()
-    assert got[1].tobytes() == want[1].tobytes()
-    assert got[2].tobytes() == want[2].tobytes()
-    assert got_warnings == want_warnings
+    for searched in (None, False, True):
+        with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", entries), \
+                _heads_searched(searched):
+            got, got_warnings = _warned(_ml_decoder, matrix, codebook)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+        assert got_warnings == want_warnings
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.58, 0.42)])

@@ -92,6 +92,17 @@ def test_product_state_takes_its_last_factor_as_the_tail():
     assert omega(tensor_product(alg.atom(1), alg.atom(1))) == pytest.approx(0.45)
 
 
+def test_product_state_compares_factor_algebras_by_value():
+    # a factor on an equal but distinct algebra object shares the tail's
+    # algebra; one on another algebra does not
+    tail = State(AtomicAlgebra(2), [0.5, 0.5])
+    twin = State(AtomicAlgebra(2), [0.1, 0.9])
+    assert twin.algebra is not tail.algebra
+    assert ProductState((twin,), tail).state_at(1) is twin
+    with pytest.raises(AlgebraMismatch, match="all factors must share one algebra"):
+        ProductState((State.uniform(AtomicAlgebra(3)),), tail)
+
+
 _S2 = State(AtomicAlgebra(2), [0.5, 0.5])
 _S3 = State.uniform(AtomicAlgebra(3))
 _OBS2 = Element(AtomicAlgebra(2), [0.0, 1.0])
