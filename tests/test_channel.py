@@ -1480,20 +1480,20 @@ def test_ml_pass_redoes_a_rounding_collapse_and_meets_zero_likelihoods():
     assert np.any(likelihood == 0.0) and not redone.any()
 
 
-def _search_stages(case):
-    # (best, winner, redo) of each stage of the head search after its first,
-    # over the strings it meets, while the ML pass runs on the case
-    real, stages = channel_module._max_product, []
+@contextlib.contextmanager
+def _reductions():
+    # each max-product reduction of the ML pass while the block runs: the
+    # products it forms, whether it is a search stage after the first
+    # (heads gathered per open string, not a grid), and (best, winner, redo)
+    real, calls = channel_module._max_product, []
 
-    def stage(heads, *operands):
-        result = real(heads, *operands)
-        if heads.ndim == 2:  # gathered per open string, not a grid
-            stages.append(result)
+    def reduction(heads, top, *operands):
+        result = real(heads, top, *operands)
+        calls.append((np.broadcast(heads, top).size, heads.ndim == 2, result))
         return result
 
-    with _heads_searched(True), mock.patch.object(channel_module, "_max_product", stage):
-        _check_decisions(*case)
-    return stages
+    with mock.patch.object(channel_module, "_max_product", reduction):
+        yield calls
 
 
 @pytest.mark.parametrize("case, met", [
@@ -1502,7 +1502,9 @@ def _search_stages(case):
     (_UNREACHABLE, lambda best, redo: best == 0.0),
 ], ids=["tie", "gain", "zero"])
 def test_head_search_carries_redone_and_zero_strings_past_its_first_stage(case, met):
-    assert any(met(best, redo).any() for best, _, redo in _search_stages(case))
+    with _heads_searched(True), _reductions() as calls:
+        _check_decisions(*case)
+    assert any(met(best, redo).any() for _, later, (best, _, redo) in calls if later)
 
 
 def test_head_search_meets_few_heads_per_string():
@@ -1512,16 +1514,10 @@ def test_head_search_meets_few_heads_per_string():
     codebook = _sample_codebook(np.random.default_rng(12), np.array([0.5, 0.5]), 12,
                                 channel_module._codebook_size(12, 0.99, 2, 2, None))
     words = codebook[np.sort(np.unique(codebook, axis=0, return_index=True)[1])]
-    real, products = channel_module._max_product, []
-
-    def stage(heads, top, *operands):
-        products.append(np.broadcast(heads, top).size)
-        return real(heads, top, *operands)
-
-    with mock.patch.object(channel_module, "_max_product", stage):
+    with _reductions() as calls:
         strings = sum(run[0].size for run in _decisions(matrix, words))
     assert strings == 2 ** 12 and len(np.unique(words[:, :6], axis=0)) == 64
-    assert sum(products) / strings <= 3.0
+    assert sum(size for size, _, _ in calls) / strings <= 3.0
 
 
 @settings(max_examples=60)
