@@ -31,8 +31,8 @@ by decreasing A, in stages of 1, 2, 4, ..., and decides a string once its
 best is above fl(A_next maxtop), the next head's A times the greatest top
 at the tail string: rounding is monotone, so no head left reaches it.  At
 bsc(0.05), rate 0.99 and k = 12 a string meets about 2.04 of the 64 heads.
-The last stage takes every head at once, and small runs and sparse
-codebooks start with it.  Only a string where a head's next lower B rounds
+The last stage takes every head at once, and sparse codebooks start
+with it.  Only a string where a head's next lower B rounds
 to the same product forms its column over all u words.  Decisions and
 likelihoods are those of the full u x n**k table bit for bit, and each
 codeword's mass adds the likelihoods it wins in string order.  The
@@ -91,11 +91,8 @@ STREAM_BLOCK_ENTRIES = 2 ** 18
 # Codebooks over at most this many inputs, and with at least as many draws
 # per input, are drawn by counting thresholds rather than by binary search.
 COUNT_DRAW_INPUTS = 64
-# A run of the ML pass over more than this many head-by-string products
-# searches its heads by likelihood; a smaller one takes every head at once.
-SEARCH_RUN_ENTRIES = 2 ** 13
-# The search takes every head at once when its first stage would leave, or
-# leaves, more than this share of the run's strings open.
+# The ML pass takes every head at once, not the head search, when its first
+# stage would leave more than this share of the output strings open.
 SEARCH_OPEN_SHARE = 0.5
 # Warned by the decoder table and by the streamed trial alike.
 _ZERO_MASS = "decision block with zero mass; decoder row set to uniform"
@@ -597,9 +594,7 @@ def _head_search(heads, top, top_word, second, u):
     # of 1, 2, 4, ... heads.  No head not yet met rounds to more than
     # fl(A_next maxtop), the head string's next likelihood times the
     # greatest top at the tail string, so a string whose best is above it
-    # is decided.  A string of best 0 stays open to the last head.  None
-    # when the first stage leaves more than SEARCH_OPEN_SHARE of the
-    # strings open.
+    # is decided.  A string of best 0 stays open to the last head.
     h, cols = heads.shape[0], top.shape[1]
     order = np.argsort(-heads, axis=0)
     ranked = np.take_along_axis(heads, order, axis=0)
@@ -608,8 +603,6 @@ def _head_search(heads, top, top_word, second, u):
     best, winner, redone = _max_product(ranked[:1, :, None], top[met], top_word[met],
                                         second[met], u)
     at = np.flatnonzero(best <= ranked[1, :, None] * maxtop)  # the open strings
-    if at.size > SEARCH_OPEN_SHARE * best.size:
-        return None
     best_at, winner_at, redone_at = best.ravel(), winner.ravel(), redone.ravel()
     lo = 1
     while at.size:
@@ -637,16 +630,13 @@ def _head_search(heads, top, top_word, second, u):
 def _run_winners(heads, top, top_word, second, u, search):
     # Best likelihood and winner per string of a run, heads against tail
     # strings, and the strings whose column must be formed.  With ``search``
-    # a run of more than SEARCH_RUN_ENTRIES products over two heads or more
-    # searches its heads; the last stage takes every head at once.
-    h, rows = heads.shape
-    found = None
-    if search and h > 1 and h * rows * top.shape[1] > SEARCH_RUN_ENTRIES:
-        found = _head_search(heads, top, top_word, second, u)
-    if found is None:
-        found = _max_product(heads[:, :, None], top[:, None, :], top_word[:, None, :],
-                             second[:, None, :], u)
-    best, winner, redone = found
+    # a run over two heads or more searches its heads; otherwise it takes
+    # every head at once, as the search's last stage does.
+    if search and heads.shape[0] > 1:
+        best, winner, redone = _head_search(heads, top, top_word, second, u)
+    else:
+        best, winner, redone = _max_product(heads[:, :, None], top[:, None, :],
+                                            top_word[:, None, :], second[:, None, :], u)
     winner[best == 0.0] = 0  # every likelihood is 0
     return winner, best, redone & (best > 0.0)
 
@@ -731,12 +721,10 @@ def _decisions(matrix, words, tables=None):
     Rounding is monotone, so no head not met reaches that best with its
     top or its second: the winner, its likelihood and the redo flag are
     final.  At bsc(0.05), rate 0.99 and k = 12 a string meets about 2.04
-    of the 64 heads.  The last stage is every head at once; a run takes it
-    from the start when it holds at most ``SEARCH_RUN_ENTRIES`` products,
-    or when the u words fill at most ``1 - SEARCH_OPEN_SHARE`` of the
-    h * nb head-tail pairs (the first stage decides a string about when its
-    likeliest head and tail form a word), and after the first stage when
-    that leaves more than ``SEARCH_OPEN_SHARE`` of the strings open.
+    of the 64 heads.  The last stage is every head at once; a trial takes
+    it from the start when the u words fill at most ``1 - SEARCH_OPEN_SHARE``
+    of the h * nb head-tail pairs (the first stage decides a string about
+    when its likeliest head and tail form a word).
     ``tables`` are ``_TrialGroup.tables`` of the words, those of a group of
     one when not given.
     """

@@ -1399,14 +1399,10 @@ def _masses_in_string_order(rows):
 
 
 def _heads_searched(searched):
-    # The ML pass with its head search on every run of two heads or more,
-    # never falling back (True), with every head at once (False), or at its
-    # default cut-over (None)
-    if searched is None:
-        return contextlib.nullcontext()
-    if searched:
-        return mock.patch.multiple(channel_module, SEARCH_RUN_ENTRIES=0, SEARCH_OPEN_SHARE=1.0)
-    return mock.patch.object(channel_module, "SEARCH_RUN_ENTRIES", math.inf)
+    # The ML pass with its head search on every run of two heads or more
+    # (True) or with every head at once (False): u <= h * nb, so a share of
+    # 0 never searches and a share of 1 always does
+    return mock.patch.object(channel_module, "SEARCH_OPEN_SHARE", 1.0 if searched else 0.0)
 
 
 def _check_decisions(matrix, codebook):
@@ -1461,15 +1457,15 @@ _STAGED_GAIN = (_normalized([[0.0, 0.05, 0.25], [0.0, 0.05, 0.1]]),
 @example(_STAGED_TIE)
 @example(_STAGED_GAIN)
 def test_ml_pass_is_the_argmax_of_the_dense_rows(entries, case):
-    # at the default cut-over, with every head at once and with the head
-    # search on every run of two heads or more: the same runs bit for bit
+    # with every head at once and with the head search on every run of two
+    # heads or more: the same runs bit for bit
     runs = []
-    for searched in (None, False, True):
+    for searched in (False, True):
         with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", entries), \
                 _heads_searched(searched):
             _check_decisions(*case)
             runs.append([tuple(r.tobytes() for r in run) for run in _decisions(*case)])
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
 
 
 def test_ml_pass_redoes_a_rounding_collapse_and_meets_zero_likelihoods():
@@ -1581,7 +1577,7 @@ def test_decoder_table_is_the_dense_oracle_bit_for_bit(entries, case):
     # against the argmax over the dense rows, at every cut of the pieces
     matrix, codebook = case
     want, want_warnings = _warned(_decoder_from_rows, _block_rows(matrix, codebook))
-    for searched in (None, False, True):
+    for searched in (False, True):
         with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", entries), \
                 _heads_searched(searched):
             got, got_warnings = _warned(_ml_decoder, matrix, codebook)
