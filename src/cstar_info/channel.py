@@ -26,7 +26,13 @@ decodes by an exact max-product over the half tables of the H distinct
 heads and the distinct tails: the words of a head share its A, and
 rounding is monotone, so per head and tail string it keeps the greatest B,
 the lowest word attaining it and the next lower B, then takes each
-string's greatest product over the heads.  It meets a head string's heads
+string's greatest product over the heads.  Those come from integer keys:
+each B is read as its rank among the tail table's distinct values, and the
+key rank * u + u - 1 - place, with place a word's in head order, gives the
+greatest B and its lowest word by one maximum per head and tail string,
+and the next lower B by one more over the keys of lower rank: at
+bsc(0.05), rate 0.99 and k = 12, 0.9 ms of a 2.8 ms trial, against 2.3 ms
+for the passes over the float likelihoods.  It meets a head string's heads
 by decreasing A, in stages of 1, 2, 4, ..., and decides a string once its
 best is above fl(A_next maxtop), the next head's A times the greatest top
 at the tail string: rounding is monotone, so no head left reaches it.  At
@@ -122,6 +128,7 @@ class Channel(_Value):
             raise ValueError("channel rows must sum to 1")
         if float(np.min(mat)) < 0.0:  # entries the tolerance admits below zero
             mat[mat < 0.0] = 0.0
+        mat += 0.0  # -0.0 is stored as 0.0
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -550,27 +557,46 @@ def _half_table(matrix, parts):
     return columns.T
 
 
+def _key_dtype(levels, u):
+    # the keys rank * u + place of ``_head_tops``, below levels * u, and u
+    # itself: int32 where they fit
+    return np.int32 if levels * u < 2 ** 31 else np.int64
+
+
 def _head_tops(tails, tail, head, h):
     # Per distinct head and tail string, over the head's words: the greatest
     # tail likelihood top, the lowest word attaining it, and the greatest
-    # below it, second (0 without one).  In chunks of whole heads.
-    nb = tails.shape[1]
+    # below it, second (0 without one).  A likelihood is read as its rank
+    # among the table's distinct values and 0, which compare as the values
+    # do, in the integer key rank * u + u - 1 - place, with place the word's
+    # in head order, which grows with its index: the greatest key of a head
+    # holds its top and its lowest word at once.  In chunks of whole heads.
+    u, nb = tail.size, tails.shape[1]
+    values = np.sort(np.append(tails, 0.0))  # 0 is rank 0, read for no second
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    dtype = _key_dtype(values.size, u)
+    keys = values.searchsorted(tails).astype(dtype)
+    keys *= u
     top, second = np.empty((h, nb)), np.empty((h, nb))
     top_word = np.empty((h, nb), dtype=np.int64)
     order = np.argsort(head, kind="stable")  # by head, each in index order
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(head, minlength=h))))
+    place = np.arange(u - 1, -1, -1, dtype=dtype)[:, None]
+    counts = np.bincount(head, minlength=h)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
     lo = 0
     while lo < h:
         fit = np.searchsorted(bounds, bounds[lo] + STREAM_BLOCK_ENTRIES // nb, side="right") - 1
         hi = min(h, max(lo + 1, int(fit)))
         words = order[bounds[lo] : bounds[hi]]
         starts = bounds[lo:hi] - bounds[lo]
-        block = tails[tail[words]]
-        top[lo:hi] = np.maximum.reduceat(block, starts)
-        at = block == np.repeat(top[lo:hi], np.diff(bounds[lo : hi + 1]), axis=0)
-        top_word[lo:hi] = words[np.minimum.reduceat(
-            np.where(at, np.arange(words.size)[:, None], words.size), starts)]
-        second[lo:hi] = np.maximum.reduceat(np.where(at, 0.0, block), starts)
+        block = keys[tail[words]]
+        block += place[bounds[lo] : bounds[hi]]
+        best = np.maximum.reduceat(block, starts)
+        level, last = np.divmod(best, u)
+        top[lo:hi] = values.take(level)
+        top_word[lo:hi] = order[::-1].take(last)
+        below = np.where(block < np.repeat(best - last, counts[lo:hi], axis=0), block, 0)
+        second[lo:hi] = values.take(np.maximum.reduceat(below, starts) // u)
         lo = hi
     return top, top_word, second
 
@@ -714,6 +740,17 @@ def _decisions(matrix, words, tables=None):
     of a head can round to the same product only if the next lower one,
     ``second``, does; only such strings form their column over every word.
 
+    ``_head_tops`` finds top, its word and second from integer keys: each B
+    is read as its rank among the distinct values of the tail table (the
+    rows the words use), which compare as the values do, and word j's key
+    is rank * u + u - 1 - place, with place its position in head order,
+    which grows with j.  One maximum per head and tail string gives top and
+    the lowest word attaining it, and one more over the keys of lower rank
+    gives second (rank 0 is the value 0: no second).  The keys are int32
+    while they fit.  At bsc(0.05), rate 0.99 and k = 12 (u = 2,467, 64 x 64
+    half strings) this takes about 0.9 ms against 2.3 ms for the float
+    passes it replaces.
+
     Each head string a meets its heads by decreasing A[h, a], in stages of
     1, 2, 4, ... heads, and string (a, b) is decided once its best so far
     is strictly above fl(A_next maxtop), with A_next the greatest A[h, a]
@@ -793,7 +830,7 @@ class _TrialGroup:
     trial's distinct words and of the types whose gaps were summed; a trial
     adds only the halves the group has not met.  Each gap is summed once per
     type and looked up by later trials.  A trial's ML pass reads the rows of
-    its own heads and the tail table.  Before a trial whose new halves would
+    its own heads and tails.  Before a trial whose new halves would
     take the group's entries (its tables' likelihoods and its gaps) past the
     larger of the trial's own tables and ``STREAM_BLOCK_ENTRIES``, the group
     closes and the trial opens a new one, so the tables never grow with the
@@ -818,8 +855,8 @@ class _TrialGroup:
 
     def tables(self, words):
         """``(heads, head, tails, tail)`` for ``_decisions`` of the words:
-        the half tables over their distinct heads and the group's tails, and
-        each word's row in them."""
+        the half tables over their distinct heads and tails, and each word's
+        row in them."""
         head_memo, tail_memo = self.halves
         head_part, tail_part = _split(words)
         head_found, tail_found = head_memo.match(head_part), tail_memo.match(tail_part)
@@ -833,15 +870,18 @@ class _TrialGroup:
                 + np.count_nonzero(np.bincount(tail_found[0])) * b):
             self._open()
             return self.tables(words)
-        head = head_memo.add(head_part, head_found)
-        tail = tail_memo.add(tail_part, tail_found)
-        heads = head_memo.values
-        if len(head_found[1]) < len(heads):  # the group knew some heads
-            present = np.bincount(head, minlength=len(heads)) > 0
-            if not present.all():
-                # _head_tops gives every head row a word
-                heads, head = heads[present], (np.cumsum(present) - 1)[head]
-        return heads, head, tail_memo.values, tail
+        tables = []
+        for memo, part, found in ((head_memo, head_part, head_found),
+                                  (tail_memo, tail_part, tail_found)):
+            label, values = memo.add(part, found), memo.values
+            if len(found[1]) < len(values):  # the group knew some halves
+                present = np.bincount(label, minlength=len(values)) > 0
+                if not present.all():
+                    # _head_tops gives every head row a word, and ranks the
+                    # values of the tail rows the words use
+                    values, label = values[present], (np.cumsum(present) - 1)[label]
+            tables += [values, label]
+        return tuple(tables)
 
     def gaps(self, types):
         """The uniform-row gap of each row of ``types``, a sorted word."""

@@ -35,6 +35,8 @@ from cstar_info.channel import (
     LosslessChannel,
     _decisions,
     _half_table,
+    _head_tops,
+    _key_dtype,
     _ml_decoder,
     _row_sums,
     _sample_codebook,
@@ -616,9 +618,9 @@ def test_capacity_zero_output_column():
 def test_weights_admitted_below_zero_are_stored_as_zeros():
     state = State(AtomicAlgebra(2), [1 + 1e-10, -1e-10])
     assert state.weights[1] == 0.0 and not np.signbit(state.weights[1])
-    # -0.0 is not below zero and keeps its bits
+    # -0.0 is not below zero: a state keeps its bits, a channel stores 0.0
     assert np.signbit(State(AtomicAlgebra(2), [1.0, -0.0]).weights[1])
-    assert np.signbit(Channel([[1.0, -0.0], [0.5, 0.5]]).matrix[0, 1])
+    assert not np.signbit(Channel([[1.0, -0.0], [0.5, 0.5]]).matrix[0, 1])
     tilted = Channel([[1.0, 0.0, 0.0], [0.0, 1.0 + 1e-10, -1e-10]])
     assert tilted.matrix[1, 2] == 0.0
     # the values the readers gave when each clipped the weights itself
@@ -1516,6 +1518,81 @@ def test_head_search_meets_few_heads_per_string():
     assert sum(size for size, _, _ in calls) / strings <= 3.0
 
 
+def _tops_by_heads(tails, tail, head, h):
+    # per head and tail string, one head at a time over its words in index
+    # order: the greatest tail likelihood, the first word attaining it and
+    # the greatest below it (0 without one)
+    nb = tails.shape[1]
+    top, second = np.zeros((h, nb)), np.zeros((h, nb))
+    top_word = np.zeros((h, nb), dtype=np.int64)
+    for g in range(h):
+        words = [j for j in range(tail.size) if head[j] == g]
+        for b in range(nb):
+            values = [float(tails[tail[j], b]) for j in words]
+            top[g, b] = max(values)
+            top_word[g, b] = words[values.index(top[g, b])]
+            second[g, b] = max([v for v in values if v < top[g, b]], default=0.0)
+    return top, top_word, second
+
+
+@st.composite
+def _tops_cases(draw):
+    # tail likelihoods from a small grid (zeros and exact ties), a table
+    # that may hold rows no word uses, and heads of one word or more
+    grid = st.sampled_from([0.0, 0.0, 0.1, 0.125, 0.25, 0.25, 0.5, 0.3])
+    rows, nb = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    tails = np.array([[draw(grid) for _ in range(nb)] for _ in range(rows)])
+    u = draw(st.integers(1, 14))
+    h = draw(st.integers(1, u))
+    tail = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=u, max_size=u)),
+                    dtype=np.int64)
+    # every head has a word, as ``_TrialGroup.tables`` gives them
+    heads = list(range(h)) + draw(st.lists(st.integers(0, h - 1), min_size=u - h, max_size=u - h))
+    head = np.array(draw(st.permutations(heads)), dtype=np.int64)
+    return tails, tail, head, h
+
+
+def _int64_keys(levels, u):
+    return np.int64
+
+
+@pytest.mark.parametrize("entries", [channel_module.STREAM_BLOCK_ENTRIES, 1, 30])
+@settings(max_examples=80)
+@given(_tops_cases())
+# every head has one word; one tail row is never used
+@example((np.array([[0.25, 0.0], [0.5, 0.25], [0.0, 0.0]]), np.array([1, 0, 1]),
+          np.array([2, 0, 1]), 3))
+# one head of tied words, zeros among them
+@example((np.array([[0.25, 0.0], [0.25, 0.0]]), np.array([1, 0, 1, 0]), np.zeros(4, np.int64), 1))
+def test_head_tops_are_those_of_a_loop_over_each_head(entries, case):
+    # with int32 keys and with int64 keys, at every cut of the chunks
+    want = _tops_by_heads(*case)
+    for key_dtype in (_key_dtype, _int64_keys):
+        with mock.patch.object(channel_module, "STREAM_BLOCK_ENTRIES", entries), \
+                mock.patch.object(channel_module, "_key_dtype", key_dtype):
+            got = _head_tops(*case)
+        assert [(x.dtype, x.tobytes()) for x in got] == [(x.dtype, x.tobytes()) for x in want]
+
+
+def test_key_dtype_is_int32_while_the_keys_fit():
+    # keys rank * u + place of `levels` ranks over u words, below levels * u
+    top = np.iinfo(np.int32).max
+    for levels, u in [(2 ** 15, 2 ** 16 - 1), (1, 2 ** 31 - 1), (2 ** 31 - 1, 1), (3, 5)]:
+        assert levels * u <= top and _key_dtype(levels, u) is np.int32
+    for levels, u in [(2 ** 15, 2 ** 16), (2, 2 ** 30), (2 ** 31, 1), (3, 2 ** 40)]:
+        assert levels * u > top and _key_dtype(levels, u) is np.int64
+    # an int64-keyed trial finds the tops of an int32-keyed one
+    matrix = bsc(0.05).matrix
+    words = np.unique(_sample_codebook(np.random.default_rng(8), np.array([0.5, 0.5]), 8, 160),
+                      axis=0)
+    _, head, tails, tail = channel_module._TrialGroup(matrix, 8).tables(words)
+    h = int(head.max()) + 1
+    want = _head_tops(tails, tail, head, h)
+    with mock.patch.object(channel_module, "_key_dtype", _int64_keys):
+        got = _head_tops(tails, tail, head, h)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
 @settings(max_examples=60)
 @given(_coding_cases())
 # codeword 0 owns only output 2, which no codeword reaches
@@ -1585,6 +1662,36 @@ def test_decoder_table_is_the_dense_oracle_bit_for_bit(entries, case):
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2].tobytes() == want[2].tobytes()
         assert got_warnings == want_warnings
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_negative_zero_entries_code_as_zeros(data):
+    # a channel given -0.0 for its zeros stores 0.0: the codebook, decoder
+    # and experiment bytes are those of the +0.0 channel, and the decoder is
+    # the dense oracle's bit for bit
+    m, n = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    k = data.draw(st.integers(1, 4))
+    grid = st.sampled_from([0.0, 0.0, 0.05, 0.25, 1.0, 3.0])
+    mat = np.array([[data.draw(grid) for _ in range(n)] for _ in range(m)])
+    mat[mat.sum(axis=1) == 0.0, 0] = 1.0
+    mat /= mat.sum(axis=1, keepdims=True)
+    assume(0.0 in mat and classify(Channel(mat)).kind != "useless")
+    rate = data.draw(st.sampled_from([0.5, 1.0]))
+    assume(k * rate >= 1)
+    omega = State(AtomicAlgebra(m), [1.0 / m] * m)
+    runs = []
+    for entries in (mat, np.where(mat == 0.0, -0.0, mat)):
+        channel = Channel(entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            codebook, lossless = build_code_and_decoder(channel, omega, k, rate, seed=5)
+            oracle = _decoder_from_rows(_block_rows(channel.matrix, codebook))[1]
+            results = coding_experiment(channel, omega, rate, ks=(k,), trials=2, seed=5)
+        assert lossless.matrix.tobytes() == oracle.tobytes()
+        runs.append((channel.matrix.tobytes(), codebook.tobytes(), lossless.matrix.tobytes(),
+                     lossless.decision, repr(results)))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.58, 0.42)])
